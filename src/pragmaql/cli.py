@@ -101,10 +101,11 @@ def _cmd_parse(args) -> int:
 
 def _cmd_eval(args) -> int:
     model = _load_model_arg(args.model)
-    value = sigma(model, args.state, parse_radical(args.formula))
+    ast = parse_radical(args.formula)
+    value = sigma(model, args.state, ast)
     if args.format == "structured":
-        _emit_json({"state": args.state, "formula": print_formula(
-            parse_radical(args.formula)), "value": str(value)})
+        _emit_json({"state": args.state, "formula": print_formula(ast),
+                    "value": str(value)})
     else:
         print(value)
     return 0
@@ -127,10 +128,11 @@ def _cmd_extension(args) -> int:
 
 def _cmd_justify(args) -> int:
     model = _load_model_arg(args.model)
-    value = justify(model, args.state, parse_assertive(args.formula))
+    ast = parse_assertive(args.formula)
+    value = justify(model, args.state, ast)
     if args.format == "structured":
-        _emit_json({"state": args.state, "formula": print_formula(
-            parse_assertive(args.formula)), "value": str(value)})
+        _emit_json({"state": args.state, "formula": print_formula(ast),
+                    "value": str(value)})
     else:
         print(value)
     return 0

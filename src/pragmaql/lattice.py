@@ -1,12 +1,15 @@
 """Quotient lattice of quantum formulas under equal pragmatic extension.
 
-Formulas over a chosen atom set are enumerated round by round (one round
-per connective-nesting level), but classes rather than raw formulas are
-expanded: two formulas whose extensions agree entry-wise within the
-merge tolerance fall into one class, so growth is bounded by the class
-count instead of being exponential in depth.  A closure pass then makes
-the negation/meet/join tables total, synthesizing a representative from
-existing ones for any class first produced by an operation.
+Formulas over a chosen atom set are generated in one loop of rounds, but
+classes rather than raw formulas are expanded: two formulas whose
+extensions agree entry-wise within the merge tolerance fall into one
+class, so growth is bounded by the class count instead of being
+exponential in depth.  Each round combines only the class pairs that
+include a class new in the round before, and writes each result's class
+into the negation/meet/join tables as it is found.  Rounds up to the
+requested depth enumerate member formulas; later rounds close the class
+set, synthesizing a representative from existing ones for any class
+first produced there.  The loop ends when a round finds no new class.
 
 The resulting structure carries the class order (extension inclusion),
 the three operation tables, and bottom/top, and is checked against the
@@ -16,6 +19,7 @@ own projectors.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +71,8 @@ class LatticeElement:
     formulas retained during enumeration.
 
     Hand-built fixtures may leave ``formula``/``projector`` as None;
-    ``synthesized`` marks classes first produced by the closure step
-    rather than by the enumeration itself.
+    ``synthesized`` marks classes first produced by a closure round (past
+    the requested depth) rather than by the enumeration rounds.
     """
 
     index: int
@@ -112,44 +116,22 @@ class QuotientLattice:
 # generation
 
 
-class _ClassTable:
-    """Classes discovered so far, deduplicated by projector distance."""
-
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.projs: list[Projector] = []
-        self.members: list[list[AssertiveFormula]] = []
-        self.synthesized: list[bool] = []
-
-    def find(self, p: Projector) -> int | None:
-        for i, q in enumerate(self.projs):
-            if float(np.max(np.abs(q.matrix - p.matrix))) <= self.tol:
-                return i
-        return None
-
-    def add(self, p: Projector, formula: AssertiveFormula,
-            synthesized: bool = False) -> int:
-        i = self.find(p)
-        if i is None:
-            self.projs.append(p)
-            self.members.append([formula])
-            self.synthesized.append(synthesized)
-            return len(self.projs) - 1
-        if formula not in self.members[i]:
-            self.members[i].append(formula)
-        return i
-
-
 def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
     """Build the quotient lattice generated by ``atoms`` up to ``depth``.
 
-    ``depth`` counts connective nesting: round 1 applies N/K/AQ to the
-    elementary assertions, round 2 to everything discovered so far, and
-    so on.  Each class's canonical representative is the shortlex-least
-    printed formula among its enumerated members.  The closure pass
-    afterwards adds any class an operation can still produce, so the
-    returned tables are total; with enough depth the closure finds nothing
-    new (saturation).
+    One loop of rounds, starting from the elementary assertions, applies
+    N to every class and K/AQ to every ordered pair of classes, each
+    exactly once: a round combines only the pairs that include a class
+    found in the round before (semi-naive evaluation), since every other
+    pair was already combined with the same operands.  Each result's class
+    index goes into the negation/meet/join tables as it is found, so the
+    tables are total when a round finds no new class (saturation).
+
+    ``depth`` counts connective nesting.  Rounds 1 to ``depth`` enumerate:
+    operands are each class's first-found formula, and every result joins
+    its class's members.  Later rounds close the set: operands are the
+    canonical representatives (the shortlex-least member), and only a
+    result with a new projector creates a class, flagged ``synthesized``.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -161,23 +143,28 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
             raise UnknownNameError(f"unknown atom {a!r}")
 
     tol = 10.0 * model.eps
-    table = _ClassTable(tol)
-    for a in atoms:
-        table.add(model.atom_projector(a), Assert(Atom(a)))
+    projs: list[Projector] = []
+    members: list[list[AssertiveFormula]] = []
+    synthesized: list[bool] = []
+    operands: list[AssertiveFormula] = []   # first members, then representatives
+    neg: dict[int, int] = {}
+    meets: dict[tuple[int, int], int] = {}
+    joins: dict[tuple[int, int], int] = {}
+    steps = [(meet, K, meets), (join, AQ, joins)]
+    enumerating = True
 
-    # enumeration: operands come from the snapshot taken at round start,
-    # built from each class's first-discovered formula
-    for _ in range(depth):
-        count = len(table.projs)
-        snapshot = [(table.projs[i], table.members[i][0]) for i in range(count)]
-        for p, f in snapshot:
-            table.add(ortho(p), N(f))
-        for p, f in snapshot:
-            for q, g in snapshot:
-                table.add(meet(p, q, eps=model.eps), K(f, g))
-        for p, f in snapshot:
-            for q, g in snapshot:
-                table.add(join(p, q, eps=model.eps), AQ(f, g))
+    def record(p: Projector, formula: AssertiveFormula) -> int:
+        """Index of the first class within ``tol`` of ``p``, made if none is."""
+        for i, q in enumerate(projs):
+            if float(np.max(np.abs(q.matrix - p.matrix))) <= tol:
+                if enumerating and formula not in members[i]:
+                    members[i].append(formula)
+                return i
+        projs.append(p)
+        members.append([formula])
+        synthesized.append(not enumerating)
+        operands.append(formula)
+        return len(projs) - 1
 
     # shortlex: plain lexicographic order would favor longer members, since
     # "(" sorts below every other formula character
@@ -185,68 +172,53 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
         text = print_formula(f)
         return (len(text), text)
 
-    reps: list[AssertiveFormula] = [
-        min(members, key=shortlex) for members in table.members
-    ]
+    for a in atoms:
+        record(model.atom_projector(a), Assert(Atom(a)))
 
-    # closure: make every operation land on a known class
-    changed = True
-    while changed:
-        changed = False
-        count = len(table.projs)
-        for i in range(count):
-            p = ortho(table.projs[i])
-            if table.find(p) is None:
-                table.add(p, N(reps[i]), synthesized=True)
-                reps.append(N(reps[i]))
-                changed = True
-        for i in range(count):
-            for j in range(count):
-                p = meet(table.projs[i], table.projs[j], eps=model.eps)
-                if table.find(p) is None:
-                    table.add(p, K(reps[i], reps[j]), synthesized=True)
-                    reps.append(K(reps[i], reps[j]))
-                    changed = True
-                p = join(table.projs[i], table.projs[j], eps=model.eps)
-                if table.find(p) is None:
-                    table.add(p, AQ(reps[i], reps[j]), synthesized=True)
-                    reps.append(AQ(reps[i], reps[j]))
-                    changed = True
+    seen = 0   # classes [0, seen) were already combined with each other
+    for rounds in itertools.count(1):
+        count = len(projs)
+        if enumerating and (rounds > depth or seen == count):
+            # members are final once enumeration ends
+            enumerating = False
+            operands[:] = [min(m, key=shortlex) for m in members]
+        if seen == count:
+            break
+        for i in range(seen, count):
+            neg[i] = record(ortho(projs[i]), N(operands[i]))
+        pairs = [(i, j) for i in range(count) for j in range(count)
+                 if i >= seen or j >= seen]
+        # the order fixes class indices and member order: enumeration
+        # applies one connective to all pairs before the next, closure
+        # applies both to each pair in turn
+        passes = [[step] for step in steps] if enumerating else [steps]
+        for batch in passes:
+            for i, j in pairs:
+                for op, connective, table in batch:
+                    table[i, j] = record(op(projs[i], projs[j], eps=model.eps),
+                                         connective(operands[i], operands[j]))
+        seen = count
 
-    n = len(table.projs)
-    projs = table.projs
-
-    def locate(p: Projector) -> int:
-        i = table.find(p)
-        if i is None:
-            raise RuntimeError("operation escaped the closed class set")
-        return i
-
+    n = len(projs)
     order = np.zeros((n, n), dtype=bool)
     for i in range(n):
         for j in range(n):
             order[i, j] = leq(projs[i], projs[j], model.eps)
-    neg_table = np.array([locate(ortho(projs[i])) for i in range(n)], dtype=int)
-    meet_table = np.zeros((n, n), dtype=int)
-    join_table = np.zeros((n, n), dtype=int)
-    for i in range(n):
-        for j in range(n):
-            meet_table[i, j] = locate(meet(projs[i], projs[j], eps=model.eps))
-            join_table[i, j] = locate(join(projs[i], projs[j], eps=model.eps))
     bottom = next(i for i in range(n) if projs[i].rank == 0)
     top = next(i for i in range(n) if projs[i].rank == projs[i].dim)
 
     elements = [
-        LatticeElement(i, reps[i], projs[i], tuple(table.members[i]),
-                       table.synthesized[i])
+        LatticeElement(i, operands[i], projs[i], tuple(members[i]), synthesized[i])
         for i in range(n)
     ]
     return QuotientLattice(
         elements=elements,
         order=order,
-        neg_table=neg_table,
-        meet_table=meet_table,
-        join_table=join_table,
+        neg_table=np.array([neg[i] for i in range(n)], dtype=int),
+        meet_table=np.array([[meets[i, j] for j in range(n)] for i in range(n)],
+                            dtype=int),
+        join_table=np.array([[joins[i, j] for j in range(n)] for i in range(n)],
+                            dtype=int),
         bottom=bottom,
         top=top,
         eps=model.eps,
@@ -429,27 +401,41 @@ def import_lattice(document) -> QuotientLattice:
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed lattice document: {exc}", code="schema") from exc
 
+    if not isinstance(raw_elements, list):
+        raise ModelError("lattice elements must be a list", code="schema")
     n = len(raw_elements)
     if order.shape != (n, n) or meet_table.shape != (n, n) or \
             join_table.shape != (n, n) or neg_table.shape != (n,):
         raise ModelError("lattice tables do not match the element count",
                          code="schema")
+    if not (0 <= bottom < n and 0 <= top < n) or any(
+            t.min() < 0 or t.max() >= n for t in (neg_table, meet_table, join_table)):
+        raise ModelError("lattice document names a class index out of range",
+                         code="schema")
 
     elements = []
     for i, raw in enumerate(raw_elements):
-        formula = None
-        if raw.get("formula") is not None:
-            formula = parse_assertive(raw["formula"])
+        if not isinstance(raw, dict):
+            raise ModelError(f"lattice element {i} must be a mapping", code="schema")
+        text = raw.get("formula")
+        texts = raw.get("members", [])
+        synthesized = raw.get("synthesized", False)
+        if not (text is None or isinstance(text, str)) or not isinstance(texts, list) \
+                or not all(isinstance(m, str) for m in texts) \
+                or not isinstance(synthesized, bool):
+            raise ModelError(f"lattice element {i}: formula and members must be "
+                             "formula text, synthesized a boolean", code="schema")
+        formula = None if text is None else parse_assertive(text)
         projector = None
         if raw.get("projector") is not None:
             projector = make_projector(decode_matrix(raw["projector"]), eps=eps)
-        members = tuple(parse_assertive(m) for m in raw.get("members", []))
+        members = tuple(parse_assertive(m) for m in texts)
         elements.append(LatticeElement(
             index=i,
             formula=formula,
             projector=projector,
             members=members,
-            synthesized=bool(raw.get("synthesized", False)),
+            synthesized=synthesized,
         ))
     return QuotientLattice(
         elements=elements,

@@ -1,11 +1,14 @@
 import dataclasses
+import hashlib
 import json
 import re
 
 import numpy as np
 import pytest
 
+import pragmaql.lattice
 from pragmaql import (
+    ModelError,
     UnknownNameError,
     export_lattice,
     find_distributivity_violation,
@@ -102,6 +105,57 @@ def test_generation_argument_errors(qubit):
         generate_quotient(qubit, [], 2)
     with pytest.raises(UnknownNameError):
         generate_quotient(qubit, ["nosuch"], 2)
+
+
+@pytest.mark.parametrize("name, atoms, depth", [
+    ("qubit-zx", ("az", "ax"), 3),
+    ("qutrit-lines", ("aa", "ab", "ap"), 1),
+])
+def test_generation_combines_each_class_pair_once(all_models, monkeypatch,
+                                                  name, atoms, depth):
+    calls = {"meet": 0, "join": 0}
+
+    def counted(op):
+        def wrapper(*args, **kwargs):
+            calls[op.__name__] += 1
+            return op(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pragmaql.lattice, "meet", counted(pragmaql.lattice.meet))
+    monkeypatch.setattr(pragmaql.lattice, "join", counted(pragmaql.lattice.join))
+    lat = generate_quotient(all_models[name], atoms, depth)
+    assert calls == {"meet": len(lat) ** 2, "join": len(lat) ** 2}
+
+
+# sha256 of each export's float-free content, recorded before generation
+# became a single round loop; class indices, representatives, member order
+# and tables must not move
+EXPORT_DIGESTS = {
+    ("qubit-zx", ("az", "ax"), 1): "4f2d7c7ca10c8d2570bf3c117f32810e42d3738c13da7db9866dff81770777d9",
+    ("qubit-zx", ("az", "ax"), 2): "83aa743e9ccad76965066beb89087d4a0de573cf9a93f3f6ca77666831bebbd8",
+    ("qubit-zx", ("az", "ax"), 3): "83aa743e9ccad76965066beb89087d4a0de573cf9a93f3f6ca77666831bebbd8",
+    ("qutrit-lines", ("aa", "ab", "ap"), 1): "618b04300c55349a9b2d13379ae8082ca6323e8043d93a1869e18dee138d292c",
+    ("qutrit-lines", ("aa", "ab", "ap"), 2): "5b539d78a50131d5536de4dd5235897d766d1b7c1994e42073fb593caec55b26",
+    ("qutrit-lines", ("aa", "ab", "ap"), 3): "072e6cd3c9fec92d123716515a17073832202ff21fcd694a54df95be73f5b736",
+    ("ququart-planes", ("bl", "bd", "bc"), 1): "bba422c833510de1ed368f5321a7395cc688694546e8923d448dcd54ec3b5de8",
+    ("ququart-planes", ("bl", "bd", "bc"), 2): "385e5b35169cb87486a512001b160c79bab5149f20fecbe590262f49a342bff5",
+    ("ququart-planes", ("bl", "bd", "bc"), 3): "6f0a4e204d76c0c74e64217981b779ee9d7148276a1cfcd65bb665f2ae9f35e6",
+    ("qubit-zx", ("az",), 1): "26b1b161a739f84e784c5c5481bddd4148b880d38894fcf90426f4a10322d10d",
+}
+
+
+def _float_free_digest(lat):
+    doc = export_lattice(lat, "structured")
+    skeleton = {key: doc[key] for key in ("bottom", "top", "order", "neg", "meet", "join")}
+    skeleton["elements"] = [{key: e[key] for key in ("formula", "members", "synthesized", "rank")}
+                            for e in doc["elements"]]
+    return hashlib.sha256(json.dumps(skeleton, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, atoms, depth", list(EXPORT_DIGESTS))
+def test_generation_output_is_pinned(all_models, name, atoms, depth):
+    lat = generate_quotient(all_models[name], list(atoms), depth)
+    assert _float_free_digest(lat) == EXPORT_DIGESTS[name, atoms, depth]
 
 
 def test_order_is_a_partial_order(mo2):
@@ -290,13 +344,28 @@ def test_unknown_export_format(mo2):
 
 
 def test_import_rejects_malformed_documents(mo2):
-    with pytest.raises(Exception):
-        import_lattice("not a mapping")
-    doc = export_lattice(mo2, "structured")
-    del doc["neg"]
-    with pytest.raises(Exception):
-        import_lattice(doc)
-    doc = export_lattice(mo2, "structured")
-    doc["order"] = doc["order"][:-1]
-    with pytest.raises(Exception):
-        import_lattice(doc)
+    def set_element(key, value):
+        return lambda doc: doc["elements"][0].__setitem__(key, value)
+
+    mutations = [
+        lambda doc: doc.pop("neg"),
+        lambda doc: doc.update(order=doc["order"][:-1]),
+        lambda doc: doc.update(elements=7),
+        lambda doc: doc["elements"].__setitem__(0, "not a mapping"),
+        set_element("members", 7),
+        set_element("members", ["(|- az)", 7]),
+        set_element("formula", 7),
+        set_element("synthesized", "false"),
+        lambda doc: doc["neg"].__setitem__(0, 99),
+        lambda doc: doc["meet"][0].__setitem__(0, -1),
+        lambda doc: doc.update(bottom=99),
+    ]
+    documents = ["not a mapping"]
+    for mutate in mutations:
+        doc = json.loads(json.dumps(export_lattice(mo2, "structured")))
+        mutate(doc)
+        documents.append(doc)
+    for doc in documents:
+        with pytest.raises(ModelError) as info:
+            import_lattice(doc)
+        assert info.value.code == "schema"
