@@ -81,6 +81,8 @@ class Projector:
     construction); ``rank`` is the subspace dimension.  Construct through
     ``make_projector``, which validates; direct construction skips the
     checks and exists for tests that need deliberately broken data.
+    The range basis is computed once, on the first ``basis()`` call, and
+    kept on the instance as a read-only array.
     """
 
     dim: int
@@ -98,11 +100,21 @@ class Projector:
         object.__setattr__(self, "matrix", m)
 
     def basis(self) -> np.ndarray:
-        """Orthonormal basis of the range, as a dim x rank column matrix."""
-        if self.rank == 0:
-            return np.zeros((self.dim, 0), dtype=np.complex128)
-        u, _, _ = np.linalg.svd(self.matrix)
-        return u[:, : self.rank]
+        """Orthonormal basis of the range, as a dim x rank column matrix.
+
+        The first call runs the SVD; every later call returns the same
+        read-only array.
+        """
+        b = self.__dict__.get("_basis")
+        if b is None:
+            if self.rank == 0:
+                b = np.zeros((self.dim, 0), dtype=np.complex128)
+            else:
+                u, _, _ = np.linalg.svd(self.matrix)
+                b = u[:, : self.rank]
+            b.setflags(write=False)
+            self.__dict__["_basis"] = b
+        return b
 
     def __repr__(self) -> str:
         return f"Projector(dim={self.dim}, rank={self.rank})"

@@ -20,6 +20,7 @@ own projectors.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +145,7 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
 
     tol = 10.0 * model.eps
     projs: list[Projector] = []
+    stack = np.empty((16, model.dim, model.dim), dtype=np.complex128)  # projs' matrices
     members: list[list[AssertiveFormula]] = []
     synthesized: list[bool] = []
     operands: list[AssertiveFormula] = []   # first members, then representatives
@@ -154,12 +156,22 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
     enumerating = True
 
     def record(p: Projector, formula: AssertiveFormula) -> int:
-        """Index of the first class within ``tol`` of ``p``, made if none is."""
-        for i, q in enumerate(projs):
-            if float(np.max(np.abs(q.matrix - p.matrix))) <= tol:
-                if enumerating and formula not in members[i]:
-                    members[i].append(formula)
-                return i
+        """Index of the first class within ``tol`` of ``p``, made if none is.
+
+        The class matrices sit in ``stack`` (capacity doubled when full), so
+        one max-entry distance from ``p`` to every class finds the first hit.
+        """
+        nonlocal stack
+        n = len(projs)
+        hits = np.flatnonzero(np.abs(stack[:n] - p.matrix).max(axis=(1, 2)) <= tol)
+        if hits.size:
+            i = int(hits[0])
+            if enumerating and formula not in members[i]:
+                members[i].append(formula)
+            return i
+        if n == len(stack):
+            stack = np.concatenate([stack, np.empty_like(stack)])
+        stack[n] = p.matrix
         projs.append(p)
         members.append([formula])
         synthesized.append(not enumerating)
@@ -297,10 +309,14 @@ def verify_isomorphism(lat: QuotientLattice) -> LawReport:
     projs = [lat.projector(i) for i in range(n)]
     dist = lambda p, q: float(np.max(np.abs(p.matrix - q.matrix)))
 
+    # one row of the pairwise distances at a time: the whole (n, n, dim, dim)
+    # difference would hold n times the memory
+    stack = np.stack([p.matrix for p in projs])
     for i in range(n):
-        for j in range(i + 1, n):
-            if dist(projs[i], projs[j]) <= lat.eps:
-                return LawReport("order-isomorphism", False, ("injective", i, j))
+        clash = np.abs(stack[i + 1:] - stack[i]).max(axis=(1, 2)) <= lat.eps
+        if clash.any():
+            return LawReport("order-isomorphism", False,
+                             ("injective", i, i + 1 + int(np.argmax(clash))))
     for i in range(n):
         for j in range(n):
             if bool(lat.order[i, j]) != leq(projs[i], projs[j], lat.eps):
@@ -400,6 +416,9 @@ def import_lattice(document) -> QuotientLattice:
         join_table = np.array(document["join"], dtype=int)
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed lattice document: {exc}", code="schema") from exc
+    if not (math.isfinite(eps) and eps > 0 and math.isfinite(class_tol) and class_tol > 0):
+        raise ModelError(f"eps ({eps}) and class_tol ({class_tol}) must be finite "
+                         "and positive", code="schema")
 
     if not isinstance(raw_elements, list):
         raise ModelError("lattice elements must be a list", code="schema")

@@ -308,6 +308,18 @@ def test_random_projector_is_valid():
             assert rebuilt.rank == rank
 
 
+@pytest.mark.parametrize("dim, rank", [(3, 0), (3, 1), (4, 2), (3, 3)])
+def test_basis_is_computed_once_and_read_only(dim, rank):
+    p = random_projector(dim, rank, np.random.default_rng(61))
+    b = p.basis()
+    assert p.basis() is b
+    assert b.shape == (dim, rank)
+    with pytest.raises(ValueError):
+        b[...] = 0
+    expected = np.linalg.svd(p.matrix)[0][:, :rank]
+    assert b.dtype == expected.dtype and b.tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # complex amplitudes and serialization
 

@@ -10,6 +10,7 @@ import pragmaql.lattice
 from pragmaql import (
     ModelError,
     UnknownNameError,
+    bundled_model,
     export_lattice,
     find_distributivity_violation,
     generate_quotient,
@@ -125,6 +126,28 @@ def test_generation_combines_each_class_pair_once(all_models, monkeypatch,
     monkeypatch.setattr(pragmaql.lattice, "join", counted(pragmaql.lattice.join))
     lat = generate_quotient(all_models[name], atoms, depth)
     assert calls == {"meet": len(lat) ** 2, "join": len(lat) ** 2}
+
+
+@pytest.mark.parametrize("name, atoms", [
+    ("ququart-planes", ("bl", "bd", "bc")),
+    ("qutrit-lines", ("aa", "ab", "ap")),
+])
+def test_generation_computes_each_basis_once(monkeypatch, name, atoms):
+    # a fresh model, so no projector arrives with its basis already cached;
+    # with each basis computed once, meet and join take at most three SVDs
+    # per pair (recomputing every basis took over six per pair)
+    model = bundled_model(name)
+    calls = 0
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    lat = generate_quotient(model, list(atoms), 1)
+    assert calls <= 3 * len(lat) ** 2
 
 
 # sha256 of each export's float-free content, recorded before generation
@@ -289,6 +312,15 @@ def test_shared_projector_breaks_injectivity(mo2):
     assert report.counterexample[0] == "injective"
 
 
+def test_injectivity_reports_first_clash_in_row_major_order(mo2):
+    # clashes at (0, 3) and (1, 2): row-major order names (0, 3) first
+    elements = list(mo2.elements)
+    elements[3] = dataclasses.replace(elements[3], projector=elements[0].projector)
+    elements[2] = dataclasses.replace(elements[2], projector=elements[1].projector)
+    report = verify_isomorphism(dataclasses.replace(mo2, elements=elements))
+    assert report.counterexample == ("injective", 0, 3)
+
+
 def test_tampered_neg_table_breaks_isomorphism(mo2):
     bad = np.array(mo2.neg_table)
     bad[0], bad[1] = bad[1], bad[0]
@@ -359,6 +391,11 @@ def test_import_rejects_malformed_documents(mo2):
         lambda doc: doc["neg"].__setitem__(0, 99),
         lambda doc: doc["meet"][0].__setitem__(0, -1),
         lambda doc: doc.update(bottom=99),
+        lambda doc: doc.update(eps=-1.0),
+        lambda doc: doc.update(eps=0.0),
+        lambda doc: doc.update(eps=float("nan")),
+        lambda doc: doc.update(eps=float("inf")),
+        lambda doc: doc.update(class_tol=-1.0),
     ]
     documents = ["not a mapping"]
     for mutate in mutations:
