@@ -275,8 +275,8 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (PragmaQLError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
+    except (PragmaQLError, ValueError, OSError, json.JSONDecodeError,
+            RecursionError) as exc:  # RecursionError: input nested too deeply
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -150,39 +150,39 @@ AssertiveFormula = Union[Assert, N, K, A, C, E, AQ]
 Formula = Union[RadicalFormula, AssertiveFormula]
 
 _RADICAL_TYPES = (Atom, Not, And, Or, Implies, Iff)
-_BINARY_RADICAL_OPS = {And: "&", Or: "|", Implies: "->", Iff: "<->"}
-_BINARY_ASSERTIVE_OPS = {K: "K", A: "A", C: "C", E: "E", AQ: "AQ"}
+
+# Binary operators of each stratum: token kind -> (level, node,
+# right-associative).  A higher level binds tighter.  The parser and the
+# printer both read these tables.
+_RADICAL_BINARY = {
+    "<->": (1, Iff, False),
+    "->": (2, Implies, True),
+    "|": (3, Or, False),
+    "&": (4, And, False),
+}
+_ASSERTIVE_BINARY = {
+    "E": (1, E, False),
+    "C": (2, C, True),
+    "AQ": (3, AQ, False),
+    "A": (3, A, False),
+    "K": (4, K, False),
+}
+_BINARY_RADICAL_OPS = {node: kind for kind, (_, node, _) in _RADICAL_BINARY.items()}
+_BINARY_ASSERTIVE_OPS = {node: kind for kind, (_, node, _) in _ASSERTIVE_BINARY.items()}
 
 
 # ---------------------------------------------------------------------------
 # tokenizer
 
+# A token's kind is its text, except for atoms, whose kind is "atom".
 _TOKEN_RE = re.compile(
     r"""
-      (?P<turnstile>\|-)
-    | (?P<iff><->)
-    | (?P<implies>->)
-    | (?P<tilde>~)
-    | (?P<amp>&)
-    | (?P<pipe>\|)
-    | (?P<lparen>\()
-    | (?P<rparen>\))
-    | (?P<op>AQ|[NKACE])(?![A-Za-z0-9_])
+      \|- | <-> | -> | [~&|()]
+    | (?:AQ|[NKACE])(?![A-Za-z0-9_])
     | (?P<atom>[a-z][a-z0-9_]*)
     """,
     re.VERBOSE,
 )
-
-_GROUP_KIND = {
-    "turnstile": "|-",
-    "iff": "<->",
-    "implies": "->",
-    "tilde": "~",
-    "amp": "&",
-    "pipe": "|",
-    "lparen": "(",
-    "rparen": ")",
-}
 
 
 class _Token(NamedTuple):
@@ -203,13 +203,7 @@ def _tokenize(text: str) -> list[_Token]:
             raise ParseError(
                 f"unknown token at position {i + 1}: {text[i]!r}", position=i + 1
             )
-        group = m.lastgroup
-        if group == "op":
-            kind = m.group()
-        elif group == "atom":
-            kind = "atom"
-        else:
-            kind = _GROUP_KIND[group]
+        kind = "atom" if m.lastgroup == "atom" else m.group()
         tokens.append(_Token(kind, m.group(), i + 1))
         i = m.end()
     tokens.append(_Token("end", "", len(text) + 1))
@@ -217,14 +211,12 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 # ---------------------------------------------------------------------------
-# recursive-descent parser
+# parser
 #
-# radical  := iff ; iff := imp (`<->` imp)* ; imp := or (`->` imp)? ;
-# or := and (`|` and)* ; and := unary (`&` unary)* ;
+# Each stratum is a precedence-climbing loop over its binary table above
+# (Pratt 1973) and an operand parser for the prefix forms:
+#
 # unary := `~` unary | atom | `(` radical `)`
-#
-# assertive := e ; e := c (`E` c)* ; c := aq (`C` c)? ;
-# aq := k ((`AQ`|`A`) k)* ; k := n (`K` n)* ;
 # n := `N` n | `|-` (atom | `(` radical `)`) | `(` assertive `)`
 
 
@@ -261,35 +253,20 @@ class _Parser:
             self._fail({"end of input"})
         return f
 
-    # radical grammar
+    def _climb(self, table, operand, min_level: int = 1):
+        """Parse operands joined by the operators of ``table`` at
+        ``min_level`` or above."""
+        f = operand()
+        while True:
+            entry = table.get(self._peek().kind)
+            if entry is None or entry[0] < min_level:
+                return f
+            level, node, right = entry
+            self._advance()
+            f = node(f, self._climb(table, operand, level if right else level + 1))
 
     def radical(self) -> RadicalFormula:
-        f = self._imp()
-        while self._peek().kind == "<->":
-            self._advance()
-            f = Iff(f, self._imp())
-        return f
-
-    def _imp(self) -> RadicalFormula:
-        f = self._or()
-        if self._peek().kind == "->":
-            self._advance()
-            return Implies(f, self._imp())
-        return f
-
-    def _or(self) -> RadicalFormula:
-        f = self._and()
-        while self._peek().kind == "|":
-            self._advance()
-            f = Or(f, self._and())
-        return f
-
-    def _and(self) -> RadicalFormula:
-        f = self._unary()
-        while self._peek().kind == "&":
-            self._advance()
-            f = And(f, self._unary())
-        return f
+        return self._climb(_RADICAL_BINARY, self._unary)
 
     def _unary(self) -> RadicalFormula:
         tok = self._peek()
@@ -306,36 +283,8 @@ class _Parser:
             return f
         self._fail({"~", "atom", "("})
 
-    # assertive grammar
-
     def assertive(self) -> AssertiveFormula:
-        f = self._c()
-        while self._peek().kind == "E":
-            self._advance()
-            f = E(f, self._c())
-        return f
-
-    def _c(self) -> AssertiveFormula:
-        f = self._aq()
-        if self._peek().kind == "C":
-            self._advance()
-            return C(f, self._c())
-        return f
-
-    def _aq(self) -> AssertiveFormula:
-        f = self._k()
-        while self._peek().kind in ("AQ", "A"):
-            op = self._advance()
-            g = self._k()
-            f = AQ(f, g) if op.kind == "AQ" else A(f, g)
-        return f
-
-    def _k(self) -> AssertiveFormula:
-        f = self._n()
-        while self._peek().kind == "K":
-            self._advance()
-            f = K(f, self._n())
-        return f
+        return self._climb(_ASSERTIVE_BINARY, self._n)
 
     def _n(self) -> AssertiveFormula:
         tok = self._peek()

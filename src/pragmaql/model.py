@@ -21,6 +21,7 @@ Unknown top-level keys (``name``, ``description``, ...) are ignored.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -130,8 +131,10 @@ def load_model(document) -> Model:
     if dim < 1:
         raise ModelError(f"dim must be a positive integer, got {dim}", code="schema")
     eps = document.get("eps", DEFAULT_EPS)
-    if isinstance(eps, bool) or not isinstance(eps, (int, float)) or eps < 0:
-        raise ModelError(f"eps must be a non-negative number, got {eps!r}",
+    # the chained comparison also rejects NaN, and an int too large for a float
+    if (isinstance(eps, bool) or not isinstance(eps, (int, float))
+            or not 0 < eps <= sys.float_info.max):
+        raise ModelError(f"eps must be a finite positive number, got {eps!r}",
                          code="schema")
     eps = float(eps)
 

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from pragmaql import bundled_model_document
@@ -12,6 +15,17 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def invoke_process(*argv):
+    """Run the CLI in a child interpreter, so a hang times out and a
+    traceback reaches stderr."""
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "pragmaql.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -217,3 +231,26 @@ def test_depth_zero_is_domain_error(capsys):
                           "--atoms", "az", "--depth", "0")
     assert code == 1
     assert "depth" in err
+
+
+def test_model_with_nan_eps_is_domain_error(tmp_path):
+    doc = bundled_model_document("qubit-zx")
+    doc["eps"] = float("nan")
+    path = tmp_path / "nan-eps.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke_process("lattice", "-m", str(path),
+                                    "--atoms", "az,ax", "--depth", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "eps" in err
+
+
+def test_deeply_nested_formula_is_domain_error():
+    formula = "N " * 5000 + "|- az"
+    for argv in (["parse", "-f", formula],
+                 ["justify", "-m", "qubit-zx", "-s", "z+", "-f", formula]):
+        code, _, err = invoke_process(*argv)
+        assert code == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err

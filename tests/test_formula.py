@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -124,6 +126,45 @@ def test_c_right_associative():
 def test_a_and_aq_share_level_left_associative():
     got = parse_assertive("(|- p) A (|- q) AQ (|- r)")
     assert got == AQ(A(Assert(P), Assert(Q)), Assert(R))
+
+
+# Precedence and associativity as the module docstring states them:
+# operator -> (level, node), where a higher level binds tighter.
+RADICAL_LEVELS = {"&": (4, And), "|": (3, Or), "->": (2, Implies), "<->": (1, Iff)}
+ASSERTIVE_LEVELS = {"K": (4, K), "AQ": (3, AQ), "A": (3, A), "C": (2, C), "E": (1, E)}
+RIGHT_ASSOCIATIVE = {"->", "C"}
+
+
+def docstring_tree(levels, op1, op2, x, y, z):
+    """The tree of ``x op1 y op2 z`` under ``levels``."""
+    (level1, node1), (level2, node2) = levels[op1], levels[op2]
+    if level1 > level2 or (level1 == level2 and op1 not in RIGHT_ASSOCIATIVE):
+        return node2(node1(x, y), z)
+    return node1(x, node2(y, z))
+
+
+@pytest.mark.parametrize("op1, op2", itertools.product(RADICAL_LEVELS, repeat=2))
+def test_radical_operator_pair_precedence(op1, op2):
+    got = parse_radical(f"p {op1} q {op2} r")
+    assert got == docstring_tree(RADICAL_LEVELS, op1, op2, P, Q, R)
+
+
+@pytest.mark.parametrize("op1, op2", itertools.product(ASSERTIVE_LEVELS, repeat=2))
+def test_assertive_operator_pair_precedence(op1, op2):
+    got = parse_assertive(f"|- p {op1} |- q {op2} |- r")
+    assert got == docstring_tree(ASSERTIVE_LEVELS, op1, op2,
+                                 Assert(P), Assert(Q), Assert(R))
+
+
+@pytest.mark.parametrize("text", ["p &", "p |", "p ->", "p <->", "|- p K",
+                                  "|- p AQ", "|- p A", "|- p C", "|- p E"])
+def test_dangling_operator_at_every_level(text):
+    assertive = text.startswith("|-")
+    with pytest.raises(ParseError) as exc:
+        (parse_assertive if assertive else parse_radical)(text)
+    assert exc.value.position == len(text) + 1
+    assert exc.value.expected == ({"N", "|-", "("} if assertive else {"~", "atom", "("})
+    assert str(exc.value).endswith("found end of input")
 
 
 def test_parse_molecular_radical_under_turnstile():

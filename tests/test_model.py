@@ -142,10 +142,12 @@ def test_schema_violations():
     doc["properties"]["Eup"] = {"span": [[[1, 0], [0, 0]]], "matrix": []}
     with pytest.raises(ModelError):
         load_model(doc)
-    doc = minimal_document()
-    doc["eps"] = -1
-    with pytest.raises(ModelError):
-        load_model(doc)
+    for eps in (-1, 0, float("nan"), float("inf"), 10**400):
+        doc = minimal_document()
+        doc["eps"] = eps
+        with pytest.raises(ModelError) as exc:
+            load_model(doc)
+        assert exc.value.code == "schema"
 
 
 def test_name_lookups(qubit):
