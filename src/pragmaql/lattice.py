@@ -12,9 +12,10 @@ set, synthesizing a representative from existing ones for any class
 first produced there.  The loop ends when a round finds no new class.
 
 The resulting structure carries the class order (extension inclusion),
-the three operation tables, and bottom/top, and is checked against the
-ortholattice laws, the orthomodular law, and order-isomorphism onto its
-own projectors.
+the three operation tables, and bottom/top.  It is checked against the
+ortholattice and orthomodular laws, and for order-isomorphism onto its
+own projectors, with meets and joins recomputed by the null-space
+formulation rather than by the ``meet``/``join`` that built the tables.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .hilbert import (
     decode_matrix,
     encode_matrix,
     join,
-    leq,
     make_projector,
     meet,
     ortho,
@@ -117,6 +117,16 @@ class QuotientLattice:
 # generation
 
 
+def _distances(stack: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Max-entry distance of each matrix in ``stack`` from ``m`` (broadcast)."""
+    return np.abs(stack - m).max(axis=(-2, -1))
+
+
+def _below(stack: np.ndarray, p: np.ndarray, eps: float) -> np.ndarray:
+    """``leq(p, Q)`` for each Q in ``stack``: max |Q p - p| <= eps."""
+    return _distances(stack @ p, p) <= eps
+
+
 def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
     """Build the quotient lattice generated by ``atoms`` up to ``depth``.
 
@@ -163,7 +173,7 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
         """
         nonlocal stack
         n = len(projs)
-        hits = np.flatnonzero(np.abs(stack[:n] - p.matrix).max(axis=(1, 2)) <= tol)
+        hits = np.flatnonzero(_distances(stack[:n], p.matrix) <= tol)
         if hits.size:
             i = int(hits[0])
             if enumerating and formula not in members[i]:
@@ -212,10 +222,7 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
         seen = count
 
     n = len(projs)
-    order = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            order[i, j] = leq(projs[i], projs[j], model.eps)
+    order = np.array([_below(stack[:n], p.matrix, model.eps) for p in projs])
     bottom = next(i for i in range(n) if projs[i].rank == 0)
     top = next(i for i in range(n) if projs[i].rank == projs[i].dim)
 
@@ -242,96 +249,96 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
 # law verification (pure table checks; fixtures without projectors work too)
 
 
+def _first(bad: np.ndarray) -> tuple | None:
+    """Index tuple of the first True entry in row-major order, if any."""
+    if not bad.any():
+        return None
+    return tuple(int(k) for k in np.unravel_index(np.argmax(bad), bad.shape))
+
+
+def _report(law: str, bad: np.ndarray) -> LawReport:
+    failure = _first(bad)
+    return LawReport(law, failure is None, failure)
+
+
 def verify_ortholattice(lat: QuotientLattice) -> list[LawReport]:
     """Involution, De Morgan, complement, and absorption, over all classes."""
-    n = len(lat)
     neg, mt, jt = lat.neg_table, lat.meet_table, lat.join_table
-
-    def first_failure_unary(pred):
-        for x in range(n):
-            if not pred(x):
-                return (x,)
-        return None
-
-    def first_failure_binary(pred):
-        for x in range(n):
-            for y in range(n):
-                if not pred(x, y):
-                    return (x, y)
-        return None
-
-    checks = [
-        ("involution", first_failure_unary(lambda x: neg[neg[x]] == x)),
-        ("de-morgan", first_failure_binary(
-            lambda x, y: neg[mt[x, y]] == jt[neg[x], neg[y]]
-            and neg[jt[x, y]] == mt[neg[x], neg[y]])),
-        ("complement", first_failure_unary(
-            lambda x: mt[x, neg[x]] == lat.bottom and jt[x, neg[x]] == lat.top)),
-        ("absorption", first_failure_binary(
-            lambda x, y: mt[x, jt[x, y]] == x and jt[x, mt[x, y]] == x)),
+    x = np.arange(len(lat))
+    col = x[:, None]
+    return [
+        _report("involution", neg[neg] != x),
+        _report("de-morgan", (neg[mt] != jt[np.ix_(neg, neg)])
+                | (neg[jt] != mt[np.ix_(neg, neg)])),
+        _report("complement", (mt[x, neg] != lat.bottom) | (jt[x, neg] != lat.top)),
+        _report("absorption", (mt[col, jt] != col) | (jt[col, mt] != col)),
     ]
-    return [LawReport(name, failure is None, failure) for name, failure in checks]
 
 
 def verify_orthomodular(lat: QuotientLattice) -> LawReport:
     """x below y implies y = x join (neg x meet y), over all ordered pairs."""
-    n = len(lat)
-    for x in range(n):
-        for y in range(n):
-            if lat.order[x, y]:
-                if lat.join_table[x, lat.meet_table[lat.neg_table[x], y]] != y:
-                    return LawReport("orthomodular", False, (x, y))
-    return LawReport("orthomodular", True)
+    x = np.arange(len(lat))
+    return _report("orthomodular", lat.order & (
+        lat.join_table[x[:, None], lat.meet_table[lat.neg_table]] != x))
 
 
 def find_distributivity_violation(lat: QuotientLattice) -> tuple[int, int, int] | None:
     """First triple, scanning class indices lexicographically, where
     a meet (b join c) differs from (a meet b) join (a meet c)."""
-    n = len(lat)
     mt, jt = lat.meet_table, lat.join_table
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if mt[a, jt[b, c]] != jt[mt[a, b], mt[a, c]]:
-                    return (a, b, c)
+    for a in range(len(lat)):   # one a at a time: all triples at once take n^3 memory
+        bc = _first(mt[a, jt] != jt[mt[a, :, None], mt[a, None, :]])
+        if bc is not None:
+            return (a, *bc)
     return None
+
+
+def _null_projectors(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """For each matrix b_k in ``b``, the projector onto the null space of the
+    stacked [a; b_k]: its right singular vectors with singular value <= tol."""
+    s, vh = np.linalg.svd(np.concatenate([np.broadcast_to(a, b.shape), b], axis=1),
+                          full_matrices=False)[1:]
+    vh *= (s <= tol)[:, :, None]
+    return np.swapaxes(vh.conj(), 1, 2) @ vh
 
 
 def verify_isomorphism(lat: QuotientLattice) -> LawReport:
     """The class-to-projector map is an order isomorphism.
 
     Checks injectivity (projectors distinct beyond eps), that the class
-    order coincides with subspace inclusion both ways, and that the three
-    tables commute with ortho/meet/join on projectors (within the class
-    merge tolerance).  The counterexample tuple names the failed aspect.
+    order is subspace inclusion, and that the tables commute with
+    orthocomplement, intersection and span within the class merge
+    tolerance.  Meets and joins are recomputed by the null-space
+    formulation, not by the ``meet``/``join`` that built the tables.  The
+    counterexample names the first failed aspect (injective, order,
+    negation, then meet before join at each pair), row-major within it.
     """
     n = len(lat)
-    projs = [lat.projector(i) for i in range(n)]
-    dist = lambda p, q: float(np.max(np.abs(p.matrix - q.matrix)))
+    stack = np.stack([lat.projector(i).matrix for i in range(n)])
+    d = stack.shape[1]
+    comp = np.eye(d) - stack
+    fail = lambda *at: LawReport("order-isomorphism", False, at)
 
-    # one row of the pairwise distances at a time: the whole (n, n, dim, dim)
-    # difference would hold n times the memory
-    stack = np.stack([p.matrix for p in projs])
+    # row by row: an (n, n, dim, dim) batch would hold n times the memory
+    clash = np.array([_distances(stack, p) <= lat.eps for p in stack])
+    below = np.array([_below(stack, p, lat.eps) for p in stack])
+    for aspect, bad in (("injective", np.triu(clash, 1)), ("order", lat.order != below),
+                        ("negation", _distances(stack[lat.neg_table], comp) > lat.class_tol)):
+        found = _first(bad)
+        if found is not None:
+            return fail(aspect, *found)
+    # the null projector of [(I - P_i); (I - P_j)] is P_i meet P_j, that of
+    # [P_i; P_j] is I - (P_i join P_j); batches of about 2048 matrix entries
+    # keep the SVD's temporaries, and so the peak memory, small at dim 16
+    tol, step = lat.eps * np.sqrt(d), max(1, 2048 // (d * d))
     for i in range(n):
-        clash = np.abs(stack[i + 1:] - stack[i]).max(axis=(1, 2)) <= lat.eps
-        if clash.any():
-            return LawReport("order-isomorphism", False,
-                             ("injective", i, i + 1 + int(np.argmax(clash))))
-    for i in range(n):
-        for j in range(n):
-            if bool(lat.order[i, j]) != leq(projs[i], projs[j], lat.eps):
-                return LawReport("order-isomorphism", False, ("order", i, j))
-    for i in range(n):
-        if dist(projs[lat.neg_table[i]], ortho(projs[i])) > lat.class_tol:
-            return LawReport("order-isomorphism", False, ("negation", i))
-    for i in range(n):
-        for j in range(n):
-            if dist(projs[lat.meet_table[i, j]],
-                    meet(projs[i], projs[j], eps=lat.eps)) > lat.class_tol:
-                return LawReport("order-isomorphism", False, ("meet", i, j))
-            if dist(projs[lat.join_table[i, j]],
-                    join(projs[i], projs[j], eps=lat.eps)) > lat.class_tol:
-                return LawReport("order-isomorphism", False, ("join", i, j))
+        for js in np.split(np.arange(n), np.arange(step, n, step)):
+            off = [_distances(expected, _null_projectors(rows[i], rows[js], tol))
+                   for rows, expected in ((comp, stack[lat.meet_table[i, js]]),
+                                          (stack, comp[lat.join_table[i, js]]))]
+            found = _first(np.stack(off, axis=1) > lat.class_tol)  # (k, 0 meet / 1 join)
+            if found is not None:
+                return fail(("meet", "join")[found[1]], i, int(js[found[0]]))
     return LawReport("order-isomorphism", True)
 
 
@@ -350,16 +357,9 @@ def export_lattice(lat: QuotientLattice, format: str = "structured"):
 
 
 def _cover_pairs(lat: QuotientLattice):
-    n = len(lat)
-    order = lat.order
-    for i in range(n):
-        for j in range(n):
-            if i == j or not order[i, j]:
-                continue
-            if any(k != i and k != j and order[i, k] and order[k, j]
-                   for k in range(n)):
-                continue
-            yield i, j
+    """(i, j) with i strictly below j and no class strictly between, row-major."""
+    strict = (lat.order & ~np.eye(len(lat), dtype=bool)).astype(int)
+    return zip(*np.nonzero(strict & (strict @ strict == 0)))
 
 
 def _to_dot(lat: QuotientLattice) -> str:
@@ -414,7 +414,7 @@ def import_lattice(document) -> QuotientLattice:
         neg_table = np.array(document["neg"], dtype=int)
         meet_table = np.array(document["meet"], dtype=int)
         join_table = np.array(document["join"], dtype=int)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"malformed lattice document: {exc}", code="schema") from exc
     if not (math.isfinite(eps) and eps > 0 and math.isfinite(class_tol) and class_tol > 0):
         raise ModelError(f"eps ({eps}) and class_tol ({class_tol}) must be finite "

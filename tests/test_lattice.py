@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import json
 import re
 
@@ -8,6 +9,7 @@ import pytest
 
 import pragmaql.lattice
 from pragmaql import (
+    LawReport,
     ModelError,
     UnknownNameError,
     bundled_model,
@@ -25,6 +27,8 @@ from pragmaql import (
     verify_orthomodular,
     zero_projector,
 )
+
+from pragmaql.hilbert import join, leq, meet
 
 from helpers import o6_fixture
 
@@ -44,6 +48,11 @@ def mo2(qubit):
 @pytest.fixture(scope="module")
 def boolean4(qubit):
     return generate_quotient(qubit, ["az"], 2)
+
+
+@pytest.fixture(scope="module")
+def planes(ququart):
+    return generate_quotient(ququart, ["bl", "bd", "bc"], 1)  # 36 classes
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +338,148 @@ def test_tampered_neg_table_breaks_isomorphism(mo2):
     assert report.counterexample[0] == "negation"
 
 
+# Tables edited in place, with every check's verdict recorded before the
+# checks were vectorised: (lattice, edits as (table, index, value),
+# verify_isomorphism counterexample, verify_ortholattice counterexamples in
+# law order, verify_orthomodular counterexample, distributivity triple).
+# Each edit set leaves several failures, so the row-major first one and the
+# aspect order (injective, order, negation, then meet before join at each
+# pair) are what is pinned.
+TAMPERED = [
+    ("mo2", [("order", (4, 0), False), ("order", (1, 2), True)],
+     ("order", 1, 2), [None, None, None, None], (1, 2), (0, 1, 2)),
+    ("mo2", [("order", (5, 5), False), ("meet_table", (0, 0), 1)],
+     ("order", 5, 5), [None, (0, 0), None, (0, 0)], None, (0, 0, 1)),
+    ("mo2", [("neg_table", (4,), 4), ("meet_table", (0, 1), 0)],
+     ("negation", 4), [(5,), (0, 1), (4,), None], (4, 0), (0, 2, 3)),
+    ("mo2", [("neg_table", (0,), 3), ("neg_table", (1,), 2)],
+     ("negation", 0), [(0,), None, None, None], None, (0, 1, 2)),
+    ("mo2", [("meet_table", (3, 1), 0), ("meet_table", (1, 4), 0)],
+     ("meet", 1, 4), [None, (1, 3), (3,), (1, 4)], (1, 1), (0, 1, 2)),
+    ("mo2", [("meet_table", (3, 2), 0), ("meet_table", (2, 1), 3)],
+     ("meet", 2, 1), [None, (0, 3), None, (2, 1)], None, (0, 1, 2)),
+    ("mo2", [("join_table", (2, 0), 4), ("join_table", (0, 3), 1)],
+     ("join", 0, 3), [None, (0, 2), (2,), (0, 3)], (2, 5), (0, 0, 3)),
+    ("mo2", [("join_table", (4, 1), 4), ("join_table", (1, 2), 4)],
+     ("join", 1, 2), [None, (1, 2), None, (1, 2)], (4, 1), (0, 1, 3)),
+    ("mo2", [("meet_table", (2, 3), 0), ("join_table", (2, 3), 0)],
+     ("meet", 2, 3), [None, (0, 1), None, (2, 3)], None, (0, 1, 2)),
+    ("mo2", [("join_table", (1, 0), 1), ("meet_table", (1, 3), 1)],
+     ("join", 1, 0), [None, (1, 0), (1,), None], (3, 3), (0, 1, 0)),
+    ("planes", [("order", (20, 3), True), ("order", (5, 30), True)],
+     ("order", 5, 30), [None, None, None, None], (5, 30), (0, 1, 3)),
+    ("planes", [("neg_table", (8,), 10), ("neg_table", (20,), 31)],
+     ("negation", 8), [(8,), (0, 14), (20,), None], None, (0, 1, 3)),
+    ("planes", [("meet_table", (9, 14), 7), ("meet_table", (7, 20), 0)],
+     ("meet", 7, 20), [None, (6, 30), None, (9, 14)], (6, 20), (0, 1, 3)),
+    ("planes", [("join_table", (3, 17), 6), ("meet_table", (3, 17), 7),
+                ("meet_table", (3, 20), 7)],
+     ("meet", 3, 17), [None, (0, 14), None, (3, 17)], (0, 17), (0, 1, 3)),
+    ("planes", [("join_table", (30, 2), 6), ("join_table", (12, 33), 0)],
+     ("join", 12, 33), [None, (10, 29), None, (12, 33)], (30, 31), (0, 1, 3)),
+    ("planes", [("join_table", (0, 5), 5), ("join_table", (2, 1), 2)],
+     ("join", 0, 5), [None, (0, 5), None, (0, 5)], None, (0, 0, 5)),
+]
+
+
+@pytest.mark.parametrize("name, edits, iso, laws, orthomodular, triple", TAMPERED)
+def test_tampered_tables_report_pinned_counterexamples(request, name, edits, iso,
+                                                       laws, orthomodular, triple):
+    lat = request.getfixturevalue(name)
+    tables = {key: np.array(getattr(lat, key))
+              for key in ("order", "neg_table", "meet_table", "join_table")}
+    for key, at, value in edits:
+        tables[key][at] = value
+    lat = dataclasses.replace(lat, **tables)
+    reports = verify_ortholattice(lat) + [verify_orthomodular(lat), verify_isomorphism(lat)]
+    assert reports == [
+        LawReport(law, found is None, found) for law, found in
+        zip(("involution", "de-morgan", "complement", "absorption", "orthomodular"),
+            laws + [orthomodular])
+    ] + [LawReport("order-isomorphism", False, iso)]
+    found = find_distributivity_violation(lat)
+    assert found == triple
+    # plain ints, which the CLI's JSON output can carry
+    indices = [k for c in [r.counterexample for r in reports] + [found] if c for k in c]
+    assert all(type(k) is int for k in indices if not isinstance(k, str))
+
+
+def loop_reference(lat):
+    """Every check as plain loops over class indices, taking the first failure
+    in row-major order; isomorphism uses hilbert's meet/join on projectors."""
+    n, neg, mt, jt = len(lat), lat.neg_table, lat.meet_table, lat.join_table
+    singles, pairs = [(x,) for x in range(n)], list(itertools.product(range(n), repeat=2))
+
+    def first(holds, cases):
+        return next((case for case in cases if not holds(*case)), None)
+
+    laws = [
+        first(lambda x: neg[neg[x]] == x, singles),
+        first(lambda x, y: neg[mt[x, y]] == jt[neg[x], neg[y]]
+              and neg[jt[x, y]] == mt[neg[x], neg[y]], pairs),
+        first(lambda x: mt[x, neg[x]] == lat.bottom and jt[x, neg[x]] == lat.top, singles),
+        first(lambda x, y: mt[x, jt[x, y]] == x and jt[x, mt[x, y]] == x, pairs),
+        first(lambda x, y: not lat.order[x, y] or jt[x, mt[neg[x], y]] == y, pairs),
+    ]
+    triple = first(lambda a, b, c: mt[a, jt[b, c]] == jt[mt[a, b], mt[a, c]],
+                   itertools.product(range(n), repeat=3))
+    p = [lat.projector(i) for i in range(n)]
+    steps = [
+        ("injective", pairs, lambda i, j: j <= i or not projectors_close(p[i], p[j], lat.eps)),
+        ("order", pairs, lambda i, j: lat.order[i, j] == leq(p[i], p[j], lat.eps)),
+        ("negation", singles, lambda i: projectors_close(p[neg[i]], ortho(p[i]), lat.class_tol)),
+        (None, [(aspect, i, j) for i, j in pairs for aspect in ("meet", "join")],
+         lambda aspect, i, j: projectors_close(
+             p[(mt if aspect == "meet" else jt)[i, j]],
+             (meet if aspect == "meet" else join)(p[i], p[j], lat.eps), lat.class_tol)),
+    ]
+    iso = None
+    for aspect, cases, holds in steps:
+        failure = first(holds, cases)
+        if failure is not None:
+            iso = failure if aspect is None else (aspect, *failure)
+            break
+    return laws, triple, iso
+
+
+@pytest.mark.parametrize("name, seed", [("mo2", s) for s in range(24)]
+                         + [("planes", s) for s in range(8)])
+def test_checks_match_loop_reference_on_random_edits(request, name, seed):
+    lat = request.getfixturevalue(name)
+    rng = np.random.default_rng([seed, len(lat)])
+    n = len(lat)
+    tables = {key: np.array(getattr(lat, key))
+              for key in ("order", "neg_table", "meet_table", "join_table")}
+    for _ in range(int(rng.integers(1, 4))):
+        key = list(tables)[int(rng.integers(4))]
+        at = tuple(int(k) for k in rng.integers(n, size=tables[key].ndim))
+        tables[key][at] = not tables[key][at] if key == "order" else rng.integers(n)
+    elements = list(lat.elements)
+    if seed % 4 == 0:   # two classes with one projector
+        a, b = (int(k) for k in rng.integers(n, size=2))
+        elements[a] = dataclasses.replace(elements[a], projector=elements[b].projector)
+    lat = dataclasses.replace(lat, elements=elements, **tables)
+    laws, triple, iso = loop_reference(lat)
+    reports = verify_ortholattice(lat) + [verify_orthomodular(lat)]
+    assert [r.counterexample for r in reports] == laws
+    assert find_distributivity_violation(lat) == triple
+    assert verify_isomorphism(lat).counterexample == iso
+
+
+def test_isomorphism_catches_a_generator_that_drops_rank_one_meets(ququart, monkeypatch):
+    # a corrupted meet still yields a closed, self-consistent table, so only
+    # recomputing meets independently of the generator can expose it
+    meet = pragmaql.lattice.meet
+
+    def lossy(p, q, eps):
+        m = meet(p, q, eps=eps)
+        return zero_projector(m.dim) if m.rank == 1 else m
+
+    monkeypatch.setattr(pragmaql.lattice, "meet", lossy)
+    lat = generate_quotient(ququart, ["bl", "bd", "bc"], 1)
+    assert verify_isomorphism(lat) == LawReport("order-isomorphism", False, ("meet", 0, 2))
+
+
 def test_fixture_without_projectors_rejected_by_isomorphism():
     with pytest.raises(ValueError):
         verify_isomorphism(o6_fixture())
@@ -391,6 +542,8 @@ def test_import_rejects_malformed_documents(mo2):
         lambda doc: doc["neg"].__setitem__(0, 99),
         lambda doc: doc["meet"][0].__setitem__(0, -1),
         lambda doc: doc.update(bottom=99),
+        lambda doc: doc.update(bottom=float("inf")),
+        lambda doc: doc.update(eps=10 ** 400),
         lambda doc: doc.update(eps=-1.0),
         lambda doc: doc.update(eps=0.0),
         lambda doc: doc.update(eps=float("nan")),
