@@ -248,7 +248,10 @@ def check_cc(model: Model, *, samples: int = 1000, seed: int = 0) -> ValidationR
     Runs over every declared state plus ``samples`` random unit states and
     every atom.  An invalid model is refused: the validation findings come
     back with a ``model-invalid`` error and no counterexample search runs.
+    A negative ``samples`` raises ValueError.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     base = validate_model(model)
     if not base.ok:
         refusal = Finding("error", "model-invalid",

@@ -5,17 +5,20 @@ classes rather than raw formulas are expanded: two formulas whose
 extensions agree entry-wise within the merge tolerance fall into one
 class, so growth is bounded by the class count instead of being
 exponential in depth.  Each round combines only the class pairs that
-include a class new in the round before, and writes each result's class
-into the negation/meet/join tables as it is found.  Rounds up to the
-requested depth enumerate member formulas; later rounds close the class
-set, synthesizing a representative from existing ones for any class
-first produced there.  The loop ends when a round finds no new class.
+include a class new in the round before, computing K and AQ for each
+unordered pair once (both commute and are idempotent), and writes each
+result's class into the negation/meet/join tables as it is found.  Rounds
+up to the requested depth enumerate member formulas; later rounds close
+the class set, synthesizing a representative from existing ones for any
+class first produced there.  The loop ends when a round finds no new
+class.
 
 The resulting structure carries the class order (extension inclusion),
 the three operation tables, and bottom/top.  It is checked against the
 ortholattice and orthomodular laws, and for order-isomorphism onto its
 own projectors, with meets and joins recomputed by the null-space
-formulation rather than by the ``meet``/``join`` that built the tables.
+formulation rather than by the ``meet``/``join`` that built the tables,
+each unordered pair once, and compared with both of its table entries.
 """
 
 from __future__ import annotations
@@ -131,10 +134,13 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
     """Build the quotient lattice generated by ``atoms`` up to ``depth``.
 
     One loop of rounds, starting from the elementary assertions, applies
-    N to every class and K/AQ to every ordered pair of classes, each
-    exactly once: a round combines only the pairs that include a class
-    found in the round before (semi-naive evaluation), since every other
-    pair was already combined with the same operands.  Each result's class
+    N to every class and K/AQ to each unordered pair of classes once: a
+    round combines only the pairs that include a class found in the round
+    before (semi-naive evaluation), since every other pair was already
+    combined with the same operands.  K and AQ commute and are idempotent,
+    so ``meet``/``join`` run for i < j only: (j, i) takes the class of
+    (i, j) and (i, i) is class i, and while enumerating their formulas
+    still join that class's members.  Each result's class
     index goes into the negation/meet/join tables as it is found, so the
     tables are total when a round finds no new class (saturation).
 
@@ -165,6 +171,12 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
     steps = [(meet, K, meets), (join, AQ, joins)]
     enumerating = True
 
+    def add_member(i: int, formula: AssertiveFormula) -> int:
+        """Class ``i``, with ``formula`` added to its members while enumerating."""
+        if enumerating and formula not in members[i]:
+            members[i].append(formula)
+        return i
+
     def record(p: Projector, formula: AssertiveFormula) -> int:
         """Index of the first class within ``tol`` of ``p``, made if none is.
 
@@ -175,10 +187,7 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
         n = len(projs)
         hits = np.flatnonzero(_distances(stack[:n], p.matrix) <= tol)
         if hits.size:
-            i = int(hits[0])
-            if enumerating and formula not in members[i]:
-                members[i].append(formula)
-            return i
+            return add_member(int(hits[0]), formula)
         if n == len(stack):
             stack = np.concatenate([stack, np.empty_like(stack)])
         stack[n] = p.matrix
@@ -214,11 +223,17 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
         # applies one connective to all pairs before the next, closure
         # applies both to each pair in turn
         passes = [[step] for step in steps] if enumerating else [steps]
+        # (j, i) is filled earlier in row-major order, in this pass or in
+        # this pair's closure step; classes lie more than tol apart, so
+        # recomputing (j, i) or (i, i) would find that same class
         for batch in passes:
             for i, j in pairs:
                 for op, connective, table in batch:
-                    table[i, j] = record(op(projs[i], projs[j], eps=model.eps),
-                                         connective(operands[i], operands[j]))
+                    formula = connective(operands[i], operands[j])
+                    if i < j:
+                        table[i, j] = record(op(projs[i], projs[j], eps=model.eps), formula)
+                    else:
+                        table[i, j] = add_member(table[j, i] if i > j else i, formula)
         seen = count
 
     n = len(projs)
@@ -309,7 +324,9 @@ def verify_isomorphism(lat: QuotientLattice) -> LawReport:
     order is subspace inclusion, and that the tables commute with
     orthocomplement, intersection and span within the class merge
     tolerance.  Meets and joins are recomputed by the null-space
-    formulation, not by the ``meet``/``join`` that built the tables.  The
+    formulation, not by the ``meet``/``join`` that built the tables, each
+    unordered pair once: the null space of a pair is symmetric in it, so
+    one recomputation checks both table[i, j] and table[j, i].  The
     counterexample names the first failed aspect (injective, order,
     negation, then meet before join at each pair), row-major within it.
     """
@@ -329,16 +346,21 @@ def verify_isomorphism(lat: QuotientLattice) -> LawReport:
             return fail(aspect, *found)
     # the null projector of [(I - P_i); (I - P_j)] is P_i meet P_j, that of
     # [P_i; P_j] is I - (P_i join P_j); batches of about 2048 matrix entries
-    # keep the SVD's temporaries, and so the peak memory, small at dim 16
+    # keep the SVD's temporaries, and so the peak memory, small at dim 16.
+    # Row i recomputes the pairs j >= i and checks (i, j) and (j, i), so
+    # after it rows 0..i of ``bad`` are complete
     tol, step = lat.eps * np.sqrt(d), max(1, 2048 // (d * d))
+    bad = np.zeros((n, n, 2), dtype=bool)   # (i, j, 0 meet / 1 join)
     for i in range(n):
-        for js in np.split(np.arange(n), np.arange(step, n, step)):
-            off = [_distances(expected, _null_projectors(rows[i], rows[js], tol))
-                   for rows, expected in ((comp, stack[lat.meet_table[i, js]]),
-                                          (stack, comp[lat.join_table[i, js]]))]
-            found = _first(np.stack(off, axis=1) > lat.class_tol)  # (k, 0 meet / 1 join)
-            if found is not None:
-                return fail(("meet", "join")[found[1]], i, int(js[found[0]]))
+        for js in np.split(np.arange(i, n), np.arange(i + step, n, step)):
+            for k, (rows, table, expected) in enumerate(((comp, lat.meet_table, stack),
+                                                         (stack, lat.join_table, comp))):
+                null = _null_projectors(rows[i], rows[js], tol)
+                bad[i, js, k] = _distances(expected[table[i, js]], null) > lat.class_tol
+                bad[js, i, k] = _distances(expected[table[js, i]], null) > lat.class_tol
+        found = _first(bad[i])
+        if found is not None:
+            return fail(("meet", "join")[found[1]], i, found[0])
     return LawReport("order-isomorphism", True)
 
 
@@ -400,6 +422,17 @@ def _to_document(lat: QuotientLattice) -> dict:
     }
 
 
+def _entries(document: dict, key: str, kind: type, ndim: int) -> np.ndarray:
+    """``document[key]`` as an ``ndim``-dimensional array, if it is one and
+    every entry has exactly type ``kind``: a bool is no int, and neither a
+    float nor a string is converted."""
+    values = np.array(document[key], dtype=object)
+    if values.ndim != ndim or not all(type(x) is kind for x in values.flat):
+        shape = ("a single", "a list of", "a list of lists of")[ndim]
+        raise ModelError(f"lattice {key!r} must be {shape} {kind.__name__}", code="schema")
+    return values.astype(kind)
+
+
 def import_lattice(document) -> QuotientLattice:
     """Rebuild a lattice from the structured export document."""
     if not isinstance(document, dict):
@@ -407,13 +440,13 @@ def import_lattice(document) -> QuotientLattice:
     try:
         eps = float(document["eps"])
         class_tol = float(document["class_tol"])
-        bottom = int(document["bottom"])
-        top = int(document["top"])
+        bottom = int(_entries(document, "bottom", int, 0))
+        top = int(_entries(document, "top", int, 0))
         raw_elements = document["elements"]
-        order = np.array(document["order"], dtype=bool)
-        neg_table = np.array(document["neg"], dtype=int)
-        meet_table = np.array(document["meet"], dtype=int)
-        join_table = np.array(document["join"], dtype=int)
+        order = _entries(document, "order", bool, 2)
+        neg_table = _entries(document, "neg", int, 1)
+        meet_table = _entries(document, "meet", int, 2)
+        join_table = _entries(document, "join", int, 2)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"malformed lattice document: {exc}", code="schema") from exc
     if not (math.isfinite(eps) and eps > 0 and math.isfinite(class_tol) and class_tol > 0):

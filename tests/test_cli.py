@@ -233,6 +233,16 @@ def test_depth_zero_is_domain_error(capsys):
     assert "depth" in err
 
 
+def test_negative_samples_is_domain_error(capsys):
+    for fmt in ("human", "structured"):
+        code, out, err = invoke(capsys, "check", "-m", "qubit-zx",
+                                "--samples", "-5", "--format", fmt)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "samples" in err
+
+
 def test_model_with_nan_eps_is_domain_error(tmp_path):
     doc = bundled_model_document("qubit-zx")
     doc["eps"] = float("nan")

@@ -300,6 +300,12 @@ def test_check_cc_refuses_invalid_model(qubit):
     assert "cc-counterexample" not in codes
 
 
+def test_check_cc_rejects_negative_samples(qubit):
+    with pytest.raises(ValueError, match="samples"):
+        check_cc(qubit, samples=-5)
+    assert check_cc(qubit, samples=0).ok   # the declared states alone
+
+
 def test_check_cc_deterministic(qubit):
     a = check_cc(qubit, samples=50, seed=5)
     b = check_cc(qubit, samples=50, seed=5)

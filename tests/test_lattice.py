@@ -134,7 +134,9 @@ def test_generation_combines_each_class_pair_once(all_models, monkeypatch,
     monkeypatch.setattr(pragmaql.lattice, "meet", counted(pragmaql.lattice.meet))
     monkeypatch.setattr(pragmaql.lattice, "join", counted(pragmaql.lattice.join))
     lat = generate_quotient(all_models[name], atoms, depth)
-    assert calls == {"meet": len(lat) ** 2, "join": len(lat) ** 2}
+    # K and AQ commute and are idempotent: one call per unordered pair i < j
+    pairs = len(lat) * (len(lat) - 1) // 2
+    assert calls == {"meet": pairs, "join": pairs}
 
 
 @pytest.mark.parametrize("name, atoms", [
@@ -480,6 +482,52 @@ def test_isomorphism_catches_a_generator_that_drops_rank_one_meets(ququart, monk
     assert verify_isomorphism(lat) == LawReport("order-isomorphism", False, ("meet", 0, 2))
 
 
+@pytest.mark.parametrize("key, j, i", [
+    ("meet_table", 7, 3), ("join_table", 35, 0),
+    ("meet_table", 20, 19), ("join_table", 20, 19),
+])
+def test_isomorphism_checks_the_lower_triangle(planes, key, j, i):
+    # verification recomputes each unordered pair once; the entry below the
+    # diagonal must still be checked against that recomputation
+    assert j > i
+    table = np.array(getattr(planes, key))
+    table[j, i] = planes.bottom if table[j, i] != planes.bottom else planes.top
+    report = verify_isomorphism(dataclasses.replace(planes, **{key: table}))
+    assert report == LawReport("order-isomorphism", False, (key[:4], j, i))
+
+
+@pytest.fixture(scope="module")
+def coordinate_planes_16d():
+    """Two commuting 8-dimensional coordinate subspaces of C^16: a 16-class
+    Boolean lattice, large enough at dim 16 to split each verification row
+    into batches."""
+    unit = lambda k: [[float(m == k), 0.0] for m in range(16)]
+    return generate_quotient(pragmaql.load_model({
+        "dim": 16, "states": {},
+        "properties": {"P": {"span": [unit(k) for k in range(8)]},
+                       "Q": {"span": [unit(k) for k in range(4, 12)]}},
+        "atoms": {"p": "P", "q": "Q"},
+    }), ["p", "q"], 1)
+
+
+@pytest.mark.parametrize("name", ["mo2", "planes", "coordinate_planes_16d"])
+def test_isomorphism_recomputes_each_unordered_pair_once(request, monkeypatch, name):
+    lat = request.getfixturevalue(name)
+    sizes = []
+    null_projectors = pragmaql.lattice._null_projectors
+
+    def counted(a, b, tol):
+        sizes.append(len(b))
+        return null_projectors(a, b, tol)
+
+    monkeypatch.setattr(pragmaql.lattice, "_null_projectors", counted)
+    assert verify_isomorphism(lat).holds
+    # each batch of pairs j >= i goes through the meet, then the join
+    n = len(lat)
+    assert sizes[0::2] == sizes[1::2]
+    assert sum(sizes[0::2]) == n * (n + 1) // 2
+
+
 def test_fixture_without_projectors_rejected_by_isomorphism():
     with pytest.raises(ValueError):
         verify_isomorphism(o6_fixture())
@@ -549,6 +597,22 @@ def test_import_rejects_malformed_documents(mo2):
         lambda doc: doc.update(eps=float("nan")),
         lambda doc: doc.update(eps=float("inf")),
         lambda doc: doc.update(class_tol=-1.0),
+        # indices must be ints (not bools), order entries bools: nothing converts
+        lambda doc: doc["neg"].__setitem__(0, 2.7),
+        lambda doc: doc["neg"].__setitem__(0, "3"),
+        lambda doc: doc["neg"].__setitem__(0, True),
+        lambda doc: doc["meet"][0].__setitem__(1, 2.0),
+        lambda doc: doc["join"][1].__setitem__(0, "3"),
+        lambda doc: doc["join"].__setitem__(1, 3),
+        lambda doc: doc.update(bottom=4.9),
+        lambda doc: doc.update(bottom="3"),
+        lambda doc: doc.update(top=True),
+        lambda doc: doc["order"][0].__setitem__(1, "yes"),
+        lambda doc: doc["order"][0].__setitem__(1, 0.5),
+        lambda doc: doc["order"][0].__setitem__(1, 2),
+        lambda doc: doc["order"][0].__setitem__(1, None),
+        lambda doc: doc.update(neg=dict(enumerate(doc["neg"]))),
+        lambda doc: doc["meet"].__setitem__(0, doc["meet"][0][:-1]),
     ]
     documents = ["not a mapping"]
     for mutate in mutations:
