@@ -2,7 +2,7 @@
 
 Truth side: a radical formula has a truth value in a state only when
 every atom in it names a property whose probability in that state is 0
-or 1 (within the model tolerance); evaluation is classical from there.
+or 1 (within eps, see ``pragmaql.hilbert``); evaluation is classical there.
 
 Justification side: every quantum assertive formula denotes a closed
 subspace (its *pragmatic extension*), and the formula is justified in a

@@ -1,19 +1,38 @@
-"""Finite-dimensional complex subspace algebra.
+"""Finite-dimensional complex subspace algebra, and the tolerance policy.
 
 Closed subspaces are represented by their orthogonal projectors
 (Hermitian idempotent complex matrices); pure states by unit vectors,
 understood as rays (global phase never matters to any operation here).
 ``ortho``, ``meet``, ``join`` and ``leq`` realize the lattice of closed
 subspaces: orthocomplement, intersection, closed span, and inclusion.
+Matrices serialize as row-major nested lists with each complex entry a
+two-element ``[re, im]`` array.
 
-All comparisons use max-entry absolute deviation against a tolerance
-``eps`` (default 1e-9); rank decisions drop singular values at or below
-``eps * sqrt(dim)``.  Matrices serialize as row-major nested lists with
-each complex entry a two-element ``[re, im]`` array.
+Tolerance policy: each numerical decision in the package follows one of
+these rules, written once, here (``eps``: the model tolerance, default 1e-9).
+
+- A tolerance is an int or float, not a bool, finite and > 0.  Loading and
+  importing reject any other; ``validate_model`` reports it, as a warning
+  if finite and <= 0, and checks with a 1e-12 floor.
+- Rank cutoff: singular values at or below ``eps * sqrt(dim)`` are zero.
+- ``leq`` (Q P = P), ``contains_state`` (P psi = psi), ``projectors_close``
+  and lattice injectivity hold at a max-entry deviation <= eps.
+- A projector is Hermitian and idempotent within eps, with a trace within
+  ``eps * dim`` of its rank, 0 <= rank <= dim.
+- Class merge: projectors within ``10 * eps`` are one quotient class, and
+  a lattice's tables are checked against recomputation at that bound.
+- In ``evaluation``: TRUE at probability |p - 1| <= eps, FALSE at p <= eps.
+
+A generated lattice orders classes by the rank cutoff (i is below j when
+their meet is i), ``leq`` by max-entry deviation.  Turning one range vector
+of a rank-r subspace out of it by theta, both find inclusion at theta <=
+0.5 * eps, neither at theta >= 2 * eps * sqrt(2 * dim); between, they may
+disagree (seen on random pairs, dim 2-16).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +51,38 @@ __all__ = [
 ]
 
 DEFAULT_EPS = 1e-9
+
+
+def _is_tolerance(value) -> bool:
+    # the chained comparison also rejects NaN and an int too large for a float
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0 < value <= sys.float_info.max)
+
+
+def _rank_cutoff(eps: float, dim: int) -> float:
+    return eps * np.sqrt(dim)
+
+
+def _class_tol(eps: float) -> float:
+    return 10 * eps
+
+
+def _deviation(a: np.ndarray, b: np.ndarray, axes: int = 2) -> np.ndarray:
+    """Max |a - b| over the last ``axes`` axes (0 if empty), batched over the rest."""
+    return np.abs(a - b).max(axis=tuple(range(-axes, 0)), initial=0.0)
+
+
+def _projector_defects(m: np.ndarray, rank: int, eps: float) -> list[tuple[str, float]]:
+    """(code, deviation) for each invariant ``m`` breaks as a rank-``rank``
+    projector: idempotence is measured on the Hermitian part, which it keeps,
+    and a rank outside [0, dim] fails the trace check whatever the trace."""
+    d = m.shape[0]
+    h = (m + m.conj().T) / 2.0
+    checks = (("not-hermitian", float(_deviation(m, m.conj().T)), eps),
+              ("not-idempotent", float(_deviation(h @ h, h)), eps),
+              ("bad-rank", abs(float(np.trace(h).real) - rank),
+               eps * d if 0 <= rank <= d else -1.0))
+    return [(code, dev) for code, dev, bound in checks if dev > bound]
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,19 +175,14 @@ def make_projector(spec, dim: int | None = None, eps: float = DEFAULT_EPS) -> Pr
     """Validating constructor.
 
     ``spec`` is either a square complex matrix (2-d ndarray: checked to be
-    Hermitian and idempotent within ``eps``, then symmetrized) or a
-    sequence of spanning vectors (the projector onto their span, built by
-    rank-revealing orthonormalization).  An empty spanning list needs an
-    explicit ``dim``.
+    a projector within ``eps``, then symmetrized) or a sequence of spanning
+    vectors (the projector onto their span, built by rank-revealing
+    orthonormalization).  An empty spanning list needs an explicit ``dim``.
     """
-    if isinstance(spec, np.ndarray) and spec.ndim == 2:
-        return _projector_from_matrix(spec, dim, eps)
-    return projector_from_span(spec, dim, eps)
-
-
-def _projector_from_matrix(m, dim: int | None, eps: float) -> Projector:
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if not (isinstance(spec, np.ndarray) and spec.ndim == 2):
+        return projector_from_span(spec, dim, eps)
+    m = np.asarray(spec, dtype=np.complex128)
+    if m.shape[0] != m.shape[1]:
         raise ProjectorError(
             f"projector matrix must be square, got shape {m.shape}",
             code="dimension-mismatch",
@@ -146,35 +192,20 @@ def _projector_from_matrix(m, dim: int | None, eps: float) -> Projector:
             f"matrix is {m.shape[0]}x{m.shape[0]}, expected dim {dim}",
             code="dimension-mismatch",
         )
-    d = m.shape[0]
-    herm_dev = float(np.max(np.abs(m - m.conj().T))) if d else 0.0
-    if herm_dev > eps:
-        raise ProjectorError(
-            f"matrix is not Hermitian (max deviation {herm_dev:.3g})",
-            code="not-hermitian",
-        )
-    m = (m + m.conj().T) / 2.0
-    idem_dev = float(np.max(np.abs(m @ m - m))) if d else 0.0
-    if idem_dev > eps:
-        raise ProjectorError(
-            f"matrix is not idempotent (max deviation {idem_dev:.3g})",
-            code="not-idempotent",
-        )
-    trace = float(np.trace(m).real)
-    rank = int(round(trace))
-    if abs(trace - rank) > eps * max(d, 1) or not 0 <= rank <= d:
-        raise ProjectorError(
-            f"trace {trace:.9g} is not close to an integer rank",
-            code="bad-rank",
-        )
-    return Projector(d, m, rank)
+    rank = round(float(np.trace(m).real))
+    defects = _projector_defects(m, rank, eps)
+    if defects:
+        code, dev = defects[0]
+        raise ProjectorError(f"matrix is not a projector ({code}, deviation {dev:.3g})",
+                             code=code)
+    return Projector(m.shape[0], (m + m.conj().T) / 2.0, rank)
 
 
 def projector_from_span(vectors, dim: int | None = None,
                         eps: float = DEFAULT_EPS) -> Projector:
     """Orthogonal projector onto the span of ``vectors``.
 
-    Directions with singular value at or below ``eps * sqrt(dim)`` are
+    Directions with singular value at or below the rank cutoff are
     dropped, so nearly dependent spanning sets collapse cleanly.
     """
     vecs = [np.asarray(v, dtype=np.complex128).reshape(-1) for v in vectors]
@@ -192,10 +223,13 @@ def projector_from_span(vectors, dim: int | None = None,
             )
     if not vecs:
         return zero_projector(dim)
-    a = np.column_stack(vecs)
+    return _span(np.column_stack(vecs), eps)
+
+
+def _span(a: np.ndarray, eps: float) -> Projector:
+    """Projector onto the span of the columns of ``a``, up to the rank cutoff."""
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    keep = u[:, s > eps * np.sqrt(dim)]
-    return _from_basis(dim, keep)
+    return _from_basis(a.shape[0], u[:, s > _rank_cutoff(eps, a.shape[0])])
 
 
 def _from_basis(dim: int, basis: np.ndarray) -> Projector:
@@ -247,19 +281,12 @@ def meet(p: Projector, q: Projector, eps: float = DEFAULT_EPS) -> Projector:
     if p.rank == 0 or q.rank == 0:
         return zero_projector(p.dim)
     bp, bq = p.basis(), q.basis()
-    stacked = np.hstack([bp, -bq])
-    _, s, vh = np.linalg.svd(stacked)
-    tol = eps * np.sqrt(p.dim)
-    ncols = stacked.shape[1]
-    null_mask = np.ones(ncols, dtype=bool)
-    null_mask[: s.shape[0]] = s <= tol
-    null_basis = vh.conj().T[:, null_mask]
+    _, s, vh = np.linalg.svd(np.hstack([bp, -bq]))
+    # singular values come sorted, so the null space is spanned by vh's last rows
+    null_basis = vh[np.count_nonzero(s > _rank_cutoff(eps, p.dim)):].conj().T
     if null_basis.shape[1] == 0:
         return zero_projector(p.dim)
-    image = bp @ null_basis[: bp.shape[1], :]
-    u, s2, _ = np.linalg.svd(image, full_matrices=False)
-    keep = u[:, s2 > tol]
-    return _from_basis(p.dim, keep)
+    return _span(bp @ null_basis[: bp.shape[1], :], eps)
 
 
 def join(p: Projector, q: Projector, eps: float = DEFAULT_EPS) -> Projector:
@@ -273,22 +300,19 @@ def join(p: Projector, q: Projector, eps: float = DEFAULT_EPS) -> Projector:
         return q
     if q.rank == 0:
         return p
-    stacked = np.hstack([p.basis(), q.basis()])
-    u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    keep = u[:, s > eps * np.sqrt(p.dim)]
-    return _from_basis(p.dim, keep)
+    return _span(np.hstack([p.basis(), q.basis()]), eps)
 
 
 def leq(p: Projector, q: Projector, eps: float = DEFAULT_EPS) -> bool:
     """Range inclusion, decided by Q P = P within eps (max-entry)."""
     _check_same_dim(p, q)
-    return float(np.max(np.abs(q.matrix @ p.matrix - p.matrix))) <= eps
+    return float(_deviation(q.matrix @ p.matrix, p.matrix)) <= eps
 
 
 def projectors_close(p: Projector, q: Projector, tol: float = DEFAULT_EPS) -> bool:
     """Max-entry agreement of the two matrices within ``tol``."""
     _check_same_dim(p, q)
-    return float(np.max(np.abs(p.matrix - q.matrix))) <= tol
+    return float(_deviation(p.matrix, q.matrix)) <= tol
 
 
 def contains_state(p: Projector, state: StateVector,
@@ -300,7 +324,7 @@ def contains_state(p: Projector, state: StateVector,
             code="dimension-mismatch",
         )
     psi = state.amplitudes
-    return float(np.max(np.abs(p.matrix @ psi - psi))) <= eps
+    return float(_deviation(p.matrix @ psi, psi, axes=1)) <= eps
 
 
 # ---------------------------------------------------------------------------

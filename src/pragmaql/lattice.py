@@ -13,18 +13,18 @@ the class set, synthesizing a representative from existing ones for any
 class first produced there.  The loop ends when a round finds no new
 class.
 
-The resulting structure carries the class order (extension inclusion),
-the three operation tables, and bottom/top.  It is checked against the
-ortholattice and orthomodular laws, and for order-isomorphism onto its
-own projectors, with meets and joins recomputed by the null-space
-formulation rather than by the ``meet``/``join`` that built the tables,
-each unordered pair once, and compared with both of its table entries.
+The resulting structure carries the three operation tables, the class
+order read off the meet table (i is below j when their meet is class i),
+and bottom/top.  It is checked against the ortholattice and orthomodular
+laws, and for order-isomorphism onto its own projectors: the order by
+``leq``, meets and joins by the null-space formulation, each unordered
+pair once and against both of its table entries.  Tolerances follow the
+policy in ``pragmaql.hilbert``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +50,7 @@ from .hilbert import (
     meet,
     ortho,
 )
+from .hilbert import _class_tol, _deviation, _is_tolerance, _rank_cutoff
 from .model import Model
 
 __all__ = [
@@ -104,7 +105,7 @@ class QuotientLattice:
     bottom: int
     top: int
     eps: float = DEFAULT_EPS
-    class_tol: float = 10 * DEFAULT_EPS  # projector distance that merges classes
+    class_tol: float = _class_tol(DEFAULT_EPS)  # projector distance that merges classes
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -118,16 +119,6 @@ class QuotientLattice:
 
 # ---------------------------------------------------------------------------
 # generation
-
-
-def _distances(stack: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Max-entry distance of each matrix in ``stack`` from ``m`` (broadcast)."""
-    return np.abs(stack - m).max(axis=(-2, -1))
-
-
-def _below(stack: np.ndarray, p: np.ndarray, eps: float) -> np.ndarray:
-    """``leq(p, Q)`` for each Q in ``stack``: max |Q p - p| <= eps."""
-    return _distances(stack @ p, p) <= eps
 
 
 def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
@@ -159,7 +150,7 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
         if a not in model.atom_map:
             raise UnknownNameError(f"unknown atom {a!r}")
 
-    tol = 10.0 * model.eps
+    tol = _class_tol(model.eps)
     projs: list[Projector] = []
     stack = np.empty((16, model.dim, model.dim), dtype=np.complex128)  # projs' matrices
     members: list[list[AssertiveFormula]] = []
@@ -185,7 +176,7 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
         """
         nonlocal stack
         n = len(projs)
-        hits = np.flatnonzero(_distances(stack[:n], p.matrix) <= tol)
+        hits = np.flatnonzero(_deviation(stack[:n], p.matrix) <= tol)
         if hits.size:
             return add_member(int(hits[0]), formula)
         if n == len(stack):
@@ -237,7 +228,7 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
         seen = count
 
     n = len(projs)
-    order = np.array([_below(stack[:n], p.matrix, model.eps) for p in projs])
+    meet_table = np.array([[meets[i, j] for j in range(n)] for i in range(n)], dtype=int)
     bottom = next(i for i in range(n) if projs[i].rank == 0)
     top = next(i for i in range(n) if projs[i].rank == projs[i].dim)
 
@@ -247,10 +238,9 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
     ]
     return QuotientLattice(
         elements=elements,
-        order=order,
+        order=meet_table == np.arange(n)[:, None],
         neg_table=np.array([neg[i] for i in range(n)], dtype=int),
-        meet_table=np.array([[meets[i, j] for j in range(n)] for i in range(n)],
-                            dtype=int),
+        meet_table=meet_table,
         join_table=np.array([[joins[i, j] for j in range(n)] for i in range(n)],
                             dtype=int),
         bottom=bottom,
@@ -321,7 +311,7 @@ def verify_isomorphism(lat: QuotientLattice) -> LawReport:
     """The class-to-projector map is an order isomorphism.
 
     Checks injectivity (projectors distinct beyond eps), that the class
-    order is subspace inclusion, and that the tables commute with
+    order is subspace inclusion by ``leq``, and that the tables commute with
     orthocomplement, intersection and span within the class merge
     tolerance.  Meets and joins are recomputed by the null-space
     formulation, not by the ``meet``/``join`` that built the tables, each
@@ -337,10 +327,10 @@ def verify_isomorphism(lat: QuotientLattice) -> LawReport:
     fail = lambda *at: LawReport("order-isomorphism", False, at)
 
     # row by row: an (n, n, dim, dim) batch would hold n times the memory
-    clash = np.array([_distances(stack, p) <= lat.eps for p in stack])
-    below = np.array([_below(stack, p, lat.eps) for p in stack])
+    clash = np.array([_deviation(stack, p) <= lat.eps for p in stack])
+    below = np.array([_deviation(stack @ p, p) <= lat.eps for p in stack])
     for aspect, bad in (("injective", np.triu(clash, 1)), ("order", lat.order != below),
-                        ("negation", _distances(stack[lat.neg_table], comp) > lat.class_tol)):
+                        ("negation", _deviation(stack[lat.neg_table], comp) > lat.class_tol)):
         found = _first(bad)
         if found is not None:
             return fail(aspect, *found)
@@ -349,15 +339,15 @@ def verify_isomorphism(lat: QuotientLattice) -> LawReport:
     # keep the SVD's temporaries, and so the peak memory, small at dim 16.
     # Row i recomputes the pairs j >= i and checks (i, j) and (j, i), so
     # after it rows 0..i of ``bad`` are complete
-    tol, step = lat.eps * np.sqrt(d), max(1, 2048 // (d * d))
+    tol, step = _rank_cutoff(lat.eps, d), max(1, 2048 // (d * d))
     bad = np.zeros((n, n, 2), dtype=bool)   # (i, j, 0 meet / 1 join)
     for i in range(n):
         for js in np.split(np.arange(i, n), np.arange(i + step, n, step)):
             for k, (rows, table, expected) in enumerate(((comp, lat.meet_table, stack),
                                                          (stack, lat.join_table, comp))):
                 null = _null_projectors(rows[i], rows[js], tol)
-                bad[i, js, k] = _distances(expected[table[i, js]], null) > lat.class_tol
-                bad[js, i, k] = _distances(expected[table[js, i]], null) > lat.class_tol
+                bad[i, js, k] = _deviation(expected[table[i, js]], null) > lat.class_tol
+                bad[js, i, k] = _deviation(expected[table[js, i]], null) > lat.class_tol
         found = _first(bad[i])
         if found is not None:
             return fail(("meet", "join")[found[1]], i, found[0])
@@ -438,8 +428,7 @@ def import_lattice(document) -> QuotientLattice:
     if not isinstance(document, dict):
         raise ModelError("lattice document must be a mapping", code="schema")
     try:
-        eps = float(document["eps"])
-        class_tol = float(document["class_tol"])
+        eps, class_tol = document["eps"], document["class_tol"]
         bottom = int(_entries(document, "bottom", int, 0))
         top = int(_entries(document, "top", int, 0))
         raw_elements = document["elements"]
@@ -449,9 +438,10 @@ def import_lattice(document) -> QuotientLattice:
         join_table = _entries(document, "join", int, 2)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelError(f"malformed lattice document: {exc}", code="schema") from exc
-    if not (math.isfinite(eps) and eps > 0 and math.isfinite(class_tol) and class_tol > 0):
-        raise ModelError(f"eps ({eps}) and class_tol ({class_tol}) must be finite "
-                         "and positive", code="schema")
+    if not (_is_tolerance(eps) and _is_tolerance(class_tol)):
+        raise ModelError(f"eps ({eps!r}) and class_tol ({class_tol!r}) must be finite "
+                         "positive numbers", code="schema")
+    eps, class_tol = float(eps), float(class_tol)
 
     if not isinstance(raw_elements, list):
         raise ModelError("lattice elements must be a list", code="schema")
@@ -478,17 +468,15 @@ def import_lattice(document) -> QuotientLattice:
             raise ModelError(f"lattice element {i}: formula and members must be "
                              "formula text, synthesized a boolean", code="schema")
         formula = None if text is None else parse_assertive(text)
-        projector = None
-        if raw.get("projector") is not None:
-            projector = make_projector(decode_matrix(raw["projector"]), eps=eps)
+        projector = None if raw.get("projector") is None else \
+            make_projector(decode_matrix(raw["projector"]), eps=eps)
+        index, rank = raw.get("index", i), raw.get("rank")
+        if type(index) is not int or index != i or rank is not None and (
+                projector is None or type(rank) is not int or rank != projector.rank):
+            raise ModelError(f"lattice element {i}: index {index!r} or rank {rank!r} "
+                             "does not match its place or projector", code="schema")
         members = tuple(parse_assertive(m) for m in texts)
-        elements.append(LatticeElement(
-            index=i,
-            formula=formula,
-            projector=projector,
-            members=members,
-            synthesized=synthesized,
-        ))
+        elements.append(LatticeElement(i, formula, projector, members, synthesized))
     return QuotientLattice(
         elements=elements,
         order=order,

@@ -21,7 +21,7 @@ Unknown top-level keys (``name``, ``description``, ...) are ignored.
 from __future__ import annotations
 
 import json
-import sys
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -39,6 +39,7 @@ from .hilbert import (
     make_projector,
     make_state,
 )
+from .hilbert import _is_tolerance, _projector_defects
 
 __all__ = [
     "Finding", "ValidationReport", "Model",
@@ -131,9 +132,7 @@ def load_model(document) -> Model:
     if dim < 1:
         raise ModelError(f"dim must be a positive integer, got {dim}", code="schema")
     eps = document.get("eps", DEFAULT_EPS)
-    # the chained comparison also rejects NaN, and an int too large for a float
-    if (isinstance(eps, bool) or not isinstance(eps, (int, float))
-            or not 0 < eps <= sys.float_info.max):
+    if not _is_tolerance(eps):
         raise ModelError(f"eps must be a finite positive number, got {eps!r}",
                          code="schema")
     eps = float(eps)
@@ -223,15 +222,17 @@ def load_model_file(path) -> Model:
 def validate_model(model: Model) -> ValidationReport:
     """Re-run every structural invariant; never raises, never mutates.
 
-    A zero tolerance is reported as a warning and replaced by a 1e-12
-    floor for the numeric checks themselves.
+    An eps that is no tolerance (see ``pragmaql.hilbert``) is reported, and
+    replaced by a 1e-12 floor for the numeric checks themselves.
     """
     findings: list[Finding] = []
-    eff = max(model.eps, 1e-12)
-    if model.eps <= 0:
+    eff = model.eps
+    if not _is_tolerance(eff):
+        eff, finite = 1e-12, -math.inf < model.eps <= 0
         findings.append(Finding(
-            "warning", "degenerate-tolerance",
-            f"eps = {model.eps} leaves no room for rounding; using 1e-12 floor",
+            "warning" if finite else "error",
+            "degenerate-tolerance" if finite else "bad-tolerance",
+            f"eps = {model.eps} is not a finite positive number; using 1e-12 floor",
         ))
 
     for name, s in model.states.items():
@@ -255,24 +256,10 @@ def validate_model(model: Model) -> ValidationReport:
                 f"property {name!r} has dim {p.dim}, model dim is {model.dim}",
             ))
             continue
-        m = p.matrix
-        herm = float(np.max(np.abs(m - m.conj().T)))
-        if herm > eff:
+        for code, dev in _projector_defects(p.matrix, p.rank, eff):
             findings.append(Finding(
-                "error", "not-hermitian",
-                f"property {name!r}: max |P - P^dagger| = {herm:.3g}",
-            ))
-        idem = float(np.max(np.abs(m @ m - m)))
-        if idem > eff:
-            findings.append(Finding(
-                "error", "not-idempotent",
-                f"property {name!r}: max |P^2 - P| = {idem:.3g}",
-            ))
-        trace = float(np.trace(m).real)
-        if abs(trace - p.rank) > eff * model.dim or not 0 <= p.rank <= p.dim:
-            findings.append(Finding(
-                "error", "bad-rank",
-                f"property {name!r}: rank {p.rank} vs trace {trace:.9g}",
+                "error", code,
+                f"property {name!r} (rank {p.rank}) deviates by {dev:.3g}",
             ))
 
     for atom, target in model.atom_map.items():

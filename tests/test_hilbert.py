@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pragmaql import (
     ProjectorError,
@@ -18,7 +20,14 @@ from pragmaql import (
     state_projector,
     zero_projector,
 )
-from pragmaql.hilbert import decode_matrix, decode_vector, encode_matrix, encode_vector
+from pragmaql.hilbert import (
+    DEFAULT_EPS,
+    _class_tol,
+    decode_matrix,
+    decode_vector,
+    encode_matrix,
+    encode_vector,
+)
 
 P_Z = make_projector(np.diag([1.0, 0.0]).astype(complex))
 P_X = make_projector(np.full((2, 2), 0.5, dtype=complex))
@@ -318,6 +327,45 @@ def test_basis_is_computed_once_and_read_only(dim, rank):
         b[...] = 0
     expected = np.linalg.svd(p.matrix)[0][:, :rank]
     assert b.dtype == expected.dtype and b.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# tolerance policy: leq and meet at the inclusion threshold
+
+
+def turned_pair(dim, rank, seed, theta):
+    """A Haar-random rank-``rank`` projector p, and q: p with one range
+    vector turned out of it by the angle ``theta``."""
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.standard_normal((dim, dim))
+                     + 1j * rng.standard_normal((dim, dim)))[0]
+    turned = u[:, :rank].copy()
+    turned[:, -1] = np.cos(theta) * u[:, rank - 1] + np.sin(theta) * u[:, rank]
+    return projector_from_span(list(u[:, :rank].T)), projector_from_span(list(turned.T))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(dim_rank=st.integers(2, 16).flatmap(
+           lambda d: st.tuples(st.just(d), st.integers(1, d - 1))),
+       seed=st.integers(0, 2**32 - 1), inside=st.booleans(), scale=st.floats(0.0, 1.0))
+def test_leq_and_meet_agree_outside_the_band(dim_rank, seed, inside, scale):
+    # Inclusion by leq (max-entry deviation) and by meet (rank cutoff) both
+    # hold at theta <= 0.5 eps and both fail at theta >= 2 eps sqrt(2 dim),
+    # up to 5 times that.  In the band between, the two rules may disagree,
+    # so no angle is drawn from it and nothing is asserted there.
+    dim, rank = dim_rank
+    eps = DEFAULT_EPS
+    if inside:
+        theta = 0.5 * eps * scale
+    else:
+        theta = 2 * eps * np.sqrt(2 * dim) * (1 + 4 * scale)
+    p, q = turned_pair(dim, rank, seed, theta)
+    m = meet(p, q, eps)
+    merged = projectors_close(m, p, _class_tol(eps))
+    if inside:
+        assert leq(p, q, eps) and m.rank == rank and merged
+    else:
+        assert not leq(p, q, eps) and m.rank == rank - 1 and not merged
 
 
 # ---------------------------------------------------------------------------

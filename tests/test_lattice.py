@@ -192,6 +192,18 @@ def test_generation_output_is_pinned(all_models, name, atoms, depth):
     assert _float_free_digest(lat) == EXPORT_DIGESTS[name, atoms, depth]
 
 
+@pytest.mark.parametrize("name", ["qubit-zx", "qutrit-lines", "ququart-planes"])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_order_is_read_off_the_meet_table(all_models, name, depth):
+    model = all_models[name]
+    lat = generate_quotient(model, sorted(model.atom_map), depth)
+    n = len(lat)
+    assert np.array_equal(lat.order, lat.meet_table == np.arange(n)[:, None])
+    # on these models the meet's rank cutoff and leq's max-entry rule agree
+    projs = [lat.projector(i) for i in range(n)]
+    assert np.array_equal(lat.order, [[leq(p, q, lat.eps) for q in projs] for p in projs])
+
+
 def test_order_is_a_partial_order(mo2):
     n = len(mo2)
     order = mo2.order
@@ -479,7 +491,13 @@ def test_isomorphism_catches_a_generator_that_drops_rank_one_meets(ququart, monk
 
     monkeypatch.setattr(pragmaql.lattice, "meet", lossy)
     lat = generate_quotient(ququart, ["bl", "bd", "bc"], 1)
-    assert verify_isomorphism(lat) == LawReport("order-isomorphism", False, ("meet", 0, 2))
+    # the order is read off the meet table, so it is wrong too: the line bc
+    # lies in the plane bl, but their meet no longer is bc
+    assert verify_isomorphism(lat) == LawReport("order-isomorphism", False, ("order", 2, 0))
+    projs = [lat.projector(i) for i in range(len(lat))]
+    inclusion = np.array([[leq(p, q, lat.eps) for q in projs] for p in projs])
+    report = verify_isomorphism(dataclasses.replace(lat, order=inclusion))
+    assert report == LawReport("order-isomorphism", False, ("meet", 0, 2))
 
 
 @pytest.mark.parametrize("key, j, i", [
@@ -597,6 +615,14 @@ def test_import_rejects_malformed_documents(mo2):
         lambda doc: doc.update(eps=float("nan")),
         lambda doc: doc.update(eps=float("inf")),
         lambda doc: doc.update(class_tol=-1.0),
+        # a tolerance is an int or float, never a string or a bool
+        lambda doc: doc.update(eps="1e-9"),
+        lambda doc: doc.update(class_tol="1e-8"),
+        lambda doc: doc.update(eps=True),
+        # an element's index and rank, when given, must match
+        set_element("index", 5),
+        set_element("rank", 2),
+        set_element("projector", None),
         # indices must be ints (not bools), order entries bools: nothing converts
         lambda doc: doc["neg"].__setitem__(0, 2.7),
         lambda doc: doc["neg"].__setitem__(0, "3"),

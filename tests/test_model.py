@@ -10,6 +10,7 @@ from pragmaql import (
     UnknownNameError,
     bundled_model_document,
     bundled_model_names,
+    check_cc,
     load_model,
     validate_model,
 )
@@ -193,6 +194,18 @@ def test_validate_warns_on_degenerate_tolerance(qubit):
     assert report.ok  # warning only
     assert any(f.severity == "warning" and f.code == "degenerate-tolerance"
                for f in report.findings)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+def test_validate_rejects_non_finite_tolerance(qubit, eps):
+    # with eps = inf every probe would be justified and true, so check_cc
+    # would pass vacuously; it must refuse the model instead
+    model = Model(dim=2, states=dict(qubit.states),
+                  properties=dict(qubit.properties),
+                  atom_map=dict(qubit.atom_map), eps=eps)
+    assert [f.code for f in validate_model(model).errors()] == ["bad-tolerance"]
+    assert [f.code for f in check_cc(model, samples=10).errors()] == [
+        "bad-tolerance", "model-invalid"]
 
 
 def test_validate_flags_non_bijective_map(qubit):
