@@ -49,8 +49,8 @@ from .hilbert import (
     leq,
     meet,
     ortho,
-    random_state,
 )
+from .hilbert import _contains_states, _random_states
 from .model import Finding, Model, ValidationReport, validate_model
 
 __all__ = [
@@ -246,9 +246,11 @@ def check_cc(model: Model, *, samples: int = 1000, seed: int = 0) -> ValidationR
     justified, the atom must evaluate TRUE.
 
     Runs over every declared state plus ``samples`` random unit states and
-    every atom.  An invalid model is refused: the validation findings come
-    back with a ``model-invalid`` error and no counterexample search runs.
-    A negative ``samples`` raises ValueError.
+    every atom.  The probes are evaluated in one batch: one draw for all
+    random states, one ``P @ Psi`` per atom for the justification side, and
+    ``sigma`` only on the justified probes.  An invalid model is refused:
+    the validation findings come back with a ``model-invalid`` error and no
+    counterexample search runs.  A negative ``samples`` raises ValueError.
     """
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
@@ -258,20 +260,19 @@ def check_cc(model: Model, *, samples: int = 1000, seed: int = 0) -> ValidationR
                           "correctness check not run on an invalid model")
         return ValidationReport(base.findings + (refusal,))
 
-    rng = np.random.default_rng(seed)
-    probes: list[tuple[str, StateVector]] = list(model.states.items())
-    probes += [(f"sample-{i}", random_state(model.dim, rng))
-               for i in range(samples)]
+    labels = list(model.states) + [f"sample-{i}" for i in range(samples)]
+    psis = np.vstack([s.amplitudes for s in model.states.values()]
+                     + [_random_states(model.dim, samples, np.random.default_rng(seed))])
 
     findings: list[Finding] = []
     for atom in model.atom_map:
-        assertion = Assert(Atom(atom))
-        for label, psi in probes:
-            if justify(model, psi, assertion) is JustificationValue.J and \
-                    sigma(model, psi, Atom(atom)) is not TruthValue3.TRUE:
+        justified = _contains_states(model.atom_projector(atom).matrix, psis, model.eps)
+        for k in np.flatnonzero(justified):
+            if sigma(model, StateVector(model.dim, psis[k]), Atom(atom)) \
+                    is not TruthValue3.TRUE:
                 findings.append(Finding(
                     "error", "cc-counterexample",
-                    f"atom {atom!r} is justified but not true in state {label}",
+                    f"atom {atom!r} is justified but not true in state {labels[k]}",
                 ))
     return ValidationReport(tuple(findings))
 

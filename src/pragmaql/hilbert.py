@@ -23,6 +23,9 @@ these rules, written once, here (``eps``: the model tolerance, default 1e-9).
   a lattice's tables are checked against recomputation at that bound.
 - In ``evaluation``: TRUE at probability |p - 1| <= eps, FALSE at p <= eps.
 
+Each test is written so that a NaN deviation fails it, and a projector
+input with a NaN or infinite entry is rejected before any rule runs.
+
 A generated lattice orders classes by the rank cutoff (i is below j when
 their meet is i), ``leq`` by max-entry deviation.  Turning one range vector
 of a rank-r subspace out of it by theta, both find inclusion at theta <=
@@ -82,7 +85,7 @@ def _projector_defects(m: np.ndarray, rank: int, eps: float) -> list[tuple[str, 
               ("not-idempotent", float(_deviation(h @ h, h)), eps),
               ("bad-rank", abs(float(np.trace(h).real) - rank),
                eps * d if 0 <= rank <= d else -1.0))
-    return [(code, dev) for code, dev, bound in checks if dev > bound]
+    return [(code, dev) for code, dev, bound in checks if not dev <= bound]
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +119,7 @@ def make_state(amplitudes, *, normalize_tol: float = 1e-6) -> StateVector:
     norm = float(np.linalg.norm(a))
     if norm <= normalize_tol:
         raise ProjectorError("zero state vector", code="zero-state")
-    if abs(norm - 1.0) > normalize_tol:
+    if not abs(norm - 1.0) <= normalize_tol:   # a NaN norm fails too
         raise ProjectorError(
             f"state norm {norm:.9g} is not 1 within {normalize_tol}",
             code="non-unit-state",
@@ -192,6 +195,7 @@ def make_projector(spec, dim: int | None = None, eps: float = DEFAULT_EPS) -> Pr
             f"matrix is {m.shape[0]}x{m.shape[0]}, expected dim {dim}",
             code="dimension-mismatch",
         )
+    _require_finite(m)
     rank = round(float(np.trace(m).real))
     defects = _projector_defects(m, rank, eps)
     if defects:
@@ -223,7 +227,15 @@ def projector_from_span(vectors, dim: int | None = None,
             )
     if not vecs:
         return zero_projector(dim)
-    return _span(np.column_stack(vecs), eps)
+    a = np.column_stack(vecs)
+    _require_finite(a)
+    return _span(a, eps)
+
+
+def _require_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ProjectorError("projector input has a NaN or infinite entry",
+                             code="schema")
 
 
 def _span(a: np.ndarray, eps: float) -> Projector:
@@ -323,8 +335,13 @@ def contains_state(p: Projector, state: StateVector,
             f"state dim {state.dim} does not match projector dim {p.dim}",
             code="dimension-mismatch",
         )
-    psi = state.amplitudes
-    return float(_deviation(p.matrix @ psi, psi, axes=1)) <= eps
+    return bool(_contains_states(p.matrix, state.amplitudes[None, :], eps)[0])
+
+
+def _contains_states(matrix: np.ndarray, psis: np.ndarray, eps: float) -> np.ndarray:
+    """Ray membership for each row of the ``(m, dim)`` array ``psis``, by one
+    ``P @ psis.T``: a boolean array of length m."""
+    return _deviation((matrix @ psis.T).T, psis, axes=1) <= eps
 
 
 # ---------------------------------------------------------------------------
@@ -333,11 +350,24 @@ def contains_state(p: Projector, state: StateVector,
 
 def random_state(dim: int, rng: np.random.Generator) -> StateVector:
     """Haar-uniform ray: normalized standard complex Gaussian components."""
-    while True:
-        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        norm = float(np.linalg.norm(z))
-        if norm > 1e-6:
-            return StateVector(dim, z / norm)
+    return StateVector(dim, _random_states(dim, 1, rng)[0])
+
+
+def _random_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` Haar-uniform rays as the rows of a ``(count, dim)`` array.
+
+    Each draw reads ``dim`` real normals, then ``dim`` imaginary ones, from
+    the stream; a draw whose norm is <= 1e-6 is discarded and the next one
+    taken, so the rows are the draws of ``count`` ``random_state`` calls.
+    """
+    rows = np.empty((0, dim), dtype=np.complex128)
+    while rows.shape[0] < count:
+        x = rng.standard_normal((count - rows.shape[0], 2 * dim))
+        z = x[:, :dim] + 1j * x[:, dim:]
+        norms = np.linalg.norm(z, axis=1)
+        keep = norms > 1e-6
+        rows = np.vstack([rows, z[keep] / norms[keep, None]])
+    return rows
 
 
 def random_projector(dim: int, rank: int, rng: np.random.Generator) -> Projector:

@@ -243,7 +243,7 @@ def validate_model(model: Model) -> ValidationReport:
             ))
             continue
         norm = float(np.linalg.norm(s.amplitudes))
-        if abs(norm - 1.0) > eff:
+        if not abs(norm - 1.0) <= eff:   # a NaN norm fails too
             findings.append(Finding(
                 "error", "non-unit-state",
                 f"state {name!r} has norm {norm:.9g}",

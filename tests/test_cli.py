@@ -256,6 +256,18 @@ def test_model_with_nan_eps_is_domain_error(tmp_path):
     assert "eps" in err
 
 
+def test_model_with_nan_state_is_domain_error(tmp_path, capsys):
+    doc = bundled_model_document("qubit-zx")
+    doc["states"]["z+"] = [[float("nan"), 0], [0, 0]]
+    path = tmp_path / "nan-state.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "check", "-m", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "z+" in err
+
+
 def test_deeply_nested_formula_is_domain_error():
     formula = "N " * 5000 + "|- az"
     for argv in (["parse", "-f", formula],

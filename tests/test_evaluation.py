@@ -6,6 +6,7 @@ import pytest
 
 from pragmaql import (
     Atom,
+    Finding,
     JustificationValue,
     K,
     Model,
@@ -16,14 +17,18 @@ from pragmaql import (
     TruthValue3,
     UnknownNameError,
     born_probability,
+    bundled_model_document,
     load_model,
     check_cc,
     classify_property,
+    contains_state,
     desugar,
     join,
     justify,
     leq,
     load_overlay,
+    make_projector,
+    make_state,
     meet,
     ortho,
     parse_assertive,
@@ -33,8 +38,11 @@ from pragmaql import (
     random_state,
     sigma,
     state_projector,
+    validate_model,
     validate_overlay,
 )
+
+from pragmaql import evaluation, hilbert
 
 from helpers import random_quantum
 
@@ -304,6 +312,64 @@ def test_check_cc_rejects_negative_samples(qubit):
     with pytest.raises(ValueError, match="samples"):
         check_cc(qubit, samples=-5)
     assert check_cc(qubit, samples=0).ok   # the declared states alone
+
+
+def tilted_model():
+    """dim 3, one atom on the line e0, eps = 0.6: a state tilted 0.58 towards
+    each of e1 and e2 is within eps of the line but not on it."""
+    a = 0.58
+    return Model(dim=3,
+                 states={"tilted": make_state([np.sqrt(1 - 2 * a * a), a, a])},
+                 properties={"P": make_projector(np.diag([1, 0, 0]).astype(complex))},
+                 atom_map={"a0": "P"}, eps=0.6)
+
+
+def test_check_cc_reports_counterexamples_in_probe_order():
+    model = tilted_model()
+    assert validate_model(model).ok
+    report = check_cc(model, samples=200, seed=3)
+    assert report.findings == tuple(
+        Finding("error", "cc-counterexample",
+                f"atom 'a0' is justified but not true in state {label}")
+        for label in ("tilted", "sample-183"))
+    assert [f.code for f in check_cc(model, samples=0).findings] == ["cc-counterexample"]
+    # several atoms: atom first, then probe (recorded before probes were batched)
+    doc = bundled_model_document("qutrit-lines")
+    doc["eps"] = 0.6
+    report = check_cc(load_model(doc), samples=200, seed=0)
+    assert [f.message.split(" is justified but not true in state ") for f in report.findings] == [
+        [f"atom {atom!r}", label] for atom in ("aa", "ab", "ap")
+        for label in ("sample-86", "sample-125")]
+
+
+def test_check_cc_batches_its_probes(ququart, monkeypatch):
+    # no justify(), random_state() or contains_state() per probe: one draw,
+    # one batched containment per atom, and sigma on the justified probes only
+    cases = [(ququart, 100, 0), (tilted_model(), 200, 3)]
+    justified = []
+    for model, samples, seed in cases:
+        rng = np.random.default_rng(seed)
+        probes = list(model.states.values())
+        probes += [random_state(model.dim, rng) for _ in range(samples)]
+        justified.append(sum(contains_state(model.atom_projector(atom), psi, model.eps)
+                             for atom in model.atom_map for psi in probes))
+    assert justified[1] > 2   # more justified probes than counterexamples
+    for name in ("justify", "random_state", "contains_state"):
+        for module in (evaluation, hilbert):
+            monkeypatch.setattr(module, name, None, raising=False)
+    calls = {}
+    for name in ("_random_states", "_contains_states", "sigma"):
+        original = getattr(evaluation, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(evaluation, name, counted)
+    for (model, samples, seed), expected in zip(cases, justified):
+        calls.update(dict.fromkeys(("_random_states", "_contains_states", "sigma"), 0))
+        check_cc(model, samples=samples, seed=seed)
+        assert calls == {"_random_states": 1, "_contains_states": len(model.atom_map),
+                         "sigma": expected}
 
 
 def test_check_cc_deterministic(qubit):

@@ -23,6 +23,7 @@ from pragmaql import (
 from pragmaql.hilbert import (
     DEFAULT_EPS,
     _class_tol,
+    _random_states,
     decode_matrix,
     decode_vector,
     encode_matrix,
@@ -83,6 +84,15 @@ def test_matrix_validation():
     assert exc.value.code == "dimension-mismatch"
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_projector_input_rejected(bad):
+    # rejected before the trace is rounded to a rank or the span goes to an SVD
+    for spec in (np.array([[bad, 0], [0, 0]], dtype=complex), [[bad, 0]]):
+        with pytest.raises(ProjectorError) as exc:
+            make_projector(spec)
+        assert exc.value.code == "schema"
+
+
 def test_state_normalization_and_rejection():
     s = make_state([0.707107, 0.707107])  # hand-typed decimals are fine
     assert abs(np.linalg.norm(s.amplitudes) - 1) < 1e-12
@@ -92,6 +102,11 @@ def test_state_normalization_and_rejection():
     with pytest.raises(ProjectorError) as exc:
         make_state([0.5, 0])
     assert exc.value.code == "non-unit-state"
+    for bad in ([np.nan, 0], [np.inf, 0], [1, complex(0, np.nan)]):
+        # a NaN norm fails both norm tests; it must not pass as a unit state
+        with pytest.raises(ProjectorError) as exc:
+            make_state(bad)
+        assert exc.value.code == "non-unit-state"
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +321,58 @@ def test_random_state_is_unit():
     for dim in (2, 3, 4):
         s = random_state(dim, rng)
         assert abs(np.linalg.norm(s.amplitudes) - 1) < 1e-12
+
+
+class StubNormals:
+    """Hands out a fixed stream of normals in the shapes asked for, counting
+    what it has handed out; the draws at ``tiny`` are scaled to norm ~1e-9."""
+
+    def __init__(self, dim, tiny, seed=0):
+        self.stream = np.random.default_rng(seed).standard_normal(4096)
+        for k in tiny:
+            self.stream[2 * dim * k: 2 * dim * (k + 1)] *= 1e-9
+        self.used = 0
+
+    def standard_normal(self, size):
+        n = int(np.prod(size))
+        out = self.stream[self.used: self.used + n].reshape(size)
+        self.used += n
+        return out
+
+
+def _loop_states(dim, count, rng):
+    """The per-state loop: redraw while the norm is at most 1e-6."""
+    rows = []
+    while len(rows) < count:
+        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        norm = float(np.linalg.norm(z))
+        if norm > 1e-6:
+            rows.append(z / norm)
+    return np.array(rows, dtype=complex).reshape(count, dim)
+
+
+@pytest.mark.parametrize("count", [0, 50])
+def test_batched_states_read_the_stream_like_random_state(count):
+    for dim in range(1, 17):
+        batch_rng, rng = np.random.default_rng(dim), np.random.default_rng(dim)
+        batch = _random_states(dim, count, batch_rng)
+        single = [random_state(dim, rng).amplitudes for _ in range(count)]
+        assert batch.shape == (count, dim)
+        loop = _loop_states(dim, count, np.random.default_rng(dim))
+        for other in (np.array(single).reshape(count, dim), loop):
+            assert np.abs(batch - other).max(initial=0) <= 1e-15
+        # both leave the generator at the same point
+        assert batch_rng.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("tiny", [(0,), (0, 7), (3, 4, 49)])
+def test_batched_states_redraw_tiny_rows_like_the_loop(tiny):
+    for dim in (1, 2, 5):
+        batch_rng, loop_rng = StubNormals(dim, tiny), StubNormals(dim, tiny)
+        batch = _random_states(dim, 50, batch_rng)
+        loop = _loop_states(dim, 50, loop_rng)
+        assert np.abs(batch - loop).max() <= 1e-15
+        assert batch_rng.used == loop_rng.used == 2 * dim * (50 + len(tiny))
 
 
 def test_random_projector_is_valid():

@@ -7,6 +7,7 @@ from pragmaql import (
     Model,
     ModelError,
     Projector,
+    StateVector,
     UnknownNameError,
     bundled_model_document,
     bundled_model_names,
@@ -77,11 +78,12 @@ def test_zero_state_rejected():
 
 
 def test_non_unit_state_rejected():
-    doc = minimal_document()
-    doc["states"]["bad"] = [[0.5, 0], [0, 0]]
-    with pytest.raises(ModelError) as exc:
-        load_model(doc)
-    assert exc.value.code == "non-unit-state"
+    for bad in (0.5, float("nan"), float("inf")):
+        doc = minimal_document()
+        doc["states"]["bad"] = [[bad, 0], [0, 0]]
+        with pytest.raises(ModelError) as exc:
+            load_model(doc)
+        assert exc.value.code == "non-unit-state"
 
 
 def test_near_unit_state_normalized():
@@ -149,6 +151,14 @@ def test_schema_violations():
         with pytest.raises(ModelError) as exc:
             load_model(doc)
         assert exc.value.code == "schema"
+    for bad in (float("nan"), float("inf")):
+        for spec in ({"matrix": [[[bad, 0], [0, 0]], [[0, 0], [0, 0]]]},
+                     {"span": [[[bad, 0], [0, 0]]]}):
+            doc = minimal_document()
+            doc["properties"]["Eup"] = spec
+            with pytest.raises(ModelError) as exc:
+                load_model(doc)
+            assert exc.value.code == "schema"
 
 
 def test_name_lookups(qubit):
@@ -184,6 +194,21 @@ def test_validate_flags_corrupted_projector(qubit):
     report = validate_model(corrupted)
     assert not report.ok
     assert any(f.code == "not-idempotent" for f in report.errors())
+
+
+def test_validate_flags_nan_state_and_projector(qubit):
+    # every norm and deviation test is false for NaN, so each must be
+    # written to fail on it rather than to pass
+    nan_state = StateVector(2, np.array([np.nan, 0]))
+    nan_matrix = np.array([[np.nan, 0], [0, 0]], dtype=complex)
+    for states, props, code in (
+            ({**qubit.states, "z+": nan_state}, qubit.properties, "non-unit-state"),
+            (qubit.states, {**qubit.properties, "Ez": Projector(2, nan_matrix, 1)},
+             "not-hermitian")):
+        model = Model(dim=2, states=dict(states), properties=dict(props),
+                      atom_map=dict(qubit.atom_map), eps=qubit.eps)
+        assert code in [f.code for f in validate_model(model).errors()]
+        assert [f.code for f in check_cc(model, samples=10).errors()][-1] == "model-invalid"
 
 
 def test_validate_warns_on_degenerate_tolerance(qubit):
