@@ -276,7 +276,8 @@ def run(argv=None) -> int:
     try:
         return args.func(args)
     except (PragmaQLError, ValueError, OSError, json.JSONDecodeError,
-            RecursionError) as exc:  # RecursionError: input nested too deeply
+            RecursionError,  # input nested too deeply
+            MemoryError) as exc:  # a dim too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -22,7 +22,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .errors import ModelError, NonQuantumFormulaError, ProjectorError, UnknownNameError
+from .errors import ModelError, NonQuantumFormulaError
 from .formula import (
     And,
     Assert,
@@ -50,7 +50,7 @@ from .hilbert import (
     meet,
     ortho,
 )
-from .hilbert import _contains_states, _random_states
+from .hilbert import _check_same_dim, _contains_states, _random_states
 from .model import Finding, Model, ValidationReport, validate_model
 
 __all__ = [
@@ -94,22 +94,14 @@ AssertiveLike = Union[str, AssertiveFormula]
 
 def _resolve_state(model: Model, state: StateLike) -> StateVector:
     if isinstance(state, StateVector):
-        if state.dim != model.dim:
-            raise ProjectorError(
-                f"state dim {state.dim} does not match model dim {model.dim}",
-                code="dimension-mismatch",
-            )
+        _check_same_dim(state, model)
         return state
     return model.state(state)
 
 
 def _resolve_property(model: Model, prop: PropertyLike) -> Projector:
     if isinstance(prop, Projector):
-        if prop.dim != model.dim:
-            raise ProjectorError(
-                f"projector dim {prop.dim} does not match model dim {model.dim}",
-                code="dimension-mismatch",
-            )
+        _check_same_dim(prop, model)
         return prop
     return model.projector(prop)
 
@@ -154,13 +146,10 @@ def sigma(model: Model, state: StateLike, radical: RadicalLike) -> TruthValue3:
     otherwise.
     """
     r = _resolve_radical(radical)
-    names = radical_atoms(r)
-    for name in names:
-        if name not in model.atom_map:
-            raise UnknownNameError(f"unknown atom {name!r}")
+    props = {name: model.atom_projector(name) for name in radical_atoms(r)}
     env: dict[str, bool] = {}
-    for name in names:
-        value = classify_property(model, state, model.atom_map[name])
+    for name, p in props.items():
+        value = classify_property(model, state, p)
         if value is TruthValue3.UNDEFINED:
             return TruthValue3.UNDEFINED
         env[name] = value is TruthValue3.TRUE

@@ -267,10 +267,11 @@ def state_projector(state: StateVector) -> Projector:
 # lattice operations
 
 
-def _check_same_dim(p: Projector, q: Projector) -> None:
-    if p.dim != q.dim:
+def _check_same_dim(a, b) -> None:
+    """dimension-mismatch unless ``a.dim == b.dim`` (projectors, states, models)."""
+    if a.dim != b.dim:
         raise ProjectorError(
-            f"dimension mismatch: {p.dim} vs {q.dim}", code="dimension-mismatch"
+            f"dimension mismatch: {a.dim} vs {b.dim}", code="dimension-mismatch"
         )
 
 
@@ -330,11 +331,7 @@ def projectors_close(p: Projector, q: Projector, tol: float = DEFAULT_EPS) -> bo
 def contains_state(p: Projector, state: StateVector,
                    eps: float = DEFAULT_EPS) -> bool:
     """Ray membership: P psi = psi within eps (max-entry)."""
-    if state.dim != p.dim:
-        raise ProjectorError(
-            f"state dim {state.dim} does not match projector dim {p.dim}",
-            code="dimension-mismatch",
-        )
+    _check_same_dim(p, state)
     return bool(_contains_states(p.matrix, state.amplitudes[None, :], eps)[0])
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError, UnknownNameError
+from .errors import ModelError
 from .formula import (
     AQ,
     Assert,
@@ -146,9 +146,7 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
     atoms = [str(a) for a in atoms]
     if not atoms:
         raise ValueError("need at least one atom")
-    for a in atoms:
-        if a not in model.atom_map:
-            raise UnknownNameError(f"unknown atom {a!r}")
+    initial = [model.atom_projector(a) for a in atoms]
 
     tol = _class_tol(model.eps)
     projs: list[Projector] = []
@@ -194,8 +192,8 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
         text = print_formula(f)
         return (len(text), text)
 
-    for a in atoms:
-        record(model.atom_projector(a), Assert(Atom(a)))
+    for a, p in zip(atoms, initial):
+        record(p, Assert(Atom(a)))
 
     seen = 0   # classes [0, seen) were already combined with each other
     for rounds in itertools.count(1):

@@ -121,10 +121,12 @@ def _require(document: dict, key: str, kind, code: str = "schema"):
 def load_model(document) -> Model:
     """Build a validated :class:`Model` from a JSON-shaped mapping.
 
-    States are normalized on load when their norm is within 1e-6 of 1,
-    and rejected otherwise.  Properties given as spanning vectors are
-    converted to projectors; matrix-form properties are checked to be
-    Hermitian and idempotent within the model tolerance.
+    Parsing checks the document's shape: key types, ``dim``, ``eps``, the
+    complex entries, and each state and property on its own.  States are
+    normalized when their norm is within 1e-6 of 1, and rejected
+    otherwise; properties become projectors of dimension ``dim`` (matrix
+    forms checked within eps).  The built model then raises the first
+    error ``validate_model`` reports, as ``ModelError`` with its code.
     """
     if not isinstance(document, dict):
         raise ModelError("model document must be a mapping", code="schema")
@@ -137,26 +139,15 @@ def load_model(document) -> Model:
                          code="schema")
     eps = float(eps)
 
-    states_doc = _require(document, "states", dict)
     states: dict[str, StateVector] = {}
-    for name, entries in states_doc.items():
+    for name, entries in _require(document, "states", dict).items():
         try:
-            vec = decode_vector(entries)
-        except ProjectorError as exc:
-            raise ModelError(f"state {name!r}: {exc}", code=exc.code) from exc
-        if vec.shape[0] != dim:
-            raise ModelError(
-                f"state {name!r} has {vec.shape[0]} amplitudes, expected {dim}",
-                code="dimension-mismatch",
-            )
-        try:
-            states[name] = make_state(vec)
+            states[name] = make_state(decode_vector(entries))
         except ProjectorError as exc:
             raise ModelError(f"state {name!r}: {exc}", code=exc.code) from exc
 
-    props_doc = _require(document, "properties", dict)
     properties: dict[str, Projector] = {}
-    for name, spec in props_doc.items():
+    for name, spec in _require(document, "properties", dict).items():
         if not isinstance(spec, dict) or len(spec.keys() & {"span", "matrix"}) != 1:
             raise ModelError(
                 f"property {name!r} must give exactly one of 'span' or 'matrix'",
@@ -180,29 +171,12 @@ def load_model(document) -> Model:
         except ProjectorError as exc:
             raise ModelError(f"property {name!r}: {exc}", code=exc.code) from exc
 
-    atoms_doc = _require(document, "atoms", dict)
-    atom_map: dict[str, str] = {}
-    for atom, target in atoms_doc.items():
-        if not isinstance(atom, str) or not ATOM_NAME_RE.match(atom):
-            raise ModelError(
-                f"atom name {atom!r} is not a valid atom lexeme",
-                code="invalid-atom-name",
-            )
-        if not isinstance(target, str) or target not in properties:
-            raise ModelError(
-                f"atom {atom!r} maps to unknown property {target!r}",
-                code="unknown-property",
-            )
-        atom_map[atom] = target
-    if len(set(atom_map.values())) != len(atom_map) or \
-            set(atom_map.values()) != set(properties):
-        raise ModelError(
-            "atom map must be a bijection onto the declared properties",
-            code="non-bijective-atom-map",
-        )
-
-    return Model(dim=dim, states=states, properties=properties,
-                 atom_map=atom_map, eps=eps)
+    model = Model(dim=dim, states=states, properties=properties,
+                  atom_map=dict(_require(document, "atoms", dict)), eps=eps)
+    errors = validate_model(model).errors()
+    if errors:
+        raise ModelError(errors[0].message, code=errors[0].code)
+    return model
 
 
 def load_model_file(path) -> Model:
@@ -220,9 +194,14 @@ def load_model_file(path) -> Model:
 
 
 def validate_model(model: Model) -> ValidationReport:
-    """Re-run every structural invariant; never raises, never mutates.
+    """Check every invariant of a model; never raises, never mutates.
 
-    An eps that is no tolerance (see ``pragmaql.hilbert``) is reported, and
+    This is the one place that decides whether a model is valid:
+    ``load_model`` raises its first error, and ``check_cc`` refuses a model
+    with any.  Findings come in order: tolerance, states (dimension, unit
+    norm), properties (dimension, projector defects), then per atom its
+    name and target, then the bijection onto the declared properties.  An
+    eps that is no tolerance (see ``pragmaql.hilbert``) is reported, and
     replaced by a 1e-12 floor for the numeric checks themselves.
     """
     findings: list[Finding] = []
@@ -262,17 +241,21 @@ def validate_model(model: Model) -> ValidationReport:
                 f"property {name!r} (rank {p.rank}) deviates by {dev:.3g}",
             ))
 
+    targets = []   # the atoms' targets that name a declared property
     for atom, target in model.atom_map.items():
-        if not ATOM_NAME_RE.match(atom):
+        if not isinstance(atom, str) or not ATOM_NAME_RE.match(atom):
             findings.append(Finding(
-                "error", "invalid-atom-name", f"atom name {atom!r}"))
-        if target not in model.properties:
+                "error", "invalid-atom-name",
+                f"atom name {atom!r} is not a valid atom lexeme",
+            ))
+        if isinstance(target, str) and target in model.properties:
+            targets.append(target)
+        else:
             findings.append(Finding(
                 "error", "unknown-property",
                 f"atom {atom!r} maps to unknown property {target!r}",
             ))
-    targets = list(model.atom_map.values())
-    if len(set(targets)) != len(targets) or set(targets) != set(model.properties):
+    if len(set(targets)) != len(model.atom_map) or set(targets) != set(model.properties):
         findings.append(Finding(
             "error", "non-bijective-atom-map",
             "atom map is not a bijection onto the declared properties",

@@ -103,6 +103,51 @@ def test_extension_structured(capsys):
                                  [[0.0, 0.0], [0.0, 0.0]]]
 
 
+def test_extension_human(capsys):
+    code, out, _ = invoke(capsys, "extension", "-m", "qubit-zx", "-f", "|- ax")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == ["formula: (|- ax)", "dim: 2  rank: 1"]
+    # the matrix's padding follows numpy's rounding of zeros, so only its
+    # shape and entries are checked
+    assert len(lines) == 4
+    assert re.findall(r"0\.5", out) == ["0.5"] * 4
+
+
+def test_eval_and_justify_structured(capsys):
+    code, out, _ = invoke(capsys, "eval", "-m", "qubit-zx", "-s", "z+",
+                          "-f", "az & ~ax", "--format", "structured")
+    assert code == 0
+    assert json.loads(out) == {"state": "z+", "formula": "(az & ~ax)",
+                               "value": "Undefined"}
+    code, out, _ = invoke(capsys, "justify", "-m", "qubit-zx", "-s", "z-",
+                          "-f", "N(|- az)", "--format", "structured")
+    assert code == 0
+    assert json.loads(out) == {"state": "z-", "formula": "N((|- az))", "value": "J"}
+
+
+def test_parse_human_violation_lines(capsys):
+    code, out, _ = invoke(capsys, "parse", "-f", "(|- p) C (|- (p & q))")
+    assert code == 0
+    assert out.splitlines() == [
+        "((|- p) C (|- (p & q)))",
+        "kind: assertive",
+        "quantum: no",
+        "  violation at path []: forbidden-connective",
+        "  violation at path [1]: molecular-radical",
+    ]
+
+
+def test_lattice_human_distributive(capsys):
+    code, out, _ = invoke(capsys, "lattice", "-m", "qubit-zx",
+                          "--atoms", "az", "--depth", "2")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "classes: 4"
+    assert lines[-1] == "distributivity: holds"
+    assert all(line.endswith(": ok") for line in lines[3:-1])
+
+
 def test_lattice_human_summary(capsys):
     code, out, _ = invoke(capsys, "lattice", "-m", "qubit-zx",
                           "--atoms", "az,ax", "--depth", "3")
@@ -231,6 +276,28 @@ def test_depth_zero_is_domain_error(capsys):
                           "--atoms", "az", "--depth", "0")
     assert code == 1
     assert "depth" in err
+
+
+def test_empty_atom_list_is_domain_error(capsys):
+    code, out, err = invoke(capsys, "lattice", "-m", "qubit-zx",
+                            "--atoms", ",", "--depth", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: --atoms must list at least one atom name\n"
+
+
+def test_unallocatable_dim_is_domain_error(tmp_path, capsys):
+    # a 10^8 x 10^8 complex matrix needs 142 PiB, more than a 47- or 56-bit
+    # virtual address space can map, so the allocation fails at once under
+    # any overcommit setting
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dim": 100_000_000, "states": {},
+                                "properties": {"E": {"span": []}},
+                                "atoms": {"a": "E"}}))
+    code, out, err = invoke(capsys, "check", "-m", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_negative_samples_is_domain_error(capsys):

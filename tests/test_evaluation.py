@@ -14,6 +14,7 @@ from pragmaql import (
     NonQuantumFormulaError,
     Overlay,
     Projector,
+    ProjectorError,
     TruthValue3,
     UnknownNameError,
     born_probability,
@@ -104,6 +105,20 @@ def test_unknown_names(qubit):
         born_probability(qubit, "y+", "Ez")
     with pytest.raises(UnknownNameError):
         born_probability(qubit, "z+", "Ey")
+
+
+def test_dimension_mismatch_of_state_and_projector_arguments(qubit):
+    # a StateVector or Projector argument is checked against the model dim
+    psi3 = make_state([1, 0, 0])
+    p3 = make_projector([[1, 0, 0]])
+    for call in (lambda: born_probability(qubit, psi3, "Ez"),
+                 lambda: justify(qubit, psi3, "|- az"),
+                 lambda: sigma(qubit, psi3, "az"),
+                 lambda: classify_property(qubit, "z+", p3)):
+        with pytest.raises(ProjectorError) as exc:
+            call()
+        assert exc.value.code == "dimension-mismatch"
+        assert str(exc.value) == "dimension mismatch: 3 vs 2"
 
 
 def test_complex_phases_through_the_whole_stack():

@@ -1,5 +1,3 @@
-import copy
-
 import numpy as np
 import pytest
 
@@ -110,11 +108,33 @@ def test_invalid_atom_name():
 
 
 def test_atom_to_unknown_property():
+    for target in ("Emissing", ["Eup"], 3, None):
+        doc = minimal_document()
+        doc["atoms"] = {"a": target}
+        with pytest.raises(ModelError) as exc:
+            load_model(doc)
+        assert exc.value.code == "unknown-property"
+
+
+def test_load_raises_first_validation_error():
+    # states: dimension, unit norm; then per atom its name and target; then
+    # the bijection
     doc = minimal_document()
+    doc["states"]["bad"] = [[1, 0], [0, 0], [0, 0]]
+    doc["atoms"] = {"Aup": "Emissing"}
+    with pytest.raises(ModelError) as exc:
+        load_model(doc)
+    assert exc.value.code == "dimension-mismatch"
+    assert str(exc.value) == "state 'bad' has dim 3, model dim is 2"
+    del doc["states"]["bad"]
+    with pytest.raises(ModelError) as exc:
+        load_model(doc)
+    assert exc.value.code == "invalid-atom-name"
     doc["atoms"] = {"a": "Emissing"}
     with pytest.raises(ModelError) as exc:
         load_model(doc)
-    assert exc.value.code == "unknown-property"
+    assert (exc.value.code, str(exc.value)) == (
+        "unknown-property", "atom 'a' maps to unknown property 'Emissing'")
 
 
 def test_matrix_property_form():
@@ -240,11 +260,37 @@ def test_validate_flags_non_bijective_map(qubit):
     assert any(f.code == "non-bijective-atom-map" for f in report.errors())
 
 
+def test_validate_reports_non_string_atom_names_and_targets(qubit):
+    # validate_model never raises, even on unhashable or non-string entries
+    for atom_map, codes in (
+            ({"az": ["Ez"], "ax": "Ex"}, ["unknown-property", "non-bijective-atom-map"]),
+            ({"az": None, "ax": "Ex"}, ["unknown-property", "non-bijective-atom-map"]),
+            ({1: "Ez", "ax": "Ex"}, ["invalid-atom-name"]),
+            ({("az",): "Ez", "ax": "Ex"}, ["invalid-atom-name"])):
+        model = Model(dim=2, states={}, properties=dict(qubit.properties),
+                      atom_map=atom_map, eps=qubit.eps)
+        assert [f.code for f in validate_model(model).findings] == codes
+
+
 def test_load_then_validate_ok_for_every_accepted_document():
-    docs = [bundled_model_document(name) for name in bundled_model_names()]
-    docs.append(minimal_document())
-    extended = copy.deepcopy(minimal_document())
-    extended["eps"] = 1e-10
-    docs.append(extended)
-    for doc in docs:
-        assert validate_model(load_model(doc)).ok
+    # every document load_model accepts passes validate_model, at every
+    # tolerance down to below double-precision rounding
+    docs = {"minimal": minimal_document()}
+    docs["minimal-1e-10"] = {**minimal_document(), "eps": 1e-10}
+    for name in bundled_model_names():
+        docs[name] = bundled_model_document(name)
+        for eps in (1e-12, 1e-15, 1e-16, 1e-17, 1e-20):
+            docs[name, eps] = {**bundled_model_document(name), "eps": eps}
+    rejected = {}
+    for key, doc in docs.items():
+        try:
+            model = load_model(doc)
+        except ModelError as exc:
+            rejected[key] = exc.code
+            continue
+        report = validate_model(model)
+        assert report.ok, (key, report.findings)
+    assert not rejected.keys() & {"minimal", "minimal-1e-10", *bundled_model_names()}
+    # the Ex projector is built from a span; its idempotence defect is one
+    # rounding unit, above eps = 1e-16
+    assert rejected[("qubit-zx", 1e-16)] == "not-idempotent"
