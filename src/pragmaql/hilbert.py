@@ -20,7 +20,9 @@ these rules, written once, here (``eps``: the model tolerance, default 1e-9).
 - A projector is Hermitian and idempotent within eps, with a trace within
   ``eps * dim`` of its rank, 0 <= rank <= dim.
 - Class merge: projectors within ``10 * eps`` are one quotient class, and
-  a lattice's tables are checked against recomputation at that bound.
+  a lattice's negation table is checked against ``ortho`` at that bound.
+  Its meet and join tables are checked by rank count at the rank cutoff,
+  with the inclusions they need decided by ``leq``.
 - In ``evaluation``: TRUE at probability |p - 1| <= eps, FALSE at p <= eps.
 
 Each test is written so that a NaN deviation fails it, and a projector
@@ -398,8 +400,16 @@ def decode_complex(entry) -> complex:
     return complex(entry[0], entry[1])
 
 
+def _encode_entries(a: np.ndarray) -> list:
+    """``a`` as nested lists with each entry an ``[re, im]`` pair of floats,
+    by one ``tolist`` of the stacked parts; the same lists as
+    ``encode_complex`` on each entry, and the sign of a zero is kept."""
+    a = np.asarray(a, dtype=np.complex128)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
 def encode_vector(v: np.ndarray) -> list[list[float]]:
-    return [encode_complex(z) for z in np.asarray(v).reshape(-1)]
+    return _encode_entries(np.asarray(v).reshape(-1))
 
 
 def decode_vector(entries) -> np.ndarray:
@@ -412,7 +422,7 @@ def decode_vector(entries) -> np.ndarray:
 
 
 def encode_matrix(m: np.ndarray) -> list[list[list[float]]]:
-    return [[encode_complex(z) for z in row] for row in np.asarray(m)]
+    return _encode_entries(m)
 
 
 def decode_matrix(rows) -> np.ndarray:

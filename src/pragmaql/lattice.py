@@ -11,15 +11,15 @@ result's class into the negation/meet/join tables as it is found.  Rounds
 up to the requested depth enumerate member formulas; later rounds close
 the class set, synthesizing a representative from existing ones for any
 class first produced there.  The loop ends when a round finds no new
-class.
+class, or stops with a ``not-saturated`` error past ``MAX_CLASSES``.
 
 The resulting structure carries the three operation tables, the class
 order read off the meet table (i is below j when their meet is class i),
 and bottom/top.  It is checked against the ortholattice and orthomodular
 laws, and for order-isomorphism onto its own projectors: the order by
-``leq``, meets and joins by the null-space formulation, each unordered
-pair once and against both of its table entries.  Tolerances follow the
-policy in ``pragmaql.hilbert``.
+``leq``, and meets and joins by dimension count (Grassmann's identity),
+with one values-only SVD per unordered pair that checks both of its table
+entries.  Tolerances follow the policy in ``pragmaql.hilbert``.
 """
 
 from __future__ import annotations
@@ -121,6 +121,12 @@ class QuotientLattice:
 # generation
 
 
+# classes one generation may find: eight times the block-sum ceiling of 128
+# in perfbench/blocksum.py.  Three generic subspaces can generate an
+# infinite lattice, which no number of rounds saturates
+MAX_CLASSES = 1024
+
+
 def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
     """Build the quotient lattice generated by ``atoms`` up to ``depth``.
 
@@ -140,6 +146,10 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
     its class's members.  Later rounds close the set: operands are the
     canonical representatives (the shortlex-least member), and only a
     result with a new projector creates a class, flagged ``synthesized``.
+
+    Three or more generic subspaces can generate an infinite lattice, so
+    generation stops with ``ModelError(code="not-saturated")`` when it
+    finds a class past ``MAX_CLASSES``.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -177,6 +187,10 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
         hits = np.flatnonzero(_deviation(stack[:n], p.matrix) <= tol)
         if hits.size:
             return add_member(int(hits[0]), formula)
+        if n == MAX_CLASSES:
+            raise ModelError(f"generation did not saturate: round {rounds} found class "
+                             f"{n + 1}, past the budget of {MAX_CLASSES}",
+                             code="not-saturated")
         if n == len(stack):
             stack = np.concatenate([stack, np.empty_like(stack)])
         stack[n] = p.matrix
@@ -192,6 +206,7 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
         text = print_formula(f)
         return (len(text), text)
 
+    rounds = 0
     for a, p in zip(atoms, initial):
         record(p, Assert(Atom(a)))
 
@@ -206,8 +221,10 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
             break
         for i in range(seen, count):
             neg[i] = record(ortho(projs[i]), N(operands[i]))
-        pairs = [(i, j) for i in range(count) for j in range(count)
-                 if i >= seen or j >= seen]
+        # the pairs that include a class new in the last round, row-major,
+        # made afresh for each pass
+        pairs = lambda: ((i, j) for i in range(count)
+                         for j in range(seen if i < seen else 0, count))
         # the order fixes class indices and member order: enumeration
         # applies one connective to all pairs before the next, closure
         # applies both to each pair in turn
@@ -216,7 +233,7 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
         # this pair's closure step; classes lie more than tol apart, so
         # recomputing (j, i) or (i, i) would find that same class
         for batch in passes:
-            for i, j in pairs:
+            for i, j in pairs():
                 for op, connective, table in batch:
                     formula = connective(operands[i], operands[j])
                     if i < j:
@@ -296,27 +313,52 @@ def find_distributivity_violation(lat: QuotientLattice) -> tuple[int, int, int] 
     return None
 
 
-def _null_projectors(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """For each matrix b_k in ``b``, the projector onto the null space of the
-    stacked [a; b_k]: its right singular vectors with singular value <= tol."""
-    s, vh = np.linalg.svd(np.concatenate([np.broadcast_to(a, b.shape), b], axis=1),
-                          full_matrices=False)[1:]
-    vh *= (s <= tol)[:, :, None]
-    return np.swapaxes(vh.conj(), 1, 2) @ vh
+def _span_ranks(u: np.ndarray, ranks: np.ndarray, i: np.ndarray, j: np.ndarray,
+                tol: float) -> np.ndarray:
+    """For each pair (i_k, j_k), the number of singular values above ``tol``
+    of [B_i | B_j], with B_c the first ``ranks[c]`` columns of ``u[c]``: the
+    dimension of the span of the two ranges.
+
+    Pairs with one column count r_i + r_j share one values-only SVD, in
+    batches of at most 2**16 matrix entries, which keep its temporaries and
+    so the peak memory small at dim 16.  Each batch holds the transposes of
+    the [B_i | B_j], which have the same singular values.
+    """
+    counts = np.zeros(len(i), dtype=int)
+    width = ranks[i] + ranks[j]
+    for c in np.unique(width):
+        picked = np.flatnonzero(width == c)
+        t = np.arange(c)
+        step = max(1, 2**16 // max(1, c * u.shape[1]))
+        for at in range(0, len(picked), step):
+            k = picked[at:at + step]
+            # row t of pair k: column t of B_i below r_i, else column t - r_i of B_j
+            first = t < ranks[i[k], None]
+            rows = u[np.where(first, i[k, None], j[k, None]), :,
+                     np.where(first, t, t - ranks[i[k], None])]
+            counts[k] = np.count_nonzero(np.linalg.svd(rows, compute_uv=False) > tol, axis=1)
+    return counts
 
 
 def verify_isomorphism(lat: QuotientLattice) -> LawReport:
     """The class-to-projector map is an order isomorphism.
 
     Checks injectivity (projectors distinct beyond eps), that the class
-    order is subspace inclusion by ``leq``, and that the tables commute with
-    orthocomplement, intersection and span within the class merge
-    tolerance.  Meets and joins are recomputed by the null-space
-    formulation, not by the ``meet``/``join`` that built the tables, each
-    unordered pair once: the null space of a pair is symmetric in it, so
-    one recomputation checks both table[i, j] and table[j, i].  The
-    counterexample names the first failed aspect (injective, order,
-    negation, then meet before join at each pair), row-major within it.
+    order is subspace inclusion by ``leq``, that the negation table commutes
+    with orthocomplement within the class merge tolerance, and that the
+    meet and join tables name intersection and span.  Those two are checked
+    by dimension count, not by the ``meet``/``join`` that built the tables:
+    with r_i the rank of class i and s_ij the dimension of the span of
+    classes i and j, both counted at the rank cutoff, the meet entry M is
+    right when M is below i and j and has rank r_i + r_j - s_ij, and the
+    join entry J when i and j are below J and J has rank s_ij.  By
+    Grassmann's identity, dim(U meet W) + dim(U join W) = dim U + dim W,
+    this forces M = U meet W and J = U join W.  Ranks and range bases come
+    from one SVD of the class matrices, not from their stored ranks; s_ij
+    is one values-only SVD per unordered pair, which checks both
+    table[i, j] and table[j, i].  The counterexample names the first failed
+    aspect (injective, order, negation, then meet before join at each
+    pair), row-major within it.
     """
     n = len(lat)
     stack = np.stack([lat.projector(i).matrix for i in range(n)])
@@ -332,23 +374,24 @@ def verify_isomorphism(lat: QuotientLattice) -> LawReport:
         found = _first(bad)
         if found is not None:
             return fail(aspect, *found)
-    # the null projector of [(I - P_i); (I - P_j)] is P_i meet P_j, that of
-    # [P_i; P_j] is I - (P_i join P_j); batches of about 2048 matrix entries
-    # keep the SVD's temporaries, and so the peak memory, small at dim 16.
-    # Row i recomputes the pairs j >= i and checks (i, j) and (j, i), so
-    # after it rows 0..i of ``bad`` are complete
-    tol, step = _rank_cutoff(lat.eps, d), max(1, 2048 // (d * d))
-    bad = np.zeros((n, n, 2), dtype=bool)   # (i, j, 0 meet / 1 join)
-    for i in range(n):
-        for js in np.split(np.arange(i, n), np.arange(i + step, n, step)):
-            for k, (rows, table, expected) in enumerate(((comp, lat.meet_table, stack),
-                                                         (stack, lat.join_table, comp))):
-                null = _null_projectors(rows[i], rows[js], tol)
-                bad[i, js, k] = _deviation(expected[table[i, js]], null) > lat.class_tol
-                bad[js, i, k] = _deviation(expected[table[js, i]], null) > lat.class_tol
-        found = _first(bad[i])
-        if found is not None:
-            return fail(("meet", "join")[found[1]], i, found[0])
+    # the order check passed, so ``below`` is the class order; u's columns
+    # come sorted by singular value, so the first r of them span the range
+    tol = _rank_cutoff(lat.eps, d)
+    u, s, _ = np.linalg.svd(stack)
+    ranks = np.count_nonzero(s > tol, axis=1)
+    i, j = np.triu_indices(n)
+    span = np.zeros((n, n), dtype=int)
+    span[i, j] = span[j, i] = _span_ranks(u, ranks, i, j, tol)
+    x = np.arange(n)
+    row, col = x[:, None], x[None, :]
+    mt, jt = lat.meet_table, lat.join_table
+    bad = np.stack([
+        ~below[mt, row] | ~below[mt, col] | (ranks[mt] != ranks[row] + ranks[col] - span),
+        ~below[row, jt] | ~below[col, jt] | (ranks[jt] != span),
+    ], axis=-1)   # (i, j, 0 meet / 1 join)
+    found = _first(bad)
+    if found is not None:
+        return fail(("meet", "join")[found[2]], found[0], found[1])
     return LawReport("order-isomorphism", True)
 
 

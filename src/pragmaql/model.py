@@ -47,6 +47,10 @@ __all__ = [
     "bundled_model", "bundled_model_document", "bundled_model_names", "qubit_zx",
 ]
 
+# far past the desk scale (dim up to ~16); one dim x dim complex matrix at
+# the cap takes 256 MiB
+MAX_DIM = 4096
+
 
 @dataclass(frozen=True)
 class Finding:
@@ -121,7 +125,8 @@ def _require(document: dict, key: str, kind, code: str = "schema"):
 def load_model(document) -> Model:
     """Build a validated :class:`Model` from a JSON-shaped mapping.
 
-    Parsing checks the document's shape: key types, ``dim``, ``eps``, the
+    Parsing checks the document's shape: key types, ``dim`` (1 to
+    ``MAX_DIM``, checked before anything is allocated), ``eps``, the
     complex entries, and each state and property on its own.  States are
     normalized when their norm is within 1e-6 of 1, and rejected
     otherwise; properties become projectors of dimension ``dim`` (matrix
@@ -131,8 +136,9 @@ def load_model(document) -> Model:
     if not isinstance(document, dict):
         raise ModelError("model document must be a mapping", code="schema")
     dim = _require(document, "dim", int)
-    if dim < 1:
-        raise ModelError(f"dim must be a positive integer, got {dim}", code="schema")
+    if not 1 <= dim <= MAX_DIM:
+        raise ModelError(f"dim must be an integer from 1 to {MAX_DIM}, got {dim}",
+                         code="schema")
     eps = document.get("eps", DEFAULT_EPS)
     if not _is_tolerance(eps):
         raise ModelError(f"eps must be a finite positive number, got {eps!r}",

@@ -18,7 +18,9 @@ from pragmaql import (
     Not,
     Or,
     QuotientLattice,
+    random_projector,
 )
+from pragmaql.hilbert import encode_matrix
 
 DEFAULT_ATOMS = ("p", "q", "r")
 
@@ -100,3 +102,15 @@ def o6_fixture():
         meet_table=meet_table, join_table=join_table,
         bottom=BOT, top=TOP,
     )
+
+
+def seeded_c3_triple(seed):
+    """Model document of two planes and a line in general position in C^3,
+    atoms a0-a2: a valid model whose generated lattice never saturates."""
+    rng = np.random.default_rng(seed)
+    projs = [random_projector(3, 2, rng), random_projector(3, 2, rng),
+             random_projector(3, 1, rng)]
+    return {"dim": 3, "states": {},
+            "properties": {f"P{k}": {"matrix": encode_matrix(p.matrix)}
+                           for k, p in enumerate(projs)},
+            "atoms": {f"a{k}": f"P{k}" for k in range(3)}}

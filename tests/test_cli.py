@@ -5,8 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pragmaql.cli
 from pragmaql import bundled_model_document
 from pragmaql.cli import run
+
+from helpers import seeded_c3_triple
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -287,9 +290,8 @@ def test_empty_atom_list_is_domain_error(capsys):
 
 
 def test_unallocatable_dim_is_domain_error(tmp_path, capsys):
-    # a 10^8 x 10^8 complex matrix needs 142 PiB, more than a 47- or 56-bit
-    # virtual address space can map, so the allocation fails at once under
-    # any overcommit setting
+    # a 10^8 x 10^8 complex matrix needs 142 PiB; the dim cap rejects the
+    # document before anything is allocated
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"dim": 100_000_000, "states": {},
                                 "properties": {"E": {"span": []}},
@@ -298,6 +300,25 @@ def test_unallocatable_dim_is_domain_error(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_memory_error_is_domain_error(monkeypatch, capsys):
+    def exhausted(value):
+        raise MemoryError("Unable to allocate 142. PiB")
+
+    monkeypatch.setattr(pragmaql.cli, "_load_model_arg", exhausted)
+    code, out, err = invoke(capsys, "check", "-m", "qubit-zx")
+    assert (code, out, err) == (1, "", "error: Unable to allocate 142. PiB\n")
+
+
+def test_unsaturated_lattice_is_domain_error(tmp_path):
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps(seeded_c3_triple(0)))
+    code, out, err = invoke_process("lattice", "-m", str(path), "--atoms", "a0,a1,a2",
+                                    "--depth", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: generation did not saturate") and err.count("\n") == 1
 
 
 def test_negative_samples_is_domain_error(capsys):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from pragmaql.hilbert import (
     _random_states,
     decode_matrix,
     decode_vector,
+    encode_complex,
     encode_matrix,
     encode_vector,
 )
@@ -457,6 +460,22 @@ def test_encode_decode_round_trip():
     m = decode_matrix([[[0.5, 0], [0, -0.5]], [[0, 0.5], [0.5, 0]]])
     assert np.array_equal(m, np.array([[0.5, -0.5j], [0.5j, 0.5]]))
     assert decode_matrix(encode_matrix(m)).tolist() == m.tolist()
+
+
+@pytest.mark.parametrize("values", [
+    np.array([[0.5, -0.5j], [0.5j + 1e-17, -0.0 - 0.0j]]),
+    np.array([[1.0, -0.0], [0.1, 2.5]]),
+    np.array([[1, 0], [-3, 2]]),
+    np.array([[-0.0, 0.0], [0.0, -0.0]], dtype=np.complex64),
+])
+def test_encoding_matches_encode_complex_per_entry(values):
+    values.setflags(write=False)
+    expected = [[encode_complex(z) for z in row] for row in values]
+    # == cannot tell -0.0 from 0.0, and the JSON can
+    assert json.dumps(encode_matrix(values)) == json.dumps(expected)
+    assert json.dumps(encode_vector(values)) == json.dumps(
+        [encode_complex(z) for z in values.reshape(-1)])
+    assert all(type(x) is float for row in encode_matrix(values) for z in row for x in z)
 
 
 def test_decode_rejects_malformed_entries():

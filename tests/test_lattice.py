@@ -3,14 +3,17 @@ import hashlib
 import itertools
 import json
 import re
+import time
 
 import numpy as np
 import pytest
 
 import pragmaql.lattice
 from pragmaql import (
+    LatticeElement,
     LawReport,
     ModelError,
+    QuotientLattice,
     UnknownNameError,
     bundled_model,
     export_lattice,
@@ -20,6 +23,7 @@ from pragmaql import (
     import_lattice,
     justify,
     ortho,
+    projector_from_span,
     projectors_close,
     random_state,
     verify_isomorphism,
@@ -30,7 +34,7 @@ from pragmaql import (
 
 from pragmaql.hilbert import join, leq, meet
 
-from helpers import o6_fixture
+from helpers import o6_fixture, seeded_c3_triple
 
 
 def find_class(lat, projector, tol=1e-8):
@@ -137,6 +141,18 @@ def test_generation_combines_each_class_pair_once(all_models, monkeypatch,
     # K and AQ commute and are idempotent: one call per unordered pair i < j
     pairs = len(lat) * (len(lat) - 1) // 2
     assert calls == {"meet": pairs, "join": pairs}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_generation_past_the_class_budget_is_not_saturated(seed):
+    model = pragmaql.load_model(seeded_c3_triple(seed))
+    start = time.perf_counter()
+    with pytest.raises(ModelError) as exc:
+        generate_quotient(model, ["a0", "a1", "a2"], 1)
+    assert time.perf_counter() - start < 2.0
+    assert exc.value.code == "not-saturated"
+    assert f"class {pragmaql.lattice.MAX_CLASSES + 1}" in str(exc.value)
+    assert re.search(r"round \d+", str(exc.value))
 
 
 @pytest.mark.parametrize("name, atoms", [
@@ -457,7 +473,8 @@ def loop_reference(lat):
 
 
 @pytest.mark.parametrize("name, seed", [("mo2", s) for s in range(24)]
-                         + [("planes", s) for s in range(8)])
+                         + [("planes", s) for s in range(8)]
+                         + [("coordinate_planes_16d", s) for s in range(8)])
 def test_checks_match_loop_reference_on_random_edits(request, name, seed):
     lat = request.getfixturevalue(name)
     rng = np.random.default_rng([seed, len(lat)])
@@ -529,21 +546,95 @@ def coordinate_planes_16d():
 
 
 @pytest.mark.parametrize("name", ["mo2", "planes", "coordinate_planes_16d"])
-def test_isomorphism_recomputes_each_unordered_pair_once(request, monkeypatch, name):
+def test_isomorphism_takes_one_row_of_singular_values_per_unordered_pair(
+        request, monkeypatch, name):
     lat = request.getfixturevalue(name)
-    sizes = []
-    null_projectors = pragmaql.lattice._null_projectors
+    calls = []
+    svd = np.linalg.svd
 
-    def counted(a, b, tol):
-        sizes.append(len(b))
-        return null_projectors(a, b, tol)
+    def counted(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(pragmaql.lattice, "_null_projectors", counted)
+    monkeypatch.setattr(np.linalg, "svd", counted)
     assert verify_isomorphism(lat).holds
-    # each batch of pairs j >= i goes through the meet, then the join
-    n = len(lat)
-    assert sizes[0::2] == sizes[1::2]
-    assert sum(sizes[0::2]) == n * (n + 1) // 2
+    n, d = len(lat), lat.projector(0).dim
+    # the one full SVD is of the n class matrices, for ranks and range
+    # bases; each unordered pair then takes one values-only row, which
+    # checks both of its table entries
+    assert [shape for shape, uv in calls if uv] == [(n, d, d)]
+    assert sum(shape[0] for shape, uv in calls if not uv) == n * (n + 1) // 2
+
+
+def test_isomorphism_reads_ranks_off_the_matrices_not_the_stored_rank(planes):
+    # a meet entry moved from a common line down to bottom still has both
+    # inclusions; with bottom's stored rank set to 1 only the rank counted
+    # from its matrix shows the entry is wrong
+    ranks = [planes.projector(k).rank for k in range(len(planes))]
+    i, j = next((i, j) for i, j in itertools.combinations(range(len(planes)), 2)
+                if ranks[planes.meet_table[i, j]] == 1 and planes.meet_table[i, j] not in (i, j))
+    table = np.array(planes.meet_table)
+    table[i, j] = planes.bottom
+    elements = list(planes.elements)
+    bottom = elements[planes.bottom]
+    elements[planes.bottom] = dataclasses.replace(
+        bottom, projector=dataclasses.replace(bottom.projector, rank=1))
+    lat = dataclasses.replace(planes, elements=elements, meet_table=table)
+    assert verify_isomorphism(lat) == LawReport("order-isomorphism", False, ("meet", i, j))
+
+
+@pytest.mark.parametrize("key", ["meet_table", "join_table"])
+@pytest.mark.parametrize("side", [0, 1])
+def test_isomorphism_checks_both_inclusions_of_each_entry(planes, key, side):
+    # an entry of the right rank that is below (for a join: above) one
+    # operand of the pair but not the other is found by that inclusion alone
+    order = planes.order if key == "meet_table" else planes.order.T
+    table, n = getattr(planes, key), len(planes)
+    rank = [planes.projector(k).rank for k in range(n)]
+    i, j, c = next((i, j, c) for i, j in itertools.combinations(range(n), 2)
+                   for c in range(n) if rank[c] == rank[table[i, j]]
+                   and order[c, (i, j)[side]] and not order[c, (j, i)[side]])
+    edited = np.array(table)
+    edited[i, j] = c
+    report = verify_isomorphism(dataclasses.replace(planes, **{key: edited}))
+    assert report == LawReport("order-isomorphism", False, (key[:4], i, j))
+
+
+def lines_apart(theta):
+    """MO2 on two lines of C^2 at angle ``theta``, tables written by hand:
+    bottom, the lines a and b, their complements, top."""
+    BOT, A_, B_, NA, NB, TOP = range(6)
+    a, b = np.array([1.0, 0.0]), np.array([np.cos(theta), np.sin(theta)])
+    perp = lambda v: np.array([-v[1], v[0]])
+    projs = [zero_projector(2)] + [projector_from_span([v]) for v in (a, b, perp(a), perp(b))] \
+        + [identity_projector(2)]
+    order = np.eye(6, dtype=bool)
+    order[BOT, :] = order[:, TOP] = True
+    # of two comparable classes the lower is the meet and the upper the
+    # join; two incomparable ones meet at bottom and join at top
+    meet_table = np.where(order, np.arange(6)[:, None], BOT)
+    meet_table = np.where(order.T, np.arange(6)[None, :], meet_table)
+    join_table = np.where(order, np.arange(6)[None, :], TOP)
+    join_table = np.where(order.T, np.arange(6)[:, None], join_table)
+    return QuotientLattice(
+        elements=[LatticeElement(i, None, p) for i, p in enumerate(projs)],
+        order=order, neg_table=np.array([TOP, NA, NB, A_, B_, BOT]),
+        meet_table=meet_table, join_table=join_table, bottom=BOT, top=TOP)
+
+
+@pytest.mark.parametrize("multiple, expected", [
+    (0.5, ("injective", 1, 2)),   # the lines are one projector within eps
+    (1.5, ("meet", 1, 2)),        # not below each other, but one line by the cutoff
+    (1.9, ("meet", 1, 2)),
+    (2.1, None),                  # sqrt(1 - cos theta) passes eps * sqrt(2) at 2 eps
+    (3.0, None),
+    (12.0, None),
+])
+def test_isomorphism_matches_loop_reference_on_lines_a_few_eps_apart(multiple, expected):
+    # between eps and 2 eps, leq finds no inclusion while the rank cutoff
+    # finds one common line: both checks must still agree with the loops
+    lat = lines_apart(multiple * 1e-9)
+    assert verify_isomorphism(lat).counterexample == loop_reference(lat)[2] == expected
 
 
 def test_fixture_without_projectors_rejected_by_isomorphism():

@@ -181,6 +181,21 @@ def test_schema_violations():
             assert exc.value.code == "schema"
 
 
+def test_dim_above_the_cap_is_a_schema_error():
+    # rejected before any dim x dim matrix is allocated
+    doc = {"dim": 4097, "states": {}, "properties": {"E": {"span": []}},
+           "atoms": {"a": "E"}}
+    with pytest.raises(ModelError) as exc:
+        load_model(doc)
+    assert exc.value.code == "schema"
+    assert "4096" in str(exc.value)
+
+
+def test_dim_at_the_cap_loads():
+    model = load_model({"dim": 4096, "states": {}, "properties": {}, "atoms": {}})
+    assert model.dim == 4096
+
+
 def test_name_lookups(qubit):
     with pytest.raises(UnknownNameError):
         qubit.state("y+")
