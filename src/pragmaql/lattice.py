@@ -7,7 +7,11 @@ class, so growth is bounded by the class count instead of being
 exponential in depth.  Each round combines only the class pairs that
 include a class new in the round before, computing K and AQ for each
 unordered pair once (both commute and are idempotent), and writes each
-result's class into the negation/meet/join tables as it is found.  Rounds
+result's class into the negation/meet/join tables as it is found.  A
+round's operands all exist when it begins, so its meets and joins are
+computed in batches of pairs, bit for bit equal to ``meet``/``join``, and
+its results looked up among the existing classes in one batched distance;
+the pairs are then recorded in order, so class indices do not move.  Rounds
 up to the requested depth enumerate member formulas; later rounds close
 the class set, synthesizing a representative from existing ones for any
 class first produced there.  The loop ends when a round finds no new
@@ -45,12 +49,11 @@ from .hilbert import (
     Projector,
     decode_matrix,
     encode_matrix,
-    join,
     make_projector,
-    meet,
     ortho,
 )
-from .hilbert import _class_tol, _deviation, _is_tolerance, _rank_cutoff
+from .hilbert import (_class_tol, _deviation, _groups, _is_tolerance, _join_pairs,
+                      _meet_pairs, _pair_columns, _rank_cutoff)
 from .model import Model
 
 __all__ = [
@@ -135,11 +138,23 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
     round combines only the pairs that include a class found in the round
     before (semi-naive evaluation), since every other pair was already
     combined with the same operands.  K and AQ commute and are idempotent,
-    so ``meet``/``join`` run for i < j only: (j, i) takes the class of
-    (i, j) and (i, i) is class i, and while enumerating their formulas
-    still join that class's members.  Each result's class
-    index goes into the negation/meet/join tables as it is found, so the
-    tables are total when a round finds no new class (saturation).
+    so meets and joins run for i < j only: (j, i) takes the class of (i, j)
+    and (i, i) is class i, and while enumerating their formulas still join
+    that class's members.  Each result's class index goes into the
+    negation/meet/join tables as it is found, so the tables are total when
+    a round finds no new class (saturation).
+
+    A round combines only classes that existed when it began, so its i < j
+    pairs are taken in chunks of ``_PAIR_CHUNK // dim**2`` pairs, in
+    row-major order.  Each chunk goes through the batched kernels of
+    ``pragmaql.hilbert``, which make ``meet``/``join``'s LAPACK calls
+    stacked by shape and so equal them bit for bit.  Each result's first
+    class within ``class_tol`` among the classes made so far comes from
+    one batched distance, at most ``_LOOKUP_ENTRIES`` entries per
+    temporary.  The pairs are then recorded in order: a result with no hit
+    is compared with the classes made since, and becomes a new class if
+    it matches none.  Indices, members and tables therefore come out as a
+    pair-by-pair loop over ``meet``/``join`` would make them.
 
     ``depth`` counts connective nesting.  Rounds 1 to ``depth`` enumerate:
     operands are each class's first-found formula, and every result joins
@@ -149,7 +164,9 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
 
     Three or more generic subspaces can generate an infinite lattice, so
     generation stops with ``ModelError(code="not-saturated")`` when it
-    finds a class past ``MAX_CLASSES``.
+    finds a class past ``MAX_CLASSES``.  An ``eps`` so coarse that
+    ``class_tol`` merges the zero or the identity projector into another
+    class leaves no bottom or top: ``ModelError(code="coarse-tolerance")``.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -158,47 +175,81 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
         raise ValueError("need at least one atom")
     initial = [model.atom_projector(a) for a in atoms]
 
-    tol = _class_tol(model.eps)
+    d, eps = model.dim, model.eps
+    tol = _class_tol(eps)
     projs: list[Projector] = []
-    stack = np.empty((16, model.dim, model.dim), dtype=np.complex128)  # projs' matrices
+    ranks: list[int] = []
+    stack = np.empty((16, d, d), dtype=np.complex128)   # projs' matrices
+    # u of each matrix's SVD: its first rank columns are Projector.basis()
+    bases = np.empty_like(stack)
     members: list[list[AssertiveFormula]] = []
+    member_sets: list[set[AssertiveFormula]] = []
     synthesized: list[bool] = []
     operands: list[AssertiveFormula] = []   # first members, then representatives
     neg: dict[int, int] = {}
-    meets: dict[tuple[int, int], int] = {}
+    meets: dict[tuple[int, int], int] = {}   # i < j only
     joins: dict[tuple[int, int], int] = {}
-    steps = [(meet, K, meets), (join, AQ, joins)]
+    # each kernel reads the class arrays as they are when it runs
+    steps = [(lambda i, j: _meet_pairs(bases, np.array(ranks), i, j, eps), K, meets),
+             (lambda i, j: _join_pairs(stack, bases, np.array(ranks), i, j, eps), AQ, joins)]
     enumerating = True
 
     def add_member(i: int, formula: AssertiveFormula) -> int:
         """Class ``i``, with ``formula`` added to its members while enumerating."""
-        if enumerating and formula not in members[i]:
+        if enumerating and formula not in member_sets[i]:
             members[i].append(formula)
+            member_sets[i].add(formula)
         return i
 
-    def record(p: Projector, formula: AssertiveFormula) -> int:
-        """Index of the first class within ``tol`` of ``p``, made if none is.
+    def record(matrix: np.ndarray, rank: int, hit: int, searched: int,
+               formula) -> int:
+        """Index of the first class within ``tol`` of ``matrix``, made if none is.
 
-        The class matrices sit in ``stack`` (capacity doubled when full), so
-        one max-entry distance from ``p`` to every class finds the first hit.
+        ``hit`` is the first such class among the first ``searched`` classes,
+        or -1; the classes made since are searched here.  ``formula`` is
+        called only when the class joins it or is new.  ``stack`` and
+        ``bases`` double their capacity when full.
         """
-        nonlocal stack
+        nonlocal stack, bases
         n = len(projs)
-        hits = np.flatnonzero(_deviation(stack[:n], p.matrix) <= tol)
-        if hits.size:
-            return add_member(int(hits[0]), formula)
+        if hit < 0:
+            later = np.flatnonzero(_deviation(stack[searched:n], matrix) <= tol)
+            hit = searched + int(later[0]) if later.size else -1
+        if hit >= 0:
+            return add_member(hit, formula()) if enumerating else hit
         if n == MAX_CLASSES:
             raise ModelError(f"generation did not saturate: round {rounds} found class "
                              f"{n + 1}, past the budget of {MAX_CLASSES}",
                              code="not-saturated")
         if n == len(stack):
             stack = np.concatenate([stack, np.empty_like(stack)])
+            bases = np.concatenate([bases, np.empty_like(bases)])
+        p, first = Projector(d, matrix, int(rank)), formula()
         stack[n] = p.matrix
         projs.append(p)
-        members.append([formula])
+        ranks.append(p.rank)
+        members.append([first])
+        member_sets.append({first})
         synthesized.append(not enumerating)
-        operands.append(formula)
-        return len(projs) - 1
+        operands.append(first)
+        return n
+
+    def results(batch, i: np.ndarray, j: np.ndarray):
+        """For each pair (i_k, j_k) in turn, one (matrix, rank, hit, searched)
+        per step of ``batch``.  Pairs are taken ``_PAIR_CHUNK // dim**2`` at a
+        time: each step's kernel runs on the chunk, then ``hit`` is each
+        result's first class within ``tol`` among the ``searched`` classes
+        made by then, or -1."""
+        chunk = max(1, _PAIR_CHUNK // (d * d))
+        for at in range(0, len(i), chunk):
+            ic, jc = i[at:at + chunk], j[at:at + chunk]
+            n = len(projs)
+            found = []
+            for kernel, _, _ in batch:
+                mats, rks = kernel(ic, jc)
+                found.append((mats, rks, _first_hits(stack[:n], mats, tol)))
+            for k in range(len(ic)):
+                yield [(mats[k], rks[k], int(hits[k]), n) for mats, rks, hits in found]
 
     # shortlex: plain lexicographic order would favor longer members, since
     # "(" sorts below every other formula character
@@ -208,7 +259,7 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
 
     rounds = 0
     for a, p in zip(atoms, initial):
-        record(p, Assert(Atom(a)))
+        record(p.matrix, p.rank, -1, 0, lambda: Assert(Atom(a)))
 
     seen = 0   # classes [0, seen) were already combined with each other
     for rounds in itertools.count(1):
@@ -219,34 +270,41 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
             operands[:] = [min(m, key=shortlex) for m in members]
         if seen == count:
             break
+        bases[seen:count] = np.linalg.svd(stack[seen:count])[0]   # one SVD for the new classes
         for i in range(seen, count):
-            neg[i] = record(ortho(projs[i]), N(operands[i]))
-        # the pairs that include a class new in the last round, row-major,
-        # made afresh for each pass
-        pairs = lambda: ((i, j) for i in range(count)
-                         for j in range(seen if i < seen else 0, count))
+            p = ortho(projs[i])
+            neg[i] = record(p.matrix, p.rank, -1, 0, lambda: N(operands[i]))
+        # the pairs i < j that include a class new in the last round, row-major
+        pi, pj = np.triu_indices(count, 1)
+        pi, pj = pi[pj >= seen], pj[pj >= seen]
         # the order fixes class indices and member order: enumeration
         # applies one connective to all pairs before the next, closure
-        # applies both to each pair in turn
+        # applies both to each pair in turn.  While enumerating, the pairs
+        # (i, j) with i >= j add members too: (j, i) is filled earlier in
+        # row-major order, and (i, i) is class i
         passes = [[step] for step in steps] if enumerating else [steps]
-        # (j, i) is filled earlier in row-major order, in this pass or in
-        # this pair's closure step; classes lie more than tol apart, so
-        # recomputing (j, i) or (i, i) would find that same class
         for batch in passes:
-            for i, j in pairs():
-                for op, connective, table in batch:
-                    formula = connective(operands[i], operands[j])
+            found = results(batch, pi, pj)
+            for i in range(count):
+                start = (seen if i < seen else 0) if enumerating else max(i + 1, seen)
+                for j in range(start, count):
                     if i < j:
-                        table[i, j] = record(op(projs[i], projs[j], eps=model.eps), formula)
-                    else:
-                        table[i, j] = add_member(table[j, i] if i > j else i, formula)
+                        outcome = next(found)
+                    for s, (_, connective, table) in enumerate(batch):
+                        formula = lambda: connective(operands[i], operands[j])
+                        if i < j:
+                            table[i, j] = record(*outcome[s], formula)
+                        else:
+                            add_member(table[j, i] if i > j else i, formula())
         seen = count
 
     n = len(projs)
-    meet_table = np.array([[meets[i, j] for j in range(n)] for i in range(n)], dtype=int)
-    bottom = next(i for i in range(n) if projs[i].rank == 0)
-    top = next(i for i in range(n) if projs[i].rank == projs[i].dim)
-
+    for bound, rank in (("zero", 0), ("identity", d)):
+        if rank not in ranks:
+            raise ModelError(f"no class has rank {rank}: class_tol {tol:.3g} merged the "
+                             f"{bound} projector into another class", code="coarse-tolerance")
+    iu = np.triu_indices(n, 1)
+    meet_table, join_table = (_symmetric_table(n, iu, table) for table in (meets, joins))
     elements = [
         LatticeElement(i, operands[i], projs[i], tuple(members[i]), synthesized[i])
         for i in range(n)
@@ -256,13 +314,60 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
         order=meet_table == np.arange(n)[:, None],
         neg_table=np.array([neg[i] for i in range(n)], dtype=int),
         meet_table=meet_table,
-        join_table=np.array([[joins[i, j] for j in range(n)] for i in range(n)],
-                            dtype=int),
-        bottom=bottom,
-        top=top,
-        eps=model.eps,
+        join_table=join_table,
+        bottom=ranks.index(0),
+        top=ranks.index(d),
+        eps=eps,
         class_tol=tol,
     )
+
+
+# matrix entries per chunk of pairs (64 pairs at dim 16, 1,024 at dim 4) and
+# per class-lookup temporary.  They bound a round's temporaries, and so the
+# peak memory, at dim 16: a chunk four times as large ran dim-16 generation
+# about 15% faster but tripled its peak traced memory
+_PAIR_CHUNK = 2**14
+_LOOKUP_ENTRIES = 2**14
+
+
+def _first_hits(stack: np.ndarray, mats: np.ndarray, tol: float) -> np.ndarray:
+    """For each of ``mats``, the first index into ``stack`` within ``tol`` by
+    max-entry distance, or -1: the ``_deviation`` test ``record`` makes.
+
+    Only pairs whose diagonals lie within ``tol`` can be within it, so the
+    diagonals are compared first and the full matrices only for those
+    pairs; each temporary holds at most ``_LOOKUP_ENTRIES`` entries.
+    """
+    hits = np.full(len(mats), -1)
+    n, d = len(stack), stack.shape[1]
+    diag = np.diagonal(stack, axis1=1, axis2=2)
+    step = max(1, _LOOKUP_ENTRIES // max(1, n * d))
+    rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
+    for at in range(0, len(mats), step):
+        part = np.diagonal(mats[at:at + step], axis1=1, axis2=2)
+        r, c = np.nonzero(_deviation(diag[None], part[:, None], axes=1) <= tol)
+        rows.append(r + at)
+        cols.append(c)
+    # row-major, so each result's candidates come in class order
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    close = np.empty(len(rows), dtype=bool)
+    step = _LOOKUP_ENTRIES // (d * d) or 1
+    for at in range(0, len(rows), step):
+        k = slice(at, at + step)
+        close[k] = _deviation(stack[cols[k]], mats[rows[k]]) <= tol
+    rows, cols = rows[close], cols[close]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    hits[rows[first]] = cols[first]
+    return hits
+
+
+def _symmetric_table(n: int, iu, upper: dict) -> np.ndarray:
+    """The table with ``upper[i, j]`` at (i, j) and (j, i) for i < j, and i at (i, i)."""
+    table = np.diag(np.arange(n))
+    table[iu] = [upper[k] for k in zip(*iu)]
+    table.T[iu] = table[iu]
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +430,11 @@ def _span_ranks(u: np.ndarray, ranks: np.ndarray, i: np.ndarray, j: np.ndarray,
     the [B_i | B_j], which have the same singular values.
     """
     counts = np.zeros(len(i), dtype=int)
-    width = ranks[i] + ranks[j]
-    for c in np.unique(width):
-        picked = np.flatnonzero(width == c)
-        t = np.arange(c)
+    for c, picked in _groups(ranks[i] + ranks[j]):
         step = max(1, 2**16 // max(1, c * u.shape[1]))
         for at in range(0, len(picked), step):
             k = picked[at:at + step]
-            # row t of pair k: column t of B_i below r_i, else column t - r_i of B_j
-            first = t < ranks[i[k], None]
-            rows = u[np.where(first, i[k, None], j[k, None]), :,
-                     np.where(first, t, t - ranks[i[k], None])]
+            rows = _pair_columns(u, ranks, i[k], j[k], c, 1).swapaxes(1, 2)
             counts[k] = np.count_nonzero(np.linalg.svd(rows, compute_uv=False) > tol, axis=1)
     return counts
 

@@ -321,6 +321,26 @@ def test_unsaturated_lattice_is_domain_error(tmp_path):
     assert err.startswith("error: generation did not saturate") and err.count("\n") == 1
 
 
+def test_coarse_tolerance_lattice_is_domain_error(tmp_path):
+    # at eps 0.05, class_tol 0.5 merges the zero projector into the class of
+    # ax when ax comes first; with az first the lattice exists, laws failing
+    doc = bundled_model_document("qubit-zx")
+    doc["eps"] = 0.05
+    path = tmp_path / "coarse.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke_process("lattice", "-m", str(path), "--atoms", "ax,az",
+                                    "--depth", "2")
+    assert (code, out) == (1, "")
+    assert err == ("error: no class has rank 0: class_tol 0.5 merged the zero "
+                   "projector into another class\n")
+    code, out, err = invoke_process("lattice", "-m", str(path), "--atoms", "az,ax",
+                                    "--depth", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:4] == ["classes: 6", "bottom: N(((|- az) AQ (|- ax)))",
+                                    "top: ((|- ax) AQ (|- az))", "involution: ok"]
+    assert "order-isomorphism: FAIL at ('order', 1, 0)" in out.splitlines()
+
+
 def test_negative_samples_is_domain_error(capsys):
     for fmt in ("human", "structured"):
         code, out, err = invoke(capsys, "check", "-m", "qubit-zx",

@@ -25,6 +25,8 @@ from pragmaql import (
 from pragmaql.hilbert import (
     DEFAULT_EPS,
     _class_tol,
+    _join_pairs,
+    _meet_pairs,
     _random_states,
     decode_matrix,
     decode_vector,
@@ -436,6 +438,52 @@ def test_leq_and_meet_agree_outside_the_band(dim_rank, seed, inside, scale):
         assert leq(p, q, eps) and m.rank == rank and merged
     else:
         assert not leq(p, q, eps) and m.rank == rank - 1 and not merged
+
+
+def _kernel_cases(dim):
+    """Projectors at dim ``dim`` and the pairs (i, j) to combine: every rank
+    pair, 0 and dim included, in both orders and with itself, then near-band
+    pairs, a range vector turned by theta in [0.1 eps, 10 eps sqrt(2 dim)],
+    whose meets straddle the rank cutoff."""
+    rng = np.random.default_rng(dim)
+    projs = [random_projector(dim, r, rng) for r in range(dim + 1)]
+    pairs = [(x, y) for x in range(dim + 1) for y in range(dim + 1)]
+    for rank in range(1, dim):
+        for theta in np.geomspace(0.1 * DEFAULT_EPS, 10 * DEFAULT_EPS * np.sqrt(2 * dim), 5):
+            projs += turned_pair(dim, rank, 1000 * dim + rank, theta)
+            pairs.append((len(projs) - 2, len(projs) - 1))
+    i, j = (np.array(side) for side in zip(*pairs))
+    return projs, i, j
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_batched_meet_and_join_equal_meet_and_join_bit_for_bit(dim):
+    # generation combines class pairs through these kernels; its exports are
+    # byte-identical to per-pair meet/join only if every matrix is, sign of
+    # zero included, in a mixed batch and one row at a time alike
+    projs, i, j = _kernel_cases(dim)
+    stack = np.stack([p.matrix for p in projs])
+    u = np.linalg.svd(stack)[0]
+    ranks = np.array([p.rank for p in projs])
+    kernels = [lambda i, j: _meet_pairs(u, ranks, i, j, DEFAULT_EPS),
+               lambda i, j: _join_pairs(stack, u, ranks, i, j, DEFAULT_EPS)]
+    batched = [kernel(i, j) for kernel in kernels]
+    meet_ranks = []
+    for k in range(len(i)):
+        p, q = projs[i[k]], projs[j[k]]
+        for kernel, (mats, rks), op in zip(kernels, batched, (meet, join)):
+            ref = op(p, q, DEFAULT_EPS)
+            one_mats, one_rks = kernel(i[k:k + 1], j[k:k + 1])
+            assert _same_bits(mats[k], ref.matrix) and rks[k] == ref.rank, (op.__name__, k)
+            assert _same_bits(one_mats[0], ref.matrix) and one_rks[0] == ref.rank
+        meet_ranks.append((p.rank, batched[0][1][k]))
+    # the near-band pairs put rows of both nullities into one batch
+    near = set(meet_ranks[(dim + 1) ** 2:])
+    assert any((r, r) in near and (r, r - 1) in near for r in range(1, dim))
 
 
 # ---------------------------------------------------------------------------

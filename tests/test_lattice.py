@@ -16,6 +16,7 @@ from pragmaql import (
     QuotientLattice,
     UnknownNameError,
     bundled_model,
+    bundled_model_document,
     export_lattice,
     find_distributivity_violation,
     generate_quotient,
@@ -127,18 +128,21 @@ def test_generation_argument_errors(qubit):
 ])
 def test_generation_combines_each_class_pair_once(all_models, monkeypatch,
                                                   name, atoms, depth):
+    # generation combines pairs through the batched kernels: count their rows
     calls = {"meet": 0, "join": 0}
 
-    def counted(op):
-        def wrapper(*args, **kwargs):
-            calls[op.__name__] += 1
-            return op(*args, **kwargs)
+    def counted(op, kernel):
+        def wrapper(*args):
+            calls[op] += len(args[-3])   # the row indices i
+            return kernel(*args)
         return wrapper
 
-    monkeypatch.setattr(pragmaql.lattice, "meet", counted(pragmaql.lattice.meet))
-    monkeypatch.setattr(pragmaql.lattice, "join", counted(pragmaql.lattice.join))
+    monkeypatch.setattr(pragmaql.lattice, "_meet_pairs",
+                        counted("meet", pragmaql.lattice._meet_pairs))
+    monkeypatch.setattr(pragmaql.lattice, "_join_pairs",
+                        counted("join", pragmaql.lattice._join_pairs))
     lat = generate_quotient(all_models[name], atoms, depth)
-    # K and AQ commute and are idempotent: one call per unordered pair i < j
+    # K and AQ commute and are idempotent: one row per unordered pair i < j
     pairs = len(lat) * (len(lat) - 1) // 2
     assert calls == {"meet": pairs, "join": pairs}
 
@@ -153,6 +157,36 @@ def test_generation_past_the_class_budget_is_not_saturated(seed):
     assert exc.value.code == "not-saturated"
     assert f"class {pragmaql.lattice.MAX_CLASSES + 1}" in str(exc.value)
     assert re.search(r"round \d+", str(exc.value))
+
+
+def coarse_qubit():
+    """qubit-zx at eps 0.05: class_tol 0.5 is the distance from the zero
+    matrix to the projector of ax."""
+    doc = bundled_model_document("qubit-zx")
+    doc["eps"] = 0.05
+    return pragmaql.load_model(doc)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_class_tol_that_merges_the_zero_projector_is_coarse_tolerance(depth):
+    with pytest.raises(ModelError) as exc:
+        generate_quotient(coarse_qubit(), ["ax", "az"], depth)
+    assert exc.value.code == "coarse-tolerance"
+    assert str(exc.value) == ("no class has rank 0: class_tol 0.5 merged the zero "
+                              "projector into another class")
+
+
+def test_class_tol_that_merges_in_the_other_atom_order_leaves_laws_failing():
+    # with az first, the meet of az and ax, exactly zero, still merges into
+    # ax; N of the computed top is off zero by rounding, just past class_tol
+    # of ax, so it makes a bottom
+    lat = generate_quotient(coarse_qubit(), ["az", "ax"], 2)
+    assert (len(lat), lat.bottom, lat.top) == (6, 5, 4)
+    assert lat.meet_table[0, 1] == 1
+    reports = verify_ortholattice(lat) + [verify_orthomodular(lat), verify_isomorphism(lat)]
+    assert [r.counterexample for r in reports] == [
+        None, (0, 1), (0,), (0, 1), (0, 0), ("order", 1, 0)]
+    assert find_distributivity_violation(lat) == (0, 0, 1)
 
 
 @pytest.mark.parametrize("name, atoms", [
@@ -500,13 +534,15 @@ def test_checks_match_loop_reference_on_random_edits(request, name, seed):
 def test_isomorphism_catches_a_generator_that_drops_rank_one_meets(ququart, monkeypatch):
     # a corrupted meet still yields a closed, self-consistent table, so only
     # recomputing meets independently of the generator can expose it
-    meet = pragmaql.lattice.meet
+    meet_pairs = pragmaql.lattice._meet_pairs
 
-    def lossy(p, q, eps):
-        m = meet(p, q, eps=eps)
-        return zero_projector(m.dim) if m.rank == 1 else m
+    def lossy(*args):
+        mats, ranks = meet_pairs(*args)
+        line = ranks == 1
+        mats[line], ranks[line] = 0, 0   # the zero projector
+        return mats, ranks
 
-    monkeypatch.setattr(pragmaql.lattice, "meet", lossy)
+    monkeypatch.setattr(pragmaql.lattice, "_meet_pairs", lossy)
     lat = generate_quotient(ququart, ["bl", "bd", "bc"], 1)
     # the order is read off the meet table, so it is wrong too: the line bc
     # lies in the plane bl, but their meet no longer is bc
