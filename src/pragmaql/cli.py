@@ -275,7 +275,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (PragmaQLError, ValueError, OSError, json.JSONDecodeError,
+    except (PragmaQLError, ValueError, OSError,  # a json.JSONDecodeError is a ValueError
             RecursionError,  # input nested too deeply
             MemoryError) as exc:  # a dim too large to allocate
         print(f"error: {exc}", file=sys.stderr)

@@ -1,29 +1,15 @@
 """Quotient lattice of quantum formulas under equal pragmatic extension.
 
-Formulas over a chosen atom set are generated in one loop of rounds, but
-classes rather than raw formulas are expanded: two formulas whose
-extensions agree entry-wise within the merge tolerance fall into one
-class, so growth is bounded by the class count instead of being
-exponential in depth.  Each round combines only the class pairs that
-include a class new in the round before, computing K and AQ for each
-unordered pair once (both commute and are idempotent), and writes each
-result's class into the negation/meet/join tables as it is found.  A
-round's operands all exist when it begins, so its meets and joins are
-computed in batches of pairs, bit for bit equal to ``meet``/``join``, and
-its results looked up among the existing classes in one batched distance;
-the pairs are then recorded in order, so class indices do not move.  Rounds
-up to the requested depth enumerate member formulas; later rounds close
-the class set, synthesizing a representative from existing ones for any
-class first produced there.  The loop ends when a round finds no new
-class, or stops with a ``not-saturated`` error past ``MAX_CLASSES``.
-
-The resulting structure carries the three operation tables, the class
-order read off the meet table (i is below j when their meet is class i),
-and bottom/top.  It is checked against the ortholattice and orthomodular
-laws, and for order-isomorphism onto its own projectors: the order by
-``leq``, and meets and joins by dimension count (Grassmann's identity),
-with one values-only SVD per unordered pair that checks both of its table
-entries.  Tolerances follow the policy in ``pragmaql.hilbert``.
+``generate_quotient`` builds the lattice: the classes of formulas whose
+extensions agree entry-wise within the merge tolerance, their negation,
+meet and join tables, the class order read off the meet table (i is below
+j when their meet is class i), and bottom/top.  The lattice is checked
+against the ortholattice and orthomodular laws, and for order-isomorphism
+onto its own projectors: the order by ``leq``, and meets and joins by
+dimension count (Grassmann's identity), with one values-only SVD per
+unordered pair that checks both of its table entries.  ``export_lattice``
+and ``import_lattice`` write and read it.  Tolerances follow the policy in
+``pragmaql.hilbert``.
 """
 
 from __future__ import annotations
@@ -129,6 +115,13 @@ class QuotientLattice:
 # infinite lattice, which no number of rounds saturates
 MAX_CLASSES = 1024
 
+# matrix entries per batched temporary: per chunk of pairs in generation
+# (64 pairs at dim 16, 1,024 at dim 4), per class-lookup temporary and per
+# batch of span SVDs in verification.  It bounds the peak memory at dim 16:
+# generation chunks four times as large ran dim-16 generation about 15%
+# faster but tripled its peak traced memory
+_BATCH_ENTRIES = 2**14
+
 
 def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
     """Build the quotient lattice generated by ``atoms`` up to ``depth``.
@@ -144,13 +137,18 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
     negation/meet/join tables as it is found, so the tables are total when
     a round finds no new class (saturation).
 
+    Classes live in one store: arrays of the projector matrices, of the u
+    of each matrix's SVD (its first rank columns are ``Projector.basis()``)
+    and of the ranks, which grow together.  The lattice's ``Projector``
+    objects are built from them once, when it is assembled.
+
     A round combines only classes that existed when it began, so its i < j
-    pairs are taken in chunks of ``_PAIR_CHUNK // dim**2`` pairs, in
+    pairs are taken in chunks of ``_BATCH_ENTRIES // dim**2`` pairs, in
     row-major order.  Each chunk goes through the batched kernels of
     ``pragmaql.hilbert``, which make ``meet``/``join``'s LAPACK calls
     stacked by shape and so equal them bit for bit.  Each result's first
     class within ``class_tol`` among the classes made so far comes from
-    one batched distance, at most ``_LOOKUP_ENTRIES`` entries per
+    one batched distance, at most ``_BATCH_ENTRIES`` entries per
     temporary.  The pairs are then recorded in order: a result with no hit
     is compared with the classes made since, and becomes a new class if
     it matches none.  Indices, members and tables therefore come out as a
@@ -158,9 +156,12 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
 
     ``depth`` counts connective nesting.  Rounds 1 to ``depth`` enumerate:
     operands are each class's first-found formula, and every result joins
-    its class's members.  Later rounds close the set: operands are the
-    canonical representatives (the shortlex-least member), and only a
-    result with a new projector creates a class, flagged ``synthesized``.
+    its class's members.  Each (connective, operand pair) is combined once,
+    so no member repeats; a repeated atom is ignored.  Later rounds close
+    the set: operands are the canonical representatives (the
+    shortlex-least member), and only a result with a new projector creates
+    a class.  Class i is ``synthesized`` exactly when i is at least the
+    class count when enumeration ended.
 
     Three or more generic subspaces can generate an infinite lattice, so
     generation stops with ``ModelError(code="not-saturated")`` when it
@@ -170,36 +171,27 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
-    atoms = [str(a) for a in atoms]
+    atoms = list(dict.fromkeys(str(a) for a in atoms))
     if not atoms:
         raise ValueError("need at least one atom")
     initial = [model.atom_projector(a) for a in atoms]
 
     d, eps = model.dim, model.eps
     tol = _class_tol(eps)
-    projs: list[Projector] = []
-    ranks: list[int] = []
-    stack = np.empty((16, d, d), dtype=np.complex128)   # projs' matrices
-    # u of each matrix's SVD: its first rank columns are Projector.basis()
+    # the class store: projector matrices, the u of each one's SVD, ranks
+    stack = np.empty((16, d, d), dtype=np.complex128)
     bases = np.empty_like(stack)
+    ranks = np.empty(len(stack), dtype=int)
     members: list[list[AssertiveFormula]] = []
-    member_sets: list[set[AssertiveFormula]] = []
-    synthesized: list[bool] = []
     operands: list[AssertiveFormula] = []   # first members, then representatives
-    neg: dict[int, int] = {}
+    neg: list[int] = []
     meets: dict[tuple[int, int], int] = {}   # i < j only
     joins: dict[tuple[int, int], int] = {}
-    # each kernel reads the class arrays as they are when it runs
-    steps = [(lambda i, j: _meet_pairs(bases, np.array(ranks), i, j, eps), K, meets),
-             (lambda i, j: _join_pairs(stack, bases, np.array(ranks), i, j, eps), AQ, joins)]
-    enumerating = True
-
-    def add_member(i: int, formula: AssertiveFormula) -> int:
-        """Class ``i``, with ``formula`` added to its members while enumerating."""
-        if enumerating and formula not in member_sets[i]:
-            members[i].append(formula)
-            member_sets[i].add(formula)
-        return i
+    # each kernel reads the class store as it is when it runs
+    steps = [(lambda i, j: _meet_pairs(bases, ranks, i, j, eps), K, meets),
+             (lambda i, j: _join_pairs(stack, bases, ranks, i, j, eps), AQ, joins)]
+    # the class count when enumeration ended; no class index reaches it before
+    enumerated = MAX_CLASSES + 1
 
     def record(matrix: np.ndarray, rank: int, hit: int, searched: int,
                formula) -> int:
@@ -207,43 +199,40 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
 
         ``hit`` is the first such class among the first ``searched`` classes,
         or -1; the classes made since are searched here.  ``formula`` is
-        called only when the class joins it or is new.  ``stack`` and
-        ``bases`` double their capacity when full.
+        called only when the class joins it or is new.  The class store
+        doubles its capacity when full.
         """
-        nonlocal stack, bases
-        n = len(projs)
+        nonlocal stack, bases, ranks
+        n = len(members)
         if hit < 0:
             later = np.flatnonzero(_deviation(stack[searched:n], matrix) <= tol)
             hit = searched + int(later[0]) if later.size else -1
         if hit >= 0:
-            return add_member(hit, formula()) if enumerating else hit
+            if n < enumerated:
+                members[hit].append(formula())
+            return hit
         if n == MAX_CLASSES:
             raise ModelError(f"generation did not saturate: round {rounds} found class "
                              f"{n + 1}, past the budget of {MAX_CLASSES}",
                              code="not-saturated")
         if n == len(stack):
-            stack = np.concatenate([stack, np.empty_like(stack)])
-            bases = np.concatenate([bases, np.empty_like(bases)])
-        p, first = Projector(d, matrix, int(rank)), formula()
-        stack[n] = p.matrix
-        projs.append(p)
-        ranks.append(p.rank)
-        members.append([first])
-        member_sets.append({first})
-        synthesized.append(not enumerating)
-        operands.append(first)
+            stack, bases, ranks = (np.concatenate([a, np.empty_like(a)])
+                                   for a in (stack, bases, ranks))
+        stack[n], ranks[n] = matrix, rank
+        members.append([formula()])
+        operands.append(members[n][0])
         return n
 
     def results(batch, i: np.ndarray, j: np.ndarray):
         """For each pair (i_k, j_k) in turn, one (matrix, rank, hit, searched)
-        per step of ``batch``.  Pairs are taken ``_PAIR_CHUNK // dim**2`` at a
-        time: each step's kernel runs on the chunk, then ``hit`` is each
+        per step of ``batch``.  Pairs are taken ``_BATCH_ENTRIES // dim**2``
+        at a time: each step's kernel runs on the chunk, then ``hit`` is each
         result's first class within ``tol`` among the ``searched`` classes
         made by then, or -1."""
-        chunk = max(1, _PAIR_CHUNK // (d * d))
+        chunk = max(1, _BATCH_ENTRIES // (d * d))
         for at in range(0, len(i), chunk):
             ic, jc = i[at:at + chunk], j[at:at + chunk]
-            n = len(projs)
+            n = len(members)
             found = []
             for kernel, _, _ in batch:
                 mats, rks = kernel(ic, jc)
@@ -263,17 +252,18 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
 
     seen = 0   # classes [0, seen) were already combined with each other
     for rounds in itertools.count(1):
-        count = len(projs)
+        count = len(members)
+        enumerating = count < enumerated
         if enumerating and (rounds > depth or seen == count):
             # members are final once enumeration ends
-            enumerating = False
+            enumerated, enumerating = count, False
             operands[:] = [min(m, key=shortlex) for m in members]
         if seen == count:
             break
         bases[seen:count] = np.linalg.svd(stack[seen:count])[0]   # one SVD for the new classes
         for i in range(seen, count):
-            p = ortho(projs[i])
-            neg[i] = record(p.matrix, p.rank, -1, 0, lambda: N(operands[i]))
+            p = ortho(Projector(d, stack[i], int(ranks[i])))
+            neg.append(record(p.matrix, p.rank, -1, 0, lambda: N(operands[i])))
         # the pairs i < j that include a class new in the last round, row-major
         pi, pj = np.triu_indices(count, 1)
         pi, pj = pi[pj >= seen], pj[pj >= seen]
@@ -295,10 +285,11 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
                         if i < j:
                             table[i, j] = record(*outcome[s], formula)
                         else:
-                            add_member(table[j, i] if i > j else i, formula())
+                            members[table[j, i] if i > j else i].append(formula())
         seen = count
 
-    n = len(projs)
+    n = len(members)
+    ranks = ranks[:n].tolist()
     for bound, rank in (("zero", 0), ("identity", d)):
         if rank not in ranks:
             raise ModelError(f"no class has rank {rank}: class_tol {tol:.3g} merged the "
@@ -306,13 +297,14 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
     iu = np.triu_indices(n, 1)
     meet_table, join_table = (_symmetric_table(n, iu, table) for table in (meets, joins))
     elements = [
-        LatticeElement(i, operands[i], projs[i], tuple(members[i]), synthesized[i])
+        LatticeElement(i, operands[i], Projector(d, stack[i], ranks[i]), tuple(members[i]),
+                       i >= enumerated)
         for i in range(n)
     ]
     return QuotientLattice(
         elements=elements,
         order=meet_table == np.arange(n)[:, None],
-        neg_table=np.array([neg[i] for i in range(n)], dtype=int),
+        neg_table=np.array(neg, dtype=int),
         meet_table=meet_table,
         join_table=join_table,
         bottom=ranks.index(0),
@@ -322,26 +314,18 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
     )
 
 
-# matrix entries per chunk of pairs (64 pairs at dim 16, 1,024 at dim 4) and
-# per class-lookup temporary.  They bound a round's temporaries, and so the
-# peak memory, at dim 16: a chunk four times as large ran dim-16 generation
-# about 15% faster but tripled its peak traced memory
-_PAIR_CHUNK = 2**14
-_LOOKUP_ENTRIES = 2**14
-
-
 def _first_hits(stack: np.ndarray, mats: np.ndarray, tol: float) -> np.ndarray:
     """For each of ``mats``, the first index into ``stack`` within ``tol`` by
     max-entry distance, or -1: the ``_deviation`` test ``record`` makes.
 
     Only pairs whose diagonals lie within ``tol`` can be within it, so the
     diagonals are compared first and the full matrices only for those
-    pairs; each temporary holds at most ``_LOOKUP_ENTRIES`` entries.
+    pairs; each temporary holds at most ``_BATCH_ENTRIES`` entries.
     """
     hits = np.full(len(mats), -1)
     n, d = len(stack), stack.shape[1]
     diag = np.diagonal(stack, axis1=1, axis2=2)
-    step = max(1, _LOOKUP_ENTRIES // max(1, n * d))
+    step = max(1, _BATCH_ENTRIES // max(1, n * d))
     rows, cols = [np.zeros(0, dtype=int)], [np.zeros(0, dtype=int)]
     for at in range(0, len(mats), step):
         part = np.diagonal(mats[at:at + step], axis1=1, axis2=2)
@@ -351,7 +335,7 @@ def _first_hits(stack: np.ndarray, mats: np.ndarray, tol: float) -> np.ndarray:
     # row-major, so each result's candidates come in class order
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     close = np.empty(len(rows), dtype=bool)
-    step = _LOOKUP_ENTRIES // (d * d) or 1
+    step = _BATCH_ENTRIES // (d * d) or 1
     for at in range(0, len(rows), step):
         k = slice(at, at + step)
         close[k] = _deviation(stack[cols[k]], mats[rows[k]]) <= tol
@@ -425,13 +409,12 @@ def _span_ranks(u: np.ndarray, ranks: np.ndarray, i: np.ndarray, j: np.ndarray,
     dimension of the span of the two ranges.
 
     Pairs with one column count r_i + r_j share one values-only SVD, in
-    batches of at most 2**16 matrix entries, which keep its temporaries and
-    so the peak memory small at dim 16.  Each batch holds the transposes of
-    the [B_i | B_j], which have the same singular values.
+    batches of at most ``_BATCH_ENTRIES`` matrix entries.  Each batch holds
+    the transposes of the [B_i | B_j], which have the same singular values.
     """
     counts = np.zeros(len(i), dtype=int)
     for c, picked in _groups(ranks[i] + ranks[j]):
-        step = max(1, 2**16 // max(1, c * u.shape[1]))
+        step = max(1, _BATCH_ENTRIES // max(1, c * u.shape[1]))
         for at in range(0, len(picked), step):
             k = picked[at:at + step]
             rows = _pair_columns(u, ranks, i[k], j[k], c, 1).swapaxes(1, 2)

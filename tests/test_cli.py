@@ -181,6 +181,13 @@ def test_export_structured_round_trips_with_lattice(capsys):
     assert len(document["elements"]) == 6
 
 
+def test_export_ignores_a_repeated_atom(capsys):
+    repeated = invoke(capsys, "export", "-m", "qubit-zx", "--atoms", "az,az,ax", "--depth", "3")
+    once = invoke(capsys, "export", "-m", "qubit-zx", "--atoms", "az,ax", "--depth", "3")
+    assert repeated == once
+    assert repeated[0] == 0
+
+
 def test_export_dot(capsys):
     code, out, _ = invoke(capsys, "export", "-m", "qubit-zx",
                           "--atoms", "az", "--depth", "2", "--format", "dot")
@@ -287,6 +294,22 @@ def test_empty_atom_list_is_domain_error(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: --atoms must list at least one atom name\n"
+
+
+def test_overlay_that_is_not_json_is_domain_error(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text('{"dim": 2, "states": ')
+    code, out, err = invoke(capsys, "check", "-m", "qubit-zx", "--overlay", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: Expecting value: line 1 column 22 (char 21)\n"
+
+
+def test_missing_overlay_is_domain_error(tmp_path, capsys):
+    path = tmp_path / "no-such-overlay.json"
+    code, out, err = invoke(capsys, "check", "-m", "qubit-zx", "--overlay", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(path) in err
 
 
 def test_unallocatable_dim_is_domain_error(tmp_path, capsys):

@@ -194,9 +194,11 @@ def test_class_tol_that_merges_in_the_other_atom_order_leaves_laws_failing():
     ("qutrit-lines", ("aa", "ab", "ap")),
 ])
 def test_generation_computes_each_basis_once(monkeypatch, name, atoms):
-    # a fresh model, so no projector arrives with its basis already cached;
-    # with each basis computed once, meet and join take at most three SVDs
-    # per pair (recomputing every basis took over six per pair)
+    # a fresh model, so no projector arrives with its basis already cached.
+    # Each round computes its new classes' bases in one stacked SVD, and the
+    # batched kernels stack each chunk's pairs by shape, so the SVD calls
+    # stay far below three per pair: 68 for the 630 pairs of ququart-planes
+    # (recomputing every basis in each meet and join took over six per pair)
     model = bundled_model(name)
     calls = 0
     svd = np.linalg.svd
@@ -240,6 +242,43 @@ def _float_free_digest(lat):
 def test_generation_output_is_pinned(all_models, name, atoms, depth):
     lat = generate_quotient(all_models[name], list(atoms), depth)
     assert _float_free_digest(lat) == EXPORT_DIGESTS[name, atoms, depth]
+
+
+@pytest.mark.parametrize("name", ["qubit-zx", "qutrit-lines", "ququart-planes"])
+def test_no_class_lists_a_member_twice(all_models, name):
+    # each (connective, operand pair) is combined once, so distinct atoms
+    # never make the same formula twice
+    model = all_models[name]
+    for r in range(1, len(model.atom_map) + 1):
+        for atoms in itertools.permutations(sorted(model.atom_map), r):
+            for depth in (1, 2, 3):
+                lat = generate_quotient(model, list(atoms), depth)
+                for e in lat.elements:
+                    assert len(set(e.members)) == len(e.members), (atoms, depth, e.index)
+
+
+def test_repeated_atom_is_ignored(qubit):
+    for depth in (1, 2, 3):
+        repeated = generate_quotient(qubit, ["az", "az", "ax"], depth)
+        once = generate_quotient(qubit, ["az", "ax"], depth)
+        assert export_lattice(repeated, "structured") == export_lattice(once, "structured")
+
+
+@pytest.mark.parametrize("cap", [1, 7])
+def test_batch_budget_does_not_change_the_lattice(all_models, monkeypatch, cap):
+    # at a cap this small every chunk and every verification batch holds
+    # one pair, so each result is looked up in batch among all the classes
+    # made by then, where the default cap finds some of them in the search
+    # over the classes made since their chunk began
+    def outputs():
+        for name, model in all_models.items():
+            for depth in (1, 2, 3):
+                lat = generate_quotient(model, sorted(model.atom_map), depth)
+                yield json.dumps(export_lattice(lat, "structured")), verify_isomorphism(lat)
+
+    default = list(outputs())
+    monkeypatch.setattr(pragmaql.lattice, "_BATCH_ENTRIES", cap)
+    assert list(outputs()) == default
 
 
 @pytest.mark.parametrize("name", ["qubit-zx", "qutrit-lines", "ququart-planes"])
