@@ -318,119 +318,37 @@ def join(p: Projector, q: Projector, eps: float = DEFAULT_EPS) -> Projector:
     return _span(np.hstack([p.basis(), q.basis()]), eps)
 
 
-# Batched meet and join, for quotient generation.  For each pair they make
-# the LAPACK and BLAS calls ``meet``/``join`` make, on the same values in the
-# same shapes, with the pairs of one shape stacked into one call: numpy's
-# stacked ``svd`` and ``matmul`` run the single call's routine on each
-# matrix, so every matrix and rank equals ``meet``/``join``'s bit for bit.
-# They sit beside ``meet``/``join`` rather than under them, since their
-# grouping costs more than it saves on one pair: with ``meet``/``join``
-# routed through a batch of one, query-mix ``latency_p90_ms`` went from 0.180
-# to 0.337 ms and ``items_per_s`` from 12,700 to 8,100 (10 s runs, 2 CPUs).
+# Batched meet and join, for quotient generation.  ``meet``/``join`` stay on
+# range bases.  Routed through ``_pair_spans``, they changed the printed
+# ``extension`` matrices of two CLI commands: a ``-0.`` entry became ``0.``,
+# which moves numpy's padding.  On one pair the kernel also costs more: 17
+# against 10 us at dim 2 and 59 against 45 us at dim 16 (best of 7, 2 CPUs).
 
 
-def _meet_pairs(u: np.ndarray, ranks: np.ndarray, i: np.ndarray, j: np.ndarray,
-                eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """``meet`` of ranges i_k and j_k for each k: ``(k, dim, dim)`` matrices
-    and ``(k,)`` ranks.  Range x is spanned by the first ``ranks[x]``
-    columns of ``u[x]``, the u of its projector's SVD, as in
-    ``Projector.basis``.
+def _pair_spans(a: np.ndarray, b: np.ndarray, eps: float,
+                meet: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The meet (``meet`` true) or join of the ranges of the projector
+    matrices ``a[k]`` and ``b[k]`` for each k: ``(k, dim, dim)`` matrices and
+    ``(k,)`` ranks.
 
-    One SVD of [B_i | -B_j] per width r_i + r_j, one product B_i x per
-    (r_i, nullity), then one SVD per nullity and one B Bᴴ per result rank.
+    One stacked SVD of the ``2 dim x dim`` matrices [(I - A); (I - B)] for a
+    meet, whose null space is the intersection, or [A; B] for a join, whose
+    row space is the span.  The rank-deciding singular values are
+    sqrt(1 - cos theta) over the principal angles theta, as for the stacked
+    bases [B_a | -B_b] of ``meet`` and [B_a | B_b] of ``join``.  A result
+    is V Vᴴ of the kept rows of vh, symmetrized, and a rank-0 result is the
+    zero matrix, with no -0. entry.
     """
-    k, d = len(i), u.shape[1]
-    a, b = ranks[i], ranks[j]
-    images: dict[int, list] = {}   # nullity -> [(pairs, (m, dim, nullity) images)]
-    for c, rows in _groups(np.where((a > 0) & (b > 0), a + b, 0)):
-        if c == 0:   # a rank-0 side: the meet is zero
-            continue
-        _, s, vh = np.linalg.svd(_pair_columns(u, ranks, i[rows], j[rows], c, -1))
-        nullity = c - np.count_nonzero(s > _rank_cutoff(eps, d), axis=1)
-        for z, sel in _groups(nullity):
-            if z == 0:
-                continue
-            # singular values come sorted, so the null space is spanned by vh's last rows
-            null_basis = vh[sel, c - z:].conj().swapaxes(1, 2)
-            for ra, sub in _groups(a[rows[sel]]):
-                picked = rows[sel[sub]]
-                images.setdefault(z, []).append(
-                    (picked, u[i[picked]][:, :, :ra] @ null_basis[sub, :ra, :]))
-    parts = {}
-    for z, found in images.items():
-        picked = np.concatenate([p for p, _ in found])
-        _span_bases(np.concatenate([m for _, m in found]), picked, eps, parts)
-    return _projectors(k, d, parts)
-
-
-def _join_pairs(stack: np.ndarray, u: np.ndarray, ranks: np.ndarray, i: np.ndarray,
-                j: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """``join`` of ranges i_k and j_k for each k, as ``_meet_pairs``; with a
-    rank-0 side it is the other projector itself, taken from ``stack``, the
-    projector matrices.  One SVD of [B_i | B_j] per width r_i + r_j, then
-    one B Bᴴ per result rank."""
-    a, b = ranks[i], ranks[j]
-    parts = {}
-    for c, rows in _groups(np.where((a > 0) & (b > 0), a + b, 0)):
-        if c > 0:
-            _span_bases(_pair_columns(u, ranks, i[rows], j[rows], c, 1), rows, eps, parts)
-    mats, out = _projectors(len(i), u.shape[1], parts)
-    side = np.flatnonzero((a == 0) | (b == 0))
-    other = np.where(a == 0, j, i)[side]
-    mats[side], out[side] = stack[other], ranks[other]
-    return mats, out
-
-
-def _groups(keys: np.ndarray):
-    """(key, indices of the entries with that key) for each distinct key, in
-    increasing key order."""
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    ends = [*(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), len(keys)]
-    start = 0
-    for end in ends:
-        if end > start:
-            yield int(ordered[start]), order[start:end]
-        start = end
-
-
-def _pair_columns(u, ranks, i, j, width, sign):
-    """[B_i | sign B_j] for each pair k, all of width r_i + r_j = ``width``:
-    column t of B_i below r_i, else column t - r_i of B_j."""
-    t = np.arange(width)
-    first = t < ranks[i, None]
-    cols = u[np.where(first, i[:, None], j[:, None]), :,
-             np.where(first, t, t - ranks[i, None])]   # (pairs, width, dim)
-    if sign < 0:
-        np.negative(cols, out=cols, where=~first[:, :, None])
-    return cols.swapaxes(1, 2)
-
-
-def _span_bases(a: np.ndarray, rows: np.ndarray, eps: float, parts: dict) -> None:
-    """``_span`` of each matrix in the stack ``a``, up to its last step: the
-    kept columns of its u, added to ``parts[rank]`` as (rows, bases)."""
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    kept = np.count_nonzero(s > _rank_cutoff(eps, a.shape[1]), axis=1)
-    # singular values come sorted, so the kept columns are the first r
-    for r, sel in _groups(kept):
-        parts.setdefault(r, []).append((rows[sel], u[sel, :, :r]))
-
-
-def _projectors(k: int, d: int, parts: dict) -> tuple[np.ndarray, np.ndarray]:
-    """``_from_basis`` for every (rows, bases) of ``parts``, one B Bᴴ per rank;
-    the rows no part names hold zero matrices of rank 0."""
-    mats = np.zeros((k, d, d), dtype=np.complex128)
-    ranks = np.zeros(k, dtype=int)
-    for r, found in parts.items():
-        if r == 0:
-            continue
-        rows = np.concatenate([p for p, _ in found])
-        basis = np.concatenate([bs for _, bs in found])
-        m = basis @ basis.conj().swapaxes(1, 2)
-        m += m.conj().swapaxes(1, 2)   # in place: the temporaries stay small
-        m /= 2.0
-        mats[rows], ranks[rows] = m, r
-    return mats, ranks
+    d = a.shape[-1]
+    if meet:
+        a, b = np.eye(d) - a, np.eye(d) - b
+    _, s, vh = np.linalg.svd(np.concatenate([a, b], axis=1), full_matrices=False)
+    kept = (s <= _rank_cutoff(eps, d)) if meet else (s > _rank_cutoff(eps, d))
+    v = np.where(kept[:, None, :], vh.conj().swapaxes(1, 2), 0)   # kept rows as columns
+    m = v @ v.conj().swapaxes(1, 2)
+    m += m.conj().swapaxes(1, 2)   # in place: the temporaries stay small
+    m /= 2.0
+    return m, np.count_nonzero(kept, axis=1)
 
 
 def leq(p: Projector, q: Projector, eps: float = DEFAULT_EPS) -> bool:

@@ -38,8 +38,7 @@ from .hilbert import (
     make_projector,
     ortho,
 )
-from .hilbert import (_class_tol, _deviation, _groups, _is_tolerance, _join_pairs,
-                      _meet_pairs, _pair_columns, _rank_cutoff)
+from .hilbert import _class_tol, _deviation, _is_tolerance, _pair_spans, _rank_cutoff
 from .model import Model
 
 __all__ = [
@@ -116,10 +115,10 @@ class QuotientLattice:
 MAX_CLASSES = 1024
 
 # matrix entries per batched temporary: per chunk of pairs in generation
-# (64 pairs at dim 16, 1,024 at dim 4), per class-lookup temporary and per
-# batch of span SVDs in verification.  It bounds the peak memory at dim 16:
-# generation chunks four times as large ran dim-16 generation about 15%
-# faster but tripled its peak traced memory
+# (2 dim x dim entries a pair: 32 pairs at dim 16, 512 at dim 4), per
+# class-lookup temporary and per batch of span SVDs in verification.  It
+# bounds the peak memory at dim 16: generation chunks four times as large
+# were no faster there but tripled its peak traced memory
 _BATCH_ENTRIES = 2**14
 
 
@@ -137,22 +136,22 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
     negation/meet/join tables as it is found, so the tables are total when
     a round finds no new class (saturation).
 
-    Classes live in one store: arrays of the projector matrices, of the u
-    of each matrix's SVD (its first rank columns are ``Projector.basis()``)
-    and of the ranks, which grow together.  The lattice's ``Projector``
-    objects are built from them once, when it is assembled.
+    Classes live in one store: arrays of the projector matrices and of the
+    ranks, which grow together.  The lattice's ``Projector`` objects are
+    built from them once, when it is assembled.
 
     A round combines only classes that existed when it began, so its i < j
-    pairs are taken in chunks of ``_BATCH_ENTRIES // dim**2`` pairs, in
-    row-major order.  Each chunk goes through the batched kernels of
-    ``pragmaql.hilbert``, which make ``meet``/``join``'s LAPACK calls
-    stacked by shape and so equal them bit for bit.  Each result's first
-    class within ``class_tol`` among the classes made so far comes from
-    one batched distance, at most ``_BATCH_ENTRIES`` entries per
-    temporary.  The pairs are then recorded in order: a result with no hit
-    is compared with the classes made since, and becomes a new class if
+    pairs are taken in chunks of ``_BATCH_ENTRIES // (2 dim**2)`` pairs, in
+    row-major order.  Each chunk goes through ``pragmaql.hilbert._pair_spans``
+    once per connective: one stacked SVD of the pairs' projectors, whose
+    ranks are those of ``meet``/``join`` and whose matrices differ from
+    theirs by rounding only; a pair's result does not depend on its chunk.
+    Each result's first class within ``class_tol`` among the classes made so
+    far comes from one batched distance, at most ``_BATCH_ENTRIES`` entries
+    per temporary.  The pairs are then recorded in order: a result with no
+    hit is compared with the classes made since, and becomes a new class if
     it matches none.  Indices, members and tables therefore come out as a
-    pair-by-pair loop over ``meet``/``join`` would make them.
+    pair-by-pair loop would make them.
 
     ``depth`` counts connective nesting.  Rounds 1 to ``depth`` enumerate:
     operands are each class's first-found formula, and every result joins
@@ -178,9 +177,8 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
 
     d, eps = model.dim, model.eps
     tol = _class_tol(eps)
-    # the class store: projector matrices, the u of each one's SVD, ranks
+    # the class store: projector matrices and ranks
     stack = np.empty((16, d, d), dtype=np.complex128)
-    bases = np.empty_like(stack)
     ranks = np.empty(len(stack), dtype=int)
     members: list[list[AssertiveFormula]] = []
     operands: list[AssertiveFormula] = []   # first members, then representatives
@@ -188,8 +186,8 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
     meets: dict[tuple[int, int], int] = {}   # i < j only
     joins: dict[tuple[int, int], int] = {}
     # each kernel reads the class store as it is when it runs
-    steps = [(lambda i, j: _meet_pairs(bases, ranks, i, j, eps), K, meets),
-             (lambda i, j: _join_pairs(stack, bases, ranks, i, j, eps), AQ, joins)]
+    steps = [(lambda i, j: _pair_spans(stack[i], stack[j], eps, True), K, meets),
+             (lambda i, j: _pair_spans(stack[i], stack[j], eps, False), AQ, joins)]
     # the class count when enumeration ended; no class index reaches it before
     enumerated = MAX_CLASSES + 1
 
@@ -202,7 +200,7 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
         called only when the class joins it or is new.  The class store
         doubles its capacity when full.
         """
-        nonlocal stack, bases, ranks
+        nonlocal stack, ranks
         n = len(members)
         if hit < 0:
             later = np.flatnonzero(_deviation(stack[searched:n], matrix) <= tol)
@@ -216,8 +214,7 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
                              f"{n + 1}, past the budget of {MAX_CLASSES}",
                              code="not-saturated")
         if n == len(stack):
-            stack, bases, ranks = (np.concatenate([a, np.empty_like(a)])
-                                   for a in (stack, bases, ranks))
+            stack, ranks = (np.concatenate([a, np.empty_like(a)]) for a in (stack, ranks))
         stack[n], ranks[n] = matrix, rank
         members.append([formula()])
         operands.append(members[n][0])
@@ -225,11 +222,11 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
 
     def results(batch, i: np.ndarray, j: np.ndarray):
         """For each pair (i_k, j_k) in turn, one (matrix, rank, hit, searched)
-        per step of ``batch``.  Pairs are taken ``_BATCH_ENTRIES // dim**2``
+        per step of ``batch``.  Pairs are taken ``_BATCH_ENTRIES // (2 dim**2)``
         at a time: each step's kernel runs on the chunk, then ``hit`` is each
         result's first class within ``tol`` among the ``searched`` classes
         made by then, or -1."""
-        chunk = max(1, _BATCH_ENTRIES // (d * d))
+        chunk = max(1, _BATCH_ENTRIES // (2 * d * d))
         for at in range(0, len(i), chunk):
             ic, jc = i[at:at + chunk], j[at:at + chunk]
             n = len(members)
@@ -260,7 +257,6 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
             operands[:] = [min(m, key=shortlex) for m in members]
         if seen == count:
             break
-        bases[seen:count] = np.linalg.svd(stack[seen:count])[0]   # one SVD for the new classes
         for i in range(seen, count):
             p = ortho(Projector(d, stack[i], int(ranks[i])))
             neg.append(record(p.matrix, p.rank, -1, 0, lambda: N(operands[i])))
@@ -402,6 +398,28 @@ def find_distributivity_violation(lat: QuotientLattice) -> tuple[int, int, int] 
     return None
 
 
+def _groups(keys: np.ndarray):
+    """(key, indices of the entries with that key) for each distinct key, in
+    increasing key order."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    ends = [*(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), len(keys)]
+    start = 0
+    for end in ends:
+        if end > start:
+            yield int(ordered[start]), order[start:end]
+        start = end
+
+
+def _pair_rows(u, ranks, i, j, width):
+    """The transpose of [B_i | B_j] for each pair k, all of width r_i + r_j =
+    ``width``: row t is column t of B_i below r_i, else column t - r_i of B_j."""
+    t = np.arange(width)
+    first = t < ranks[i, None]
+    return u[np.where(first, i[:, None], j[:, None]), :,
+             np.where(first, t, t - ranks[i, None])]   # (pairs, width, dim)
+
+
 def _span_ranks(u: np.ndarray, ranks: np.ndarray, i: np.ndarray, j: np.ndarray,
                 tol: float) -> np.ndarray:
     """For each pair (i_k, j_k), the number of singular values above ``tol``
@@ -417,7 +435,7 @@ def _span_ranks(u: np.ndarray, ranks: np.ndarray, i: np.ndarray, j: np.ndarray,
         step = max(1, _BATCH_ENTRIES // max(1, c * u.shape[1]))
         for at in range(0, len(picked), step):
             k = picked[at:at + step]
-            rows = _pair_columns(u, ranks, i[k], j[k], c, 1).swapaxes(1, 2)
+            rows = _pair_rows(u, ranks, i[k], j[k], c)
             counts[k] = np.count_nonzero(np.linalg.svd(rows, compute_uv=False) > tol, axis=1)
     return counts
 

@@ -1,5 +1,9 @@
 """Seeded random generators and hand-built fixtures shared by the tests."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from pragmaql import (
@@ -114,3 +118,17 @@ def seeded_c3_triple(seed):
             "properties": {f"P{k}": {"matrix": encode_matrix(p.matrix)}
                            for k, p in enumerate(projs)},
             "atoms": {f"a{k}": f"P{k}" for k in range(3)}}
+
+
+def _load_blocksum():
+    """``perfbench/blocksum.py``, imported from its path without putting its
+    directory on the import path; registered first, as dataclasses need."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "blocksum.py"
+    spec = importlib.util.spec_from_file_location("blocksum", path)
+    module = sys.modules["blocksum"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# seeded block-sum models whose generated lattice is known symbolically
+blocksum = _load_blocksum()

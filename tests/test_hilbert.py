@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pragmaql import (
+    Projector,
     ProjectorError,
     contains_state,
     identity_projector,
@@ -25,8 +26,7 @@ from pragmaql import (
 from pragmaql.hilbert import (
     DEFAULT_EPS,
     _class_tol,
-    _join_pairs,
-    _meet_pairs,
+    _pair_spans,
     _random_states,
     decode_matrix,
     decode_vector,
@@ -405,15 +405,28 @@ def test_basis_is_computed_once_and_read_only(dim, rank):
 # tolerance policy: leq and meet at the inclusion threshold
 
 
-def turned_pair(dim, rank, seed, theta):
-    """A Haar-random rank-``rank`` projector p, and q: p with one range
-    vector turned out of it by the angle ``theta``."""
+def turned_basis(dim, rank, seed, theta):
+    """A Haar-random unitary u, and the first ``rank`` columns of u with the
+    last one turned towards column ``rank`` by the angle ``theta``."""
     rng = np.random.default_rng(seed)
     u = np.linalg.qr(rng.standard_normal((dim, dim))
                      + 1j * rng.standard_normal((dim, dim)))[0]
     turned = u[:, :rank].copy()
     turned[:, -1] = np.cos(theta) * u[:, rank - 1] + np.sin(theta) * u[:, rank]
+    return u, turned
+
+
+def turned_pair(dim, rank, seed, theta):
+    """A Haar-random rank-``rank`` projector p, and q: p with one range
+    vector turned out of it by the angle ``theta``."""
+    u, turned = turned_basis(dim, rank, seed, theta)
     return projector_from_span(list(u[:, :rank].T)), projector_from_span(list(turned.T))
+
+
+def kernel_meet(p, q, eps):
+    """``meet`` by the batched kernel of generation, on a batch of one."""
+    mats, ranks = _pair_spans(p.matrix[None], q.matrix[None], eps, True)
+    return Projector(p.dim, mats[0], int(ranks[0]))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -424,7 +437,8 @@ def test_leq_and_meet_agree_outside_the_band(dim_rank, seed, inside, scale):
     # Inclusion by leq (max-entry deviation) and by meet (rank cutoff) both
     # hold at theta <= 0.5 eps and both fail at theta >= 2 eps sqrt(2 dim),
     # up to 5 times that.  In the band between, the two rules may disagree,
-    # so no angle is drawn from it and nothing is asserted there.
+    # so no angle is drawn from it and nothing is asserted there.  Generation's
+    # kernel, whose meets order a lattice's classes, is held to the same band.
     dim, rank = dim_rank
     eps = DEFAULT_EPS
     if inside:
@@ -432,12 +446,31 @@ def test_leq_and_meet_agree_outside_the_band(dim_rank, seed, inside, scale):
     else:
         theta = 2 * eps * np.sqrt(2 * dim) * (1 + 4 * scale)
     p, q = turned_pair(dim, rank, seed, theta)
-    m = meet(p, q, eps)
-    merged = projectors_close(m, p, _class_tol(eps))
-    if inside:
-        assert leq(p, q, eps) and m.rank == rank and merged
-    else:
-        assert not leq(p, q, eps) and m.rank == rank - 1 and not merged
+    assert leq(p, q, eps) == inside
+    for m in (meet(p, q, eps), kernel_meet(p, q, eps)):
+        merged = projectors_close(m, p, _class_tol(eps))
+        if inside:
+            assert m.rank == rank and merged
+        else:
+            assert m.rank == rank - 1 and not merged
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(dim_rank=st.integers(2, 16).flatmap(
+           lambda d: st.tuples(st.just(d), st.integers(1, d - 1))),
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 6.0))
+def test_kernel_is_accurate_above_the_band(dim_rank, seed, scale):
+    # From the band's edge up to 10^6 times it, the kernel's meet and join
+    # are the exact intersection and span within 1e-7
+    dim, rank = dim_rank
+    eps = DEFAULT_EPS
+    theta = 2 * eps * np.sqrt(2 * dim) * 10 ** scale
+    u, turned = turned_basis(dim, rank, seed, theta)
+    p, q = (projector_from_span(list(b.T)) for b in (u[:, :rank], turned))
+    for is_meet, exact in ((True, u[:, :rank - 1]), (False, u[:, :rank + 1])):
+        mats, ranks = _pair_spans(p.matrix[None], q.matrix[None], eps, is_meet)
+        assert ranks[0] == exact.shape[1]
+        assert np.abs(mats[0] - exact @ exact.conj().T).max() <= 1e-7
 
 
 def _kernel_cases(dim):
@@ -461,29 +494,32 @@ def _same_bits(a, b):
 
 
 @pytest.mark.parametrize("dim", range(2, 17))
-def test_batched_meet_and_join_equal_meet_and_join_bit_for_bit(dim):
-    # generation combines class pairs through these kernels; its exports are
-    # byte-identical to per-pair meet/join only if every matrix is, sign of
-    # zero included, in a mixed batch and one row at a time alike
+def test_kernel_matches_meet_and_join(dim):
+    # generation combines class pairs through this kernel, on stacked
+    # projectors instead of range bases: its ranks are meet/join's on every
+    # pair, near-band ones included, and its matrices agree on the generic ones
     projs, i, j = _kernel_cases(dim)
     stack = np.stack([p.matrix for p in projs])
-    u = np.linalg.svd(stack)[0]
-    ranks = np.array([p.rank for p in projs])
-    kernels = [lambda i, j: _meet_pairs(u, ranks, i, j, DEFAULT_EPS),
-               lambda i, j: _join_pairs(stack, u, ranks, i, j, DEFAULT_EPS)]
-    batched = [kernel(i, j) for kernel in kernels]
-    meet_ranks = []
-    for k in range(len(i)):
-        p, q = projs[i[k]], projs[j[k]]
-        for kernel, (mats, rks), op in zip(kernels, batched, (meet, join)):
-            ref = op(p, q, DEFAULT_EPS)
-            one_mats, one_rks = kernel(i[k:k + 1], j[k:k + 1])
-            assert _same_bits(mats[k], ref.matrix) and rks[k] == ref.rank, (op.__name__, k)
-            assert _same_bits(one_mats[0], ref.matrix) and one_rks[0] == ref.rank
-        meet_ranks.append((p.rank, batched[0][1][k]))
-    # the near-band pairs put rows of both nullities into one batch
-    near = set(meet_ranks[(dim + 1) ** 2:])
-    assert any((r, r) in near and (r, r - 1) in near for r in range(1, dim))
+    generic = (dim + 1) ** 2
+    for is_meet, op in ((True, meet), (False, join)):
+        mats, ranks = _pair_spans(stack[i], stack[j], DEFAULT_EPS, is_meet)
+        for k in range(len(i)):
+            ref = op(projs[i[k]], projs[j[k]], DEFAULT_EPS)
+            assert ranks[k] == ref.rank, (op.__name__, k)
+            if k < generic:
+                assert np.abs(mats[k] - ref.matrix).max() <= 1e-13, (op.__name__, k)
+            # a row's bits do not depend on its batch, so the chunk size
+            # of generation cannot move an export
+            one_mats, one_ranks = _pair_spans(stack[i[k:k + 1]], stack[j[k:k + 1]],
+                                              DEFAULT_EPS, is_meet)
+            assert _same_bits(one_mats[0], mats[k]) and one_ranks[0] == ranks[k]
+        # a rank-0 result is the zero matrix, with no -0. entry to print
+        zero = mats[ranks == 0].view(float)
+        assert zero.size and not zero.any() and not np.signbit(zero).any()
+        if is_meet:
+            # the near-band pairs put rows of both meet ranks into one batch
+            near = set(zip((projs[x].rank for x in i[generic:]), ranks[generic:]))
+            assert any((r, r) in near and (r, r - 1) in near for r in range(1, dim))
 
 
 # ---------------------------------------------------------------------------

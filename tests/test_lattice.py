@@ -35,7 +35,7 @@ from pragmaql import (
 
 from pragmaql.hilbert import join, leq, meet
 
-from helpers import o6_fixture, seeded_c3_triple
+from helpers import blocksum, o6_fixture, seeded_c3_triple
 
 
 def find_class(lat, projector, tol=1e-8):
@@ -128,19 +128,15 @@ def test_generation_argument_errors(qubit):
 ])
 def test_generation_combines_each_class_pair_once(all_models, monkeypatch,
                                                   name, atoms, depth):
-    # generation combines pairs through the batched kernels: count their rows
+    # generation combines pairs through the batched kernel: count its rows
     calls = {"meet": 0, "join": 0}
+    pair_spans = pragmaql.lattice._pair_spans
 
-    def counted(op, kernel):
-        def wrapper(*args):
-            calls[op] += len(args[-3])   # the row indices i
-            return kernel(*args)
-        return wrapper
+    def counted(a, b, eps, meet):
+        calls["meet" if meet else "join"] += len(a)
+        return pair_spans(a, b, eps, meet)
 
-    monkeypatch.setattr(pragmaql.lattice, "_meet_pairs",
-                        counted("meet", pragmaql.lattice._meet_pairs))
-    monkeypatch.setattr(pragmaql.lattice, "_join_pairs",
-                        counted("join", pragmaql.lattice._join_pairs))
+    monkeypatch.setattr(pragmaql.lattice, "_pair_spans", counted)
     lat = generate_quotient(all_models[name], atoms, depth)
     # K and AQ commute and are idempotent: one row per unordered pair i < j
     pairs = len(lat) * (len(lat) - 1) // 2
@@ -193,24 +189,26 @@ def test_class_tol_that_merges_in_the_other_atom_order_leaves_laws_failing():
     ("ququart-planes", ("bl", "bd", "bc")),
     ("qutrit-lines", ("aa", "ab", "ap")),
 ])
-def test_generation_computes_each_basis_once(monkeypatch, name, atoms):
-    # a fresh model, so no projector arrives with its basis already cached.
-    # Each round computes its new classes' bases in one stacked SVD, and the
-    # batched kernels stack each chunk's pairs by shape, so the SVD calls
-    # stay far below three per pair: 68 for the 630 pairs of ququart-planes
-    # (recomputing every basis in each meet and join took over six per pair)
+def test_generation_makes_one_svd_per_kernel_call(monkeypatch, name, atoms):
+    # a fresh model, so no projector arrives with its basis already cached
+    # and any basis generation computed would be counted.  It keeps none:
+    # each call of the batched kernel makes one stacked SVD for its chunk of
+    # pairs, and nothing else makes one
     model = bundled_model(name)
-    calls = 0
-    svd = np.linalg.svd
+    calls = {"svd": 0, "kernel": 0}
+    svd, pair_spans = np.linalg.svd, pragmaql.lattice._pair_spans
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return svd(*args, **kwargs)
+    def counted(key, function):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return function(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    lat = generate_quotient(model, list(atoms), 1)
-    assert calls <= 3 * len(lat) ** 2
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+    monkeypatch.setattr(pragmaql.lattice, "_pair_spans", counted("kernel", pair_spans))
+    generate_quotient(model, list(atoms), 1)
+    assert calls["kernel"] > 0
+    assert calls["svd"] == calls["kernel"]
 
 
 # sha256 of each export's float-free content, recorded before generation
@@ -291,6 +289,31 @@ def test_order_is_read_off_the_meet_table(all_models, name, depth):
     # on these models the meet's rank cutoff and leq's max-entry rule agree
     projs = [lat.projector(i) for i in range(n)]
     assert np.array_equal(lat.order, [[leq(p, q, lat.eps) for q in projs] for p in projs])
+
+
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_block_sum_lattices_match_their_symbolic_lattice(dim):
+    # two dense models per dim with 4-32 classes, whose lattice blocksum.py
+    # computes without the library: the exact class count, a one-to-one match
+    # of class projectors to the symbolic ones, and the tables under it
+    for k in range(2):
+        bs, symbolic = blocksum.draw(np.random.default_rng([dim, k]),
+                                     np.random.default_rng([dim, k, 1]),
+                                     dim, 2 + k, (4, 32))
+        model = pragmaql.load_model(blocksum.document(bs))
+        lat = generate_quotient(model, list(model.atom_map), 1)
+        assert len(lat) == len(symbolic)
+        exact = np.stack([bs.projector(e) for e in symbolic])
+        close = np.array([[float(np.abs(lat.projector(c).matrix - m).max()) <= lat.class_tol
+                           for m in exact] for c in range(len(lat))])
+        assert (close.sum(axis=0) == 1).all() and (close.sum(axis=1) == 1).all()
+        element = [symbolic[int(np.argmax(row))] for row in close]
+        index = {e: c for c, e in enumerate(element)}
+        n = len(lat)
+        assert lat.neg_table.tolist() == [index[blocksum.ortho(e)] for e in element]
+        for table, op in ((lat.meet_table, blocksum.meet), (lat.join_table, blocksum.join)):
+            assert table.tolist() == [[index[op(element[a], element[b])] for b in range(n)]
+                                      for a in range(n)]
 
 
 def test_order_is_a_partial_order(mo2):
@@ -573,15 +596,16 @@ def test_checks_match_loop_reference_on_random_edits(request, name, seed):
 def test_isomorphism_catches_a_generator_that_drops_rank_one_meets(ququart, monkeypatch):
     # a corrupted meet still yields a closed, self-consistent table, so only
     # recomputing meets independently of the generator can expose it
-    meet_pairs = pragmaql.lattice._meet_pairs
+    pair_spans = pragmaql.lattice._pair_spans
 
-    def lossy(*args):
-        mats, ranks = meet_pairs(*args)
-        line = ranks == 1
-        mats[line], ranks[line] = 0, 0   # the zero projector
+    def lossy(a, b, eps, meet):
+        mats, ranks = pair_spans(a, b, eps, meet)
+        if meet:
+            line = ranks == 1
+            mats[line], ranks[line] = 0, 0   # the zero projector
         return mats, ranks
 
-    monkeypatch.setattr(pragmaql.lattice, "_meet_pairs", lossy)
+    monkeypatch.setattr(pragmaql.lattice, "_pair_spans", lossy)
     lat = generate_quotient(ququart, ["bl", "bd", "bc"], 1)
     # the order is read off the meet table, so it is wrong too: the line bc
     # lies in the plane bl, but their meet no longer is bc
