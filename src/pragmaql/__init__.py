@@ -9,6 +9,8 @@ denotation is an orthomodular lattice, isomorphic to the lattice of the
 model's closed subspaces.
 """
 
+import importlib
+
 from .errors import (
     ModelError,
     NonQuantumFormulaError,
@@ -44,63 +46,48 @@ from .formula import (
     quantum_fragment_check,
     radical_atoms,
 )
-from .hilbert import (
-    DEFAULT_EPS,
-    Projector,
-    StateVector,
-    contains_state,
-    identity_projector,
-    join,
-    leq,
-    make_projector,
-    make_state,
-    meet,
-    ortho,
-    projector_from_span,
-    projectors_close,
-    random_projector,
-    random_state,
-    state_projector,
-    zero_projector,
-)
-from .model import (
-    Finding,
-    Model,
-    ValidationReport,
-    bundled_model,
-    bundled_model_document,
-    bundled_model_names,
-    load_model,
-    load_model_file,
-    qubit_zx,
-    validate_model,
-)
-from .evaluation import (
-    JustificationValue,
-    Overlay,
-    TruthValue3,
-    born_probability,
-    check_cc,
-    classify_property,
-    justify,
-    load_overlay,
-    pragmatic_extension,
-    precedes,
-    sigma,
-    validate_overlay,
-)
-from .lattice import (
-    LatticeElement,
-    LawReport,
-    QuotientLattice,
-    export_lattice,
-    find_distributivity_violation,
-    generate_quotient,
-    import_lattice,
-    verify_isomorphism,
-    verify_ortholattice,
-    verify_orthomodular,
-)
+
+# Public name -> the numpy-backed submodule that defines it.  These are
+# imported on first lookup (PEP 562), so that parsing formulas, which needs
+# only the stdlib modules above, does not load numpy.
+_LAZY = {
+    **dict.fromkeys((
+        "DEFAULT_EPS", "Projector", "StateVector", "contains_state",
+        "identity_projector", "join", "leq", "make_projector", "make_state",
+        "meet", "ortho", "projector_from_span", "projectors_close",
+        "random_projector", "random_state", "state_projector", "zero_projector",
+    ), "hilbert"),
+    **dict.fromkeys((
+        "Finding", "Model", "ValidationReport", "bundled_model",
+        "bundled_model_document", "bundled_model_names", "load_model",
+        "load_model_file", "qubit_zx", "validate_model",
+    ), "model"),
+    **dict.fromkeys((
+        "JustificationValue", "Overlay", "TruthValue3", "born_probability",
+        "check_cc", "classify_property", "justify", "load_overlay",
+        "pragmatic_extension", "precedes", "sigma", "validate_overlay",
+    ), "evaluation"),
+    **dict.fromkeys((
+        "LatticeElement", "LawReport", "QuotientLattice", "export_lattice",
+        "find_distributivity_violation", "generate_quotient", "import_lattice",
+        "verify_isomorphism", "verify_ortholattice", "verify_orthomodular",
+    ), "lattice"),
+}
+
+
+def __getattr__(name: str):
+    try:
+        submodule = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{submodule}", __name__), name)
+    globals()[name] = value   # later lookups do not reach __getattr__
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
 
 __version__ = "0.1.0"
 

@@ -13,32 +13,21 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .errors import ParseError, PragmaQLError
-from .evaluation import (
-    check_cc,
-    justify,
-    load_overlay,
-    pragmatic_extension,
-    sigma,
-    validate_overlay,
-)
+from .errors import ModelError, ParseError, PragmaQLError
 from .formula import parse_assertive, parse_radical, print_formula, quantum_fragment_check
-from .hilbert import encode_matrix
-from .lattice import (
-    export_lattice,
-    find_distributivity_violation,
-    generate_quotient,
-    verify_isomorphism,
-    verify_ortholattice,
-    verify_orthomodular,
-)
-from .model import Model, ModelError, bundled_model, bundled_model_names, load_model_file
+
+if TYPE_CHECKING:
+    from .model import Model
+
+# Each command imports the numeric modules it uses, so that ``parse`` and
+# usage errors run without loading numpy.
 
 
 def _load_model_arg(value: str) -> Model:
+    from .model import bundled_model, bundled_model_names, load_model_file
+
     path = Path(value)
     if path.exists():
         return load_model_file(path)
@@ -100,6 +89,8 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .evaluation import sigma
+
     model = _load_model_arg(args.model)
     ast = parse_radical(args.formula)
     value = sigma(model, args.state, ast)
@@ -112,6 +103,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_extension(args) -> int:
+    import numpy as np
+
+    from .evaluation import pragmatic_extension
+    from .hilbert import encode_matrix
+
     model = _load_model_arg(args.model)
     ast = parse_assertive(args.formula)
     p = pragmatic_extension(model, ast)
@@ -127,6 +123,8 @@ def _cmd_extension(args) -> int:
 
 
 def _cmd_justify(args) -> int:
+    from .evaluation import justify
+
     model = _load_model_arg(args.model)
     ast = parse_assertive(args.formula)
     value = justify(model, args.state, ast)
@@ -139,6 +137,13 @@ def _cmd_justify(args) -> int:
 
 
 def _law_payload(lat):
+    from .lattice import (
+        find_distributivity_violation,
+        verify_isomorphism,
+        verify_ortholattice,
+        verify_orthomodular,
+    )
+
     reports = verify_ortholattice(lat) + [verify_orthomodular(lat),
                                           verify_isomorphism(lat)]
     violation = find_distributivity_violation(lat)
@@ -146,6 +151,8 @@ def _law_payload(lat):
 
 
 def _cmd_lattice(args) -> int:
+    from .lattice import export_lattice, generate_quotient
+
     model = _load_model_arg(args.model)
     lat = generate_quotient(model, _parse_atoms(args.atoms), args.depth)
     if args.format == "dot":
@@ -177,6 +184,8 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .evaluation import check_cc, load_overlay, validate_overlay
+
     model = _load_model_arg(args.model)
     sections = [("cc", check_cc(model, samples=args.samples, seed=args.seed))]
     if args.overlay is not None:
@@ -203,6 +212,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from .lattice import export_lattice, generate_quotient
+
     model = _load_model_arg(args.model)
     lat = generate_quotient(model, _parse_atoms(args.atoms), args.depth)
     if args.format == "dot":
@@ -275,6 +286,8 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader closed stdout: not an input error
+        raise
     except (PragmaQLError, ValueError, OSError,  # a json.JSONDecodeError is a ValueError
             RecursionError,  # input nested too deeply
             MemoryError) as exc:  # a dim too large to allocate
@@ -283,7 +296,18 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (say, ``| head``).  As Python's ``signal``
+        # documentation advises for SIGPIPE, point stdout at devnull so that
+        # the flush at interpreter exit cannot fail again, and exit quietly.
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -239,10 +239,13 @@ def check_cc(model: Model, *, samples: int = 1000, seed: int = 0) -> ValidationR
     random states, one ``P @ Psi`` per atom for the justification side, and
     ``sigma`` only on the justified probes.  An invalid model is refused:
     the validation findings come back with a ``model-invalid`` error and no
-    counterexample search runs.  A negative ``samples`` raises ValueError.
+    counterexample search runs.  A negative ``samples`` or ``seed`` raises
+    ValueError.
     """
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     base = validate_model(model)
     if not base.ok:
         refusal = Finding("error", "model-invalid",

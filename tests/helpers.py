@@ -1,6 +1,7 @@
 """Seeded random generators and hand-built fixtures shared by the tests."""
 
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -27,6 +28,13 @@ from pragmaql import (
 from pragmaql.hilbert import encode_matrix
 
 DEFAULT_ATOMS = ("p", "q", "r")
+
+
+def child_env():
+    """The environment for a child interpreter that imports this checkout."""
+    src = str(Path(__file__).parent.parent / "src")
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def random_radical(rng, max_depth, atoms=DEFAULT_ATOMS):

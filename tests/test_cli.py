@@ -1,5 +1,4 @@
 import json
-import os
 import re
 import subprocess
 import sys
@@ -9,7 +8,7 @@ import pragmaql.cli
 from pragmaql import bundled_model_document
 from pragmaql.cli import run
 
-from helpers import seeded_c3_triple
+from helpers import child_env, seeded_c3_triple
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -23,10 +22,7 @@ def invoke(capsys, *argv):
 def invoke_process(*argv):
     """Run the CLI in a child interpreter, so a hang times out and a
     traceback reaches stderr."""
-    src = str(Path(__file__).parent.parent / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "pragmaql.cli", *argv], env=env,
+    proc = subprocess.run([sys.executable, "-m", "pragmaql.cli", *argv], env=child_env(),
                           capture_output=True, text=True, timeout=30)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -374,6 +370,13 @@ def test_negative_samples_is_domain_error(capsys):
         assert "samples" in err
 
 
+def test_negative_seed_is_domain_error(capsys):
+    code, out, err = invoke(capsys, "check", "-m", "qubit-zx", "--seed", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
 def test_model_with_nan_eps_is_domain_error(tmp_path):
     doc = bundled_model_document("qubit-zx")
     doc["eps"] = float("nan")
@@ -407,3 +410,56 @@ def test_deeply_nested_formula_is_domain_error():
         assert code == 1
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+
+def test_closed_stdout_exits_quietly():
+    """A reader that stops early (``| head -c 100``) is not an input error:
+    exit 1 with nothing on stderr, not even an "Exception ignored" line."""
+    # about 114 KB of output, more than a pipe buffer holds
+    argv = ["lattice", "-m", "ququart-planes", "--atoms", "bl,bd,bc", "--depth", "2",
+            "--format", "structured"]
+    proc = subprocess.Popen([sys.executable, "-m", "pragmaql.cli", *argv], env=child_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert head.startswith(b"{")
+    assert err == b""
+    assert proc.returncode == 1
+
+
+# the parse and usage commands of perfbench/cli_session.py's pool, with their exit codes
+NUMPY_FREE = [
+    (["parse", "-f", "|- az"], 0),
+    (["parse", "-f", "N(|- az) K |- ax", "--format", "structured"], 0),
+    (["parse", "-f", "(|- a K"], 1),
+    (["parse"], 2),
+    (["lattice", "-m", "qubit-zx", "--atoms", "az", "--depth", "x"], 2),
+    (["justify", "-m", "qubit-zx", "-s", "z+", "-f", "|- az", "--format", "dot"], 2),
+    (["frobnicate"], 2),
+]
+
+
+def test_parse_and_usage_errors_do_not_import_numpy():
+    # in a child interpreter: this one imported numpy long ago
+    script = f"""
+import contextlib, io, sys
+from pragmaql.cli import run
+for argv, expected in {NUMPY_FREE!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert run(argv) == expected, argv
+    assert "numpy" not in sys.modules, argv
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = run(["eval", "-m", "qubit-zx", "-s", "z+", "-f", "az"])
+assert "numpy" in sys.modules
+print(code, out.getvalue(), end="")
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                          capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "0 True\n"

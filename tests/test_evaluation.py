@@ -329,6 +329,11 @@ def test_check_cc_rejects_negative_samples(qubit):
     assert check_cc(qubit, samples=0).ok   # the declared states alone
 
 
+def test_check_cc_rejects_negative_seed(qubit):
+    with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
+        check_cc(qubit, samples=10, seed=-1)
+
+
 def tilted_model():
     """dim 3, one atom on the line e0, eps = 0.6: a state tilted 0.58 towards
     each of e1 and e2 is within eps of the line but not on it."""
