@@ -106,14 +106,14 @@ def _cmd_extension(args) -> int:
     import numpy as np
 
     from .evaluation import pragmatic_extension
-    from .hilbert import encode_matrix
+    from .hilbert import encode_array
 
     model = _load_model_arg(args.model)
     ast = parse_assertive(args.formula)
     p = pragmatic_extension(model, ast)
     if args.format == "structured":
         _emit_json({"formula": print_formula(ast), "dim": p.dim,
-                    "rank": p.rank, "matrix": encode_matrix(p.matrix)})
+                    "rank": p.rank, "matrix": encode_array(p.matrix)})
     else:
         print(f"formula: {print_formula(ast)}")
         print(f"dim: {p.dim}  rank: {p.rank}")

@@ -5,8 +5,8 @@ Closed subspaces are represented by their orthogonal projectors
 understood as rays (global phase never matters to any operation here).
 ``ortho``, ``meet``, ``join`` and ``leq`` realize the lattice of closed
 subspaces: orthocomplement, intersection, closed span, and inclusion.
-Matrices serialize as row-major nested lists with each complex entry a
-two-element ``[re, im]`` array.
+``encode_array`` and ``decode_array`` write and read arrays as row-major
+nested lists with each complex entry a two-element ``[re, im]`` list.
 
 Tolerance policy: each numerical decision in the package follows one of
 these rules, written once, here (``eps``: the model tolerance, default 1e-9).
@@ -51,8 +51,7 @@ __all__ = [
     "ortho", "meet", "join", "leq",
     "projectors_close", "contains_state",
     "random_state", "random_projector",
-    "encode_complex", "decode_complex", "encode_vector", "decode_vector",
-    "encode_matrix", "decode_matrix",
+    "encode_array", "decode_array",
 ]
 
 DEFAULT_EPS = 1e-9
@@ -415,56 +414,40 @@ def random_projector(dim: int, rank: int, rng: np.random.Generator) -> Projector
 
 
 # ---------------------------------------------------------------------------
-# serialization: complex entries as [re, im], matrices row-major
+# serialization: complex entries as [re, im], arrays row-major
 
 
-def encode_complex(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+def _nested(entries, ndim: int, accepts) -> np.ndarray | None:
+    """``entries`` as an ``ndim``-dimensional object array whose entry types
+    all pass ``accepts`` (tested once per distinct type), or None."""
+    try:
+        values = np.array(entries, dtype=object)
+    except ValueError:   # a nested list that numpy cannot shape
+        return None
+    if values.ndim != ndim or not all(map(accepts, set(map(type, values.flat)))):
+        return None
+    return values
 
 
-def decode_complex(entry) -> complex:
-    if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                       for x in entry)):
-        raise ProjectorError(
-            f"complex entries must be [re, im] number pairs, got {entry!r}",
-            code="schema",
-        )
-    return complex(entry[0], entry[1])
-
-
-def _encode_entries(a: np.ndarray) -> list:
+def encode_array(a: np.ndarray) -> list:
     """``a`` as nested lists with each entry an ``[re, im]`` pair of floats,
-    by one ``tolist`` of the stacked parts; the same lists as
-    ``encode_complex`` on each entry, and the sign of a zero is kept."""
+    by one ``tolist`` of the stacked parts; the sign of a zero is kept."""
     a = np.asarray(a, dtype=np.complex128)
     return np.stack([a.real, a.imag], axis=-1).tolist()
 
 
-def encode_vector(v: np.ndarray) -> list[list[float]]:
-    return _encode_entries(np.asarray(v).reshape(-1))
-
-
-def decode_vector(entries) -> np.ndarray:
-    if not isinstance(entries, (list, tuple)):
-        raise ProjectorError(
-            f"vector must be a list of [re, im] pairs, got {entries!r}",
-            code="schema",
-        )
-    return np.array([decode_complex(e) for e in entries], dtype=np.complex128)
-
-
-def encode_matrix(m: np.ndarray) -> list[list[list[float]]]:
-    return _encode_entries(m)
-
-
-def decode_matrix(rows) -> np.ndarray:
-    if not isinstance(rows, (list, tuple)) or not rows:
-        raise ProjectorError(
-            f"matrix must be a non-empty list of rows, got {rows!r}", code="schema"
-        )
-    decoded = [decode_vector(row) for row in rows]
-    width = decoded[0].shape[0]
-    if any(row.shape[0] != width for row in decoded):
-        raise ProjectorError("matrix rows have inconsistent lengths", code="schema")
-    return np.array(decoded, dtype=np.complex128)
+def decode_array(entries, ndim: int) -> np.ndarray:
+    """The ``ndim``-dimensional complex array that ``encode_array`` wrote as
+    ``entries``: lists nested ``ndim`` deep of ``[re, im]`` pairs, each an
+    int or float and not a bool.  One ``astype`` converts them all, and
+    the sign of a zero is kept; other input is a ``schema`` error."""
+    values = _nested(entries, ndim + 1,
+                     lambda t: issubclass(t, (int, float)) and not issubclass(t, bool))
+    if values is None or values.shape[-1] != 2:
+        raise ProjectorError(f"complex entries must be {ndim}-level nested lists of "
+                             "[re, im] number pairs", code="schema")
+    try:
+        return values.astype(np.float64).view(np.complex128)[..., 0]
+    except OverflowError:
+        raise ProjectorError("an [re, im] entry is beyond float range",
+                             code="schema") from None

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError
+from .errors import ModelError, ParseError, ProjectorError
 from .formula import (
     AQ,
     Assert,
@@ -33,12 +33,12 @@ from .formula import (
 from .hilbert import (
     DEFAULT_EPS,
     Projector,
-    decode_matrix,
-    encode_matrix,
+    decode_array,
+    encode_array,
     make_projector,
     ortho,
 )
-from .hilbert import _class_tol, _deviation, _is_tolerance, _pair_spans, _rank_cutoff
+from .hilbert import _class_tol, _deviation, _is_tolerance, _nested, _pair_spans, _rank_cutoff
 from .model import Model
 
 __all__ = [
@@ -538,7 +538,7 @@ def _to_document(lat: QuotientLattice) -> dict:
             "members": [print_formula(m) for m in e.members],
             "rank": None if e.projector is None else int(e.projector.rank),
             "projector": None if e.projector is None
-            else encode_matrix(e.projector.matrix),
+            else encode_array(e.projector.matrix),
         })
     return {
         "eps": float(lat.eps),
@@ -557,15 +557,17 @@ def _entries(document: dict, key: str, kind: type, ndim: int) -> np.ndarray:
     """``document[key]`` as an ``ndim``-dimensional array, if it is one and
     every entry has exactly type ``kind``: a bool is no int, and neither a
     float nor a string is converted."""
-    values = np.array(document[key], dtype=object)
-    if values.ndim != ndim or not all(type(x) is kind for x in values.flat):
+    values = _nested(document[key], ndim, lambda t: t is kind)
+    if values is None:
         shape = ("a single", "a list of", "a list of lists of")[ndim]
         raise ModelError(f"lattice {key!r} must be {shape} {kind.__name__}", code="schema")
     return values.astype(kind)
 
 
 def import_lattice(document) -> QuotientLattice:
-    """Rebuild a lattice from the structured export document."""
+    """Rebuild a lattice from the structured export document.  A malformed
+    one is a ``ModelError``, which names a bad element and keeps its
+    ``ProjectorError``'s code (``schema`` for formula text)."""
     if not isinstance(document, dict):
         raise ModelError("lattice document must be a mapping", code="schema")
     try:
@@ -608,16 +610,25 @@ def import_lattice(document) -> QuotientLattice:
                 or not isinstance(synthesized, bool):
             raise ModelError(f"lattice element {i}: formula and members must be "
                              "formula text, synthesized a boolean", code="schema")
-        formula = None if text is None else parse_assertive(text)
-        projector = None if raw.get("projector") is None else \
-            make_projector(decode_matrix(raw["projector"]), eps=eps)
+        try:
+            formula = None if text is None else parse_assertive(text)
+            projector = None if raw.get("projector") is None else \
+                make_projector(decode_array(raw["projector"], 2), eps=eps)
+            members = tuple(parse_assertive(m) for m in texts)
+        except ParseError as exc:
+            raise ModelError(f"lattice element {i}: {exc}", code="schema") from exc
+        except ProjectorError as exc:
+            raise ModelError(f"lattice element {i}: {exc}", code=exc.code) from exc
         index, rank = raw.get("index", i), raw.get("rank")
         if type(index) is not int or index != i or rank is not None and (
                 projector is None or type(rank) is not int or rank != projector.rank):
             raise ModelError(f"lattice element {i}: index {index!r} or rank {rank!r} "
                              "does not match its place or projector", code="schema")
-        members = tuple(parse_assertive(m) for m in texts)
         elements.append(LatticeElement(i, formula, projector, members, synthesized))
+    dims = sorted({e.projector.dim for e in elements if e.projector is not None})
+    if len(dims) > 1:
+        raise ModelError(f"lattice element projectors differ in dimension: {dims}",
+                         code="schema")
     return QuotientLattice(
         elements=elements,
         order=order,

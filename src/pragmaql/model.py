@@ -34,8 +34,7 @@ from .hilbert import (
     DEFAULT_EPS,
     Projector,
     StateVector,
-    decode_matrix,
-    decode_vector,
+    decode_array,
     make_projector,
     make_state,
 )
@@ -148,7 +147,7 @@ def load_model(document) -> Model:
     states: dict[str, StateVector] = {}
     for name, entries in _require(document, "states", dict).items():
         try:
-            states[name] = make_state(decode_vector(entries))
+            states[name] = make_state(decode_array(entries, 1))
         except ProjectorError as exc:
             raise ModelError(f"state {name!r}: {exc}", code=exc.code) from exc
 
@@ -168,11 +167,11 @@ def load_model(document) -> Model:
                         code="schema",
                     )
                 properties[name] = make_projector(
-                    [decode_vector(v) for v in vectors], dim=dim, eps=eps
+                    [decode_array(v, 1) for v in vectors], dim=dim, eps=eps
                 )
             else:
                 properties[name] = make_projector(
-                    decode_matrix(spec["matrix"]), dim=dim, eps=eps
+                    decode_array(spec["matrix"], 2), dim=dim, eps=eps
                 )
         except ProjectorError as exc:
             raise ModelError(f"property {name!r}: {exc}", code=exc.code) from exc

@@ -25,7 +25,7 @@ from pragmaql import (
     QuotientLattice,
     random_projector,
 )
-from pragmaql.hilbert import encode_matrix
+from pragmaql.hilbert import encode_array
 
 DEFAULT_ATOMS = ("p", "q", "r")
 
@@ -123,7 +123,7 @@ def seeded_c3_triple(seed):
     projs = [random_projector(3, 2, rng), random_projector(3, 2, rng),
              random_projector(3, 1, rng)]
     return {"dim": 3, "states": {},
-            "properties": {f"P{k}": {"matrix": encode_matrix(p.matrix)}
+            "properties": {f"P{k}": {"matrix": encode_array(p.matrix)}
                            for k, p in enumerate(projs)},
             "atoms": {f"a{k}": f"P{k}" for k in range(3)}}
 

@@ -402,6 +402,18 @@ def test_model_with_nan_state_is_domain_error(tmp_path, capsys):
     assert "z+" in err
 
 
+def test_model_with_an_entry_beyond_float_range_is_domain_error(tmp_path):
+    doc = bundled_model_document("qubit-zx")
+    doc["states"]["z+"] = [[10 ** 400, 0], [0, 0]]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = invoke_process("check", "-m", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "z+" in err
+
+
 def test_deeply_nested_formula_is_domain_error():
     formula = "N " * 5000 + "|- az"
     for argv in (["parse", "-f", formula],

@@ -28,11 +28,8 @@ from pragmaql.hilbert import (
     _class_tol,
     _pair_spans,
     _random_states,
-    decode_matrix,
-    decode_vector,
-    encode_complex,
-    encode_matrix,
-    encode_vector,
+    decode_array,
+    encode_array,
 )
 
 P_Z = make_projector(np.diag([1.0, 0.0]).astype(complex))
@@ -538,12 +535,21 @@ def test_complex_line_projector():
 
 
 def test_encode_decode_round_trip():
-    v = decode_vector([[1, 0], [0, 1]])
+    v = decode_array([[1, 0], [0, 1]], 1)
     assert np.array_equal(v, np.array([1, 1j]))
-    assert encode_vector(v) == [[1.0, 0.0], [0.0, 1.0]]
-    m = decode_matrix([[[0.5, 0], [0, -0.5]], [[0, 0.5], [0.5, 0]]])
+    assert encode_array(v) == [[1.0, 0.0], [0.0, 1.0]]
+    m = decode_array([[[0.5, 0], [0, -0.5]], [[0, 0.5], [0.5, 0]]], 2)
     assert np.array_equal(m, np.array([[0.5, -0.5j], [0.5j, 0.5]]))
-    assert decode_matrix(encode_matrix(m)).tolist() == m.tolist()
+    assert decode_array(encode_array(m), 2).tolist() == m.tolist()
+
+
+def test_decode_keeps_the_sign_of_zero():
+    # == cannot tell -0.0 from 0.0, and the JSON can
+    for entries in ([[-0.0, -0.0]], [[-0.0, 0.0], [0.0, -0.0]]):
+        v = decode_array(entries, 1)
+        assert json.dumps(encode_array(v)) == json.dumps(entries)
+    m = [[[-0.0, -0.0], [0.5, -0.0]], [[0.5, 0.0], [-0.0, 0.0]]]
+    assert json.dumps(encode_array(decode_array(m, 2))) == json.dumps(m)
 
 
 @pytest.mark.parametrize("values", [
@@ -553,21 +559,39 @@ def test_encode_decode_round_trip():
     np.array([[-0.0, 0.0], [0.0, -0.0]], dtype=np.complex64),
 ])
 def test_encoding_matches_encode_complex_per_entry(values):
+    def encode_complex(z):   # the per-entry reference
+        return [float(z.real), float(z.imag)]
+
     values.setflags(write=False)
     expected = [[encode_complex(z) for z in row] for row in values]
     # == cannot tell -0.0 from 0.0, and the JSON can
-    assert json.dumps(encode_matrix(values)) == json.dumps(expected)
-    assert json.dumps(encode_vector(values)) == json.dumps(
+    assert json.dumps(encode_array(values)) == json.dumps(expected)
+    assert json.dumps(encode_array(values.reshape(-1))) == json.dumps(
         [encode_complex(z) for z in values.reshape(-1)])
-    assert all(type(x) is float for row in encode_matrix(values) for z in row for x in z)
+    assert all(type(x) is float for row in encode_array(values) for z in row for x in z)
+    assert json.dumps(encode_array(decode_array(expected, 2))) == json.dumps(expected)
 
 
 def test_decode_rejects_malformed_entries():
-    with pytest.raises(ProjectorError):
-        decode_vector([[1, 0], [1]])
-    with pytest.raises(ProjectorError):
-        decode_vector([[1, 0], [True, 0]])
-    with pytest.raises(ProjectorError):
-        decode_matrix([[[1, 0]], [[0, 0], [1, 0]]])
-    with pytest.raises(ProjectorError):
-        decode_matrix([])
+    cases = [
+        ([[1, 0], [1]], 1),
+        ([[1, 0], [True, 0]], 1),
+        ([[[1, 0]], [[0, 0], [1, 0]]], 2),
+        ([], 2),
+        ([[1, 0], [10 ** 400, 0]], 1),
+        ([[[1, 0], [0, 0]], [[0, 0], [0, -(10 ** 400)]]], 2),
+        # ragged at the third level: one entry is not a pair
+        ([[[1, 0], [0, 0]], [[0, 0], [1]]], 2),
+        ([[[1, 0], [0, 0]], [[0, 0], [1, 0, 0]]], 2),
+        ([[[1, 0], [0, 0]], [[0, 0], [1, [0]]]], 2),
+        ([[1, 0], ["0", 0]], 1),
+        ([[1, 0], [None, 0]], 1),
+        ([[1, 0], [0, 1]], 2),
+        ([[[1, 0]]], 1),
+        ({"re": 1, "im": 0}, 1),
+        (7, 1),
+    ]
+    for entries, ndim in cases:
+        with pytest.raises(ProjectorError) as exc:
+            decode_array(entries, ndim)
+        assert exc.value.code == "schema", entries

@@ -839,3 +839,35 @@ def test_import_rejects_malformed_documents(mo2):
         with pytest.raises(ModelError) as info:
             import_lattice(doc)
         assert info.value.code == "schema"
+
+
+ZERO_2 = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+
+
+@pytest.mark.parametrize("key, value, code", [
+    ("projector", 7, "schema"),
+    ("projector", [[[True, 0], [0, 0]], ZERO_2[1]], "schema"),
+    ("projector", [[[10 ** 400, 0], [0, 0]], ZERO_2[1]], "schema"),
+    ("projector", [[[float("nan"), 0], [0, 0]], ZERO_2[1]], "schema"),
+    ("projector", [[[0.5, 0], [0, 0]], ZERO_2[1]], "not-idempotent"),
+    ("projector", [[[0, 0], [1, 0]], ZERO_2[1]], "not-hermitian"),
+    ("formula", "(|- az", "schema"),
+    ("members", ["(|- az)", "az &&"], "schema"),
+])
+def test_import_names_the_element_of_a_bad_projector_or_formula(mo2, key, value, code):
+    doc = json.loads(json.dumps(export_lattice(mo2, "structured")))
+    doc["elements"][1][key] = value
+    with pytest.raises(ModelError) as info:
+        import_lattice(doc)
+    assert info.value.code == code
+    assert str(info.value).startswith("lattice element 1: ")
+
+
+def test_import_rejects_projectors_of_different_dimensions(mo2):
+    doc = json.loads(json.dumps(export_lattice(mo2, "structured")))
+    assert doc["elements"][0]["rank"] in (0, 1)
+    doc["elements"][0].update(projector=[[[1, 0]]], rank=1)
+    with pytest.raises(ModelError) as info:
+        import_lattice(doc)
+    assert info.value.code == "schema"
+    assert "dimension" in str(info.value)

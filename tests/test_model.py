@@ -181,6 +181,22 @@ def test_schema_violations():
             assert exc.value.code == "schema"
 
 
+def test_entry_beyond_float_range_is_a_schema_error():
+    big = 10 ** 400
+    cases = [
+        ("states", "up", [[big, 0], [0, 0]]),
+        ("properties", "Eup", {"span": [[[1, 0], [0, -big]]]}),
+        ("properties", "Eup", {"matrix": [[[1, 0], [0, 0]], [[0, 0], [big, 0]]]}),
+    ]
+    for key, name, value in cases:
+        doc = minimal_document()
+        doc[key][name] = value
+        with pytest.raises(ModelError) as exc:
+            load_model(doc)
+        assert exc.value.code == "schema"
+        assert repr(name) in str(exc.value)
+
+
 def test_dim_above_the_cap_is_a_schema_error():
     # rejected before any dim x dim matrix is allocated
     doc = {"dim": 4097, "states": {}, "properties": {"E": {"span": []}},
