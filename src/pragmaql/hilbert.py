@@ -22,7 +22,11 @@ these rules, written once, here (``eps``: the model tolerance, default 1e-9).
 - Class merge: projectors within ``10 * eps`` are one quotient class, and
   a lattice's negation table is checked against ``ortho`` at that bound.
   Its meet and join tables are checked by rank count at the rank cutoff,
-  with the inclusions they need decided by ``leq``.
+  with the inclusions they need decided by ``leq``.  Generation names a
+  meet or join class by rank count only where rounding at the cutoff
+  cannot move it: no earlier class within ``10 * eps`` plus the cutoff of
+  a named operand, the same first class of the zero or identity matrix at
+  ``10 * eps`` minus and plus the cutoff, and a cutoff of at most ``10 * eps``.
 - In ``evaluation``: TRUE at probability |p - 1| <= eps, FALSE at p <= eps.
 
 Each test is written so that a NaN deviation fails it, and a projector
@@ -348,6 +352,14 @@ def _pair_spans(a: np.ndarray, b: np.ndarray, eps: float,
     m += m.conj().swapaxes(1, 2)   # in place: the temporaries stay small
     m /= 2.0
     return m, np.count_nonzero(kept, axis=1)
+
+
+def _span_dims(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
+    """The dimension of the span of the ranges of ``a[k]`` and ``b[k]`` for
+    each k: the singular values of [A; B] above the rank cutoff, from one
+    values-only SVD.  They are those of ``_pair_spans``'s join."""
+    s = np.linalg.svd(np.concatenate([a, b], axis=1), compute_uv=False)
+    return np.count_nonzero(s > _rank_cutoff(eps, a.shape[-1]), axis=1)
 
 
 def leq(p: Projector, q: Projector, eps: float = DEFAULT_EPS) -> bool:

@@ -38,7 +38,9 @@ from .hilbert import (
     make_projector,
     ortho,
 )
-from .hilbert import _class_tol, _deviation, _is_tolerance, _nested, _pair_spans, _rank_cutoff
+from .hilbert import (
+    _class_tol, _deviation, _is_tolerance, _nested, _pair_spans, _rank_cutoff, _span_dims,
+)
 from .model import Model
 
 __all__ = [
@@ -115,8 +117,9 @@ class QuotientLattice:
 MAX_CLASSES = 1024
 
 # matrix entries per batched temporary: per chunk of pairs in generation
-# (2 dim x dim entries a pair: 32 pairs at dim 16, 512 at dim 4), per
-# class-lookup temporary and per batch of span SVDs in verification.  It
+# (2 dim x dim entries a pair: 32 pairs at dim 16, 512 at dim 4), for its
+# rank SVD and its kernel calls alike, per class-lookup temporary and per
+# batch of span SVDs in verification.  It
 # bounds the peak memory at dim 16: generation chunks four times as large
 # were no faster there but tripled its peak traced memory
 _BATCH_ENTRIES = 2**14
@@ -136,22 +139,39 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
     negation/meet/join tables as it is found, so the tables are total when
     a round finds no new class (saturation).
 
-    Classes live in one store: arrays of the projector matrices and of the
-    ranks, which grow together.  The lattice's ``Projector`` objects are
-    built from them once, when it is assembled.
+    Classes live in one store: arrays of the projector matrices, the ranks
+    and a crowded flag, which grow together.  The lattice's ``Projector``
+    objects are built from them once, when it is assembled.
 
     A round combines only classes that existed when it began, so its i < j
     pairs are taken in chunks of ``_BATCH_ENTRIES // (2 dim**2)`` pairs, in
-    row-major order.  Each chunk goes through ``pragmaql.hilbert._pair_spans``
-    once per connective: one stacked SVD of the pairs' projectors, whose
+    row-major order.  Each chunk first gets one values-only SVD of the
+    stacked projectors [P_i; P_j] (``pragmaql.hilbert._span_dims``): s_ij,
+    its count of singular values above the rank cutoff, is the dimension of
+    the span.  By Grassmann's identity, dim(U meet W) + dim(U join W) =
+    dim U + dim W, that count names most entries with no vectors at all:
+    s_ij = r_i puts j below i, so the join is i and the meet j, and s_ij =
+    r_j the other way round (neither when r_i = r_j: one range, two
+    classes); s_ij = r_i + r_j makes the meet the zero matrix and s_ij = dim
+    the join the identity.  A named entry must be the class the kernel's
+    result, off the exact one by rounding at the cutoff, would find, so the
+    kernel still decides an operand that is crowded (an earlier class lies
+    within ``class_tol`` plus the cutoff of it) and a bound whose first
+    class differs between ``class_tol`` minus and plus the cutoff.  Past a
+    cutoff of ``class_tol`` (dim > 100) the kernel decides every entry and
+    no rank SVD runs.
+
+    The other entries go through ``pragmaql.hilbert._pair_spans``, one
+    connective at a time: one stacked SVD of the pairs' projectors, whose
     ranks are those of ``meet``/``join`` and whose matrices differ from
     theirs by rounding only; a pair's result does not depend on its chunk.
     Each result's first class within ``class_tol`` among the classes made so
     far comes from one batched distance, at most ``_BATCH_ENTRIES`` entries
     per temporary.  The pairs are then recorded in order: a result with no
-    hit is compared with the classes made since, and becomes a new class if
-    it matches none.  Indices, members and tables therefore come out as a
-    pair-by-pair loop would make them.
+    hit, and a bound named before its class exists, is compared with the
+    classes made since, and becomes a new class if it matches none.
+    Indices, members and tables therefore come out as a pair-by-pair loop
+    of the kernel would make them.
 
     ``depth`` counts connective nesting.  Rounds 1 to ``depth`` enumerate:
     operands are each class's first-found formula, and every result joins
@@ -168,6 +188,10 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
     ``class_tol`` merges the zero or the identity projector into another
     class leaves no bottom or top: ``ModelError(code="coarse-tolerance")``.
     """
+    if isinstance(atoms, str):
+        raise TypeError("atoms must be a sequence of atom names, not one string")
+    if isinstance(depth, bool) or not isinstance(depth, int):
+        raise TypeError(f"depth must be an int, got {type(depth).__name__}")
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     atoms = list(dict.fromkeys(str(a) for a in atoms))
@@ -176,18 +200,23 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
     initial = [model.atom_projector(a) for a in atoms]
 
     d, eps = model.dim, model.eps
-    tol = _class_tol(eps)
-    # the class store: projector matrices and ranks
+    tol, cutoff = _class_tol(eps), _rank_cutoff(eps, d)
+    chunk = max(1, _BATCH_ENTRIES // (2 * d * d))
+    # the class store: projector matrices, ranks and crowded flags
     stack = np.empty((16, d, d), dtype=np.complex128)
     ranks = np.empty(len(stack), dtype=int)
+    crowded = np.empty(len(stack), dtype=bool)
     members: list[list[AssertiveFormula]] = []
     operands: list[AssertiveFormula] = []   # first members, then representatives
     neg: list[int] = []
     meets: dict[tuple[int, int], int] = {}   # i < j only
     joins: dict[tuple[int, int], int] = {}
-    # each kernel reads the class store as it is when it runs
-    steps = [(lambda i, j: _pair_spans(stack[i], stack[j], eps, True), K, meets),
-             (lambda i, j: _pair_spans(stack[i], stack[j], eps, False), AQ, joins)]
+    steps = [(True, K, meets), (False, AQ, joins)]
+    # the meet's bottom and the join's top as the rank count names them, and
+    # each one's first class if it is the same at tol -/+ cutoff: -1 while no
+    # class is within tol + cutoff, -2 where rounding could move it
+    bounds = np.stack([np.zeros((d, d)), np.eye(d)]).astype(np.complex128)
+    settled = np.full(2, -1)
     # the class count when enumeration ended; no class index reaches it before
     enumerated = MAX_CLASSES + 1
 
@@ -200,7 +229,7 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
         called only when the class joins it or is new.  The class store
         doubles its capacity when full.
         """
-        nonlocal stack, ranks
+        nonlocal stack, ranks, crowded
         n = len(members)
         if hit < 0:
             later = np.flatnonzero(_deviation(stack[searched:n], matrix) <= tol)
@@ -214,28 +243,65 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
                              f"{n + 1}, past the budget of {MAX_CLASSES}",
                              code="not-saturated")
         if n == len(stack):
-            stack, ranks = (np.concatenate([a, np.empty_like(a)]) for a in (stack, ranks))
+            stack, ranks, crowded = (np.concatenate([a, np.empty_like(a)])
+                                     for a in (stack, ranks, crowded))
         stack[n], ranks[n] = matrix, rank
+        # the kernel's copy of a class is off it by up to the cutoff, so it
+        # may lie within tol of an earlier class when this one is crowded
+        crowded[n] = bool((_deviation(stack[:n], matrix) <= tol + cutoff).any())
+        near = _deviation(bounds, matrix)
+        first = (settled == -1) & (near <= tol + cutoff)
+        settled[first] = np.where(near[first] <= tol - cutoff, n, -2)
         members.append([formula()])
         operands.append(members[n][0])
         return n
 
-    def results(batch, i: np.ndarray, j: np.ndarray):
+    def named(meet: bool, i: np.ndarray, j: np.ndarray,
+              span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(decided, hit) for each pair's meet (``meet`` true) or join:
+        whether the pair's span dimension ``span`` names the entry, and its
+        class where it does.
+
+        Span r_i (r_i != r_j) names the join i and the meet j, span r_j the
+        other way round, unless the named class is crowded.  Span r_i + r_j
+        names the meet, span dim the join, as the bound ``settled`` holds:
+        its class, -1 for one not made yet, or -2 (not named) where
+        rounding at the cutoff could move it.
+        """
+        ri, rj = ranks[i], ranks[j]
+        bound = settled[0 if meet else 1]
+        decided = (span == (ri + rj if meet else d)) & (bound > -2)
+        hit = np.full(len(i), bound)
+        for r, upper, lower in ((ri, i, j), (rj, j, i)):
+            operand = lower if meet else upper
+            rule = (span == r) & (ri != rj) & ~crowded[operand]
+            hit = np.where(rule, operand, hit)
+            decided |= rule
+        return decided, hit
+
+    def results(batch, i: np.ndarray, j: np.ndarray, span: np.ndarray):
         """For each pair (i_k, j_k) in turn, one (matrix, rank, hit, searched)
-        per step of ``batch``.  Pairs are taken ``_BATCH_ENTRIES // (2 dim**2)``
-        at a time: each step's kernel runs on the chunk, then ``hit`` is each
-        result's first class within ``tol`` among the ``searched`` classes
-        made by then, or -1."""
-        chunk = max(1, _BATCH_ENTRIES // (2 * d * d))
+        per step of ``batch``, ``chunk`` pairs at a time.  An entry that the
+        span dimension ``span`` names takes its class, and the exact zero or
+        identity matrix for a bound.  The others go through the step's
+        kernel; ``hit`` is each result's first class within ``tol`` among
+        the ``searched`` classes made by then, or -1."""
         for at in range(0, len(i), chunk):
-            ic, jc = i[at:at + chunk], j[at:at + chunk]
-            n = len(members)
+            k = slice(at, at + chunk)
+            ic, jc, n = i[k], j[k], len(members)
             found = []
-            for kernel, _, _ in batch:
-                mats, rks = kernel(ic, jc)
-                found.append((mats, rks, _first_hits(stack[:n], mats, tol)))
-            for k in range(len(ic)):
-                yield [(mats[k], rks[k], int(hits[k]), n) for mats, rks, hits in found]
+            for meet, _, _ in batch:
+                decided, hits = named(meet, ic, jc, span[k])
+                bound = (bounds[0], 0) if meet else (bounds[1], d)
+                outcome = [(*bound, h, n) for h in hits.tolist()]
+                rest = np.flatnonzero(~decided)
+                if rest.size:
+                    mats, rks = _pair_spans(stack[ic[rest]], stack[jc[rest]], eps, meet)
+                    for r, m, rk, h in zip(rest.tolist(), mats, rks.tolist(),
+                                           _first_hits(stack[:n], mats, tol).tolist()):
+                        outcome[r] = (m, rk, h, n)
+                found.append(outcome)
+            yield from zip(*found)
 
     # shortlex: plain lexicographic order would favor longer members, since
     # "(" sorts below every other formula character
@@ -263,6 +329,14 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
         # the pairs i < j that include a class new in the last round, row-major
         pi, pj = np.triu_indices(count, 1)
         pi, pj = pi[pj >= seen], pj[pj >= seen]
+        # each pair's span dimension, or -1, which names no entry.  Past a
+        # cutoff of tol (dim > 100) the kernel's copy of a class may lie
+        # beyond tol of it, so no entry is named by rank there
+        span = np.full(len(pi), -1)
+        if cutoff <= tol:
+            for at in range(0, len(pi), chunk):
+                k = slice(at, at + chunk)
+                span[k] = _span_dims(stack[pi[k]], stack[pj[k]], eps)
         # the order fixes class indices and member order: enumeration
         # applies one connective to all pairs before the next, closure
         # applies both to each pair in turn.  While enumerating, the pairs
@@ -270,7 +344,7 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
         # row-major order, and (i, i) is class i
         passes = [[step] for step in steps] if enumerating else [steps]
         for batch in passes:
-            found = results(batch, pi, pj)
+            found = results(batch, pi, pj, span)
             for i in range(count):
                 start = (seen if i < seen else 0) if enumerating else max(i + 1, seen)
                 for j in range(start, count):

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+import pragmaql.hilbert
 import pragmaql.lattice
 from pragmaql import (
     LatticeElement,
@@ -33,7 +34,7 @@ from pragmaql import (
     zero_projector,
 )
 
-from pragmaql.hilbert import join, leq, meet
+from pragmaql.hilbert import _pair_spans, join, leq, meet
 
 from helpers import blocksum, o6_fixture, seeded_c3_triple
 
@@ -122,25 +123,74 @@ def test_generation_argument_errors(qubit):
         generate_quotient(qubit, ["nosuch"], 2)
 
 
+@pytest.mark.parametrize("atoms, depth", [
+    ("az", 1),          # one string is not a list of atom names
+    ("az,ax", 1),
+    (["az"], "2"),
+    (["az"], 1.5),
+    (["az"], 2.0),
+    (["az"], True),
+    (["az"], None),
+])
+def test_generation_rejects_a_string_of_atoms_and_a_depth_that_is_no_int(qubit, atoms, depth):
+    with pytest.raises(TypeError):
+        generate_quotient(qubit, atoms, depth)
+
+
+def named_entries(lat):
+    """For each i < j, whether the rank rules of generation name the meet and
+    the join, with s_ij read off the join table: span r_i or r_j (r_i != r_j)
+    names both, r_i + r_j the meet (bottom) and dim the join (top)."""
+    n, d = len(lat), lat.projector(0).dim
+    r = np.array([lat.projector(c).rank for c in range(n)])
+    i, j = np.triu_indices(n, 1)
+    s = r[lat.join_table[i, j]]
+    operand = ((s == r[i]) | (s == r[j])) & (r[i] != r[j])
+    return operand | (s == r[i] + r[j]), operand | (s == d)
+
+
+def assert_no_class_near_a_threshold(lat):
+    # where no class is crowded and no class lies within class_tol -/+ the
+    # rank cutoff of the zero or identity matrix, the rank rules decide
+    # every entry they name
+    stack = np.stack([lat.projector(c).matrix for c in range(len(lat))])
+    d = stack.shape[1]
+    cutoff = lat.eps * np.sqrt(d)
+    far = np.abs(stack[:, None] - stack[None]).max(axis=(2, 3)) + np.eye(len(lat)) * 2
+    assert far.min() > lat.class_tol + cutoff
+    for bound in (np.zeros((d, d)), np.eye(d)):
+        dist = np.abs(stack - bound).max(axis=(1, 2))
+        assert not ((dist > lat.class_tol - cutoff) & (dist <= lat.class_tol + cutoff)).any()
+
+
 @pytest.mark.parametrize("name, atoms, depth", [
     ("qubit-zx", ("az", "ax"), 3),
     ("qutrit-lines", ("aa", "ab", "ap"), 1),
+    ("ququart-planes", ("bl", "bd", "bc"), 1),
 ])
-def test_generation_combines_each_class_pair_once(all_models, monkeypatch,
-                                                  name, atoms, depth):
-    # generation combines pairs through the batched kernel: count its rows
-    calls = {"meet": 0, "join": 0}
-    pair_spans = pragmaql.lattice._pair_spans
+def test_generation_takes_one_rank_row_per_pair_and_kernel_rows_for_the_rest(
+        all_models, monkeypatch, name, atoms, depth):
+    # each unordered pair i < j is one row of the values-only rank SVD; the
+    # kernel then takes exactly the entries that the rank count names no class for
+    calls = {"rank": 0, "meet": 0, "join": 0}
+    span_dims, pair_spans = pragmaql.lattice._span_dims, pragmaql.lattice._pair_spans
 
-    def counted(a, b, eps, meet):
+    def counted_ranks(a, b, eps):
+        calls["rank"] += len(a)
+        return span_dims(a, b, eps)
+
+    def counted_kernel(a, b, eps, meet):
         calls["meet" if meet else "join"] += len(a)
         return pair_spans(a, b, eps, meet)
 
-    monkeypatch.setattr(pragmaql.lattice, "_pair_spans", counted)
+    monkeypatch.setattr(pragmaql.lattice, "_span_dims", counted_ranks)
+    monkeypatch.setattr(pragmaql.lattice, "_pair_spans", counted_kernel)
     lat = generate_quotient(all_models[name], atoms, depth)
-    # K and AQ commute and are idempotent: one row per unordered pair i < j
+    assert_no_class_near_a_threshold(lat)
+    meet_named, join_named = named_entries(lat)
     pairs = len(lat) * (len(lat) - 1) // 2
-    assert calls == {"meet": pairs, "join": pairs}
+    assert calls == {"rank": pairs, "meet": int((~meet_named).sum()),
+                     "join": int((~join_named).sum())}
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -189,14 +239,20 @@ def test_class_tol_that_merges_in_the_other_atom_order_leaves_laws_failing():
     ("ququart-planes", ("bl", "bd", "bc")),
     ("qutrit-lines", ("aa", "ab", "ap")),
 ])
-def test_generation_makes_one_svd_per_kernel_call(monkeypatch, name, atoms):
+def test_generation_svds_are_its_rank_chunks_and_its_kernel_calls(monkeypatch, name, atoms):
     # a fresh model, so no projector arrives with its basis already cached
     # and any basis generation computed would be counted.  It keeps none:
-    # each call of the batched kernel makes one stacked SVD for its chunk of
-    # pairs, and nothing else makes one
+    # each chunk of pairs takes one values-only SVD for its rank counts,
+    # each call of the batched kernel one stacked SVD, and nothing else
+    # makes one
     model = bundled_model(name)
-    calls = {"svd": 0, "kernel": 0}
-    svd, pair_spans = np.linalg.svd, pragmaql.lattice._pair_spans
+    calls = {"values": 0, "full": 0, "rank": 0, "kernel": 0}
+    svd, span_dims = np.linalg.svd, pragmaql.lattice._span_dims
+    pair_spans = pragmaql.lattice._pair_spans
+
+    def counted_svd(a, *args, **kwargs):
+        calls["full" if kwargs.get("compute_uv", True) else "values"] += 1
+        return svd(a, *args, **kwargs)
 
     def counted(key, function):
         def wrapper(*args, **kwargs):
@@ -204,11 +260,12 @@ def test_generation_makes_one_svd_per_kernel_call(monkeypatch, name, atoms):
             return function(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(pragmaql.lattice, "_span_dims", counted("rank", span_dims))
     monkeypatch.setattr(pragmaql.lattice, "_pair_spans", counted("kernel", pair_spans))
     generate_quotient(model, list(atoms), 1)
-    assert calls["kernel"] > 0
-    assert calls["svd"] == calls["kernel"]
+    assert calls["rank"] > 0 and calls["kernel"] > 0
+    assert (calls["values"], calls["full"]) == (calls["rank"], calls["kernel"])
 
 
 # sha256 of each export's float-free content, recorded before generation
@@ -314,6 +371,73 @@ def test_block_sum_lattices_match_their_symbolic_lattice(dim):
         for table, op in ((lat.meet_table, blocksum.meet), (lat.join_table, blocksum.join)):
             assert table.tolist() == [[index[op(element[a], element[b])] for b in range(n)]
                                       for a in range(n)]
+
+
+def span_model(dim, *spans, eps=1e-9):
+    """A model whose atoms a0, a1, ... project onto the spans of the real
+    vectors in each of ``spans``."""
+    return pragmaql.load_model({
+        "dim": dim, "eps": eps, "states": {},
+        "properties": {f"P{k}": {"span": [[[float(x), 0.0] for x in v] for v in vectors]}
+                       for k, vectors in enumerate(spans)},
+        "atoms": {f"a{k}": f"P{k}" for k in range(len(spans))},
+    })
+
+
+def differential_lattices(family, monkeypatch):
+    if family == "bundled":
+        for model in (bundled_model(name) for name in
+                      ("qubit-zx", "qutrit-lines", "ququart-planes")):
+            for depth in (1, 2, 3):
+                yield generate_quotient(model, sorted(model.atom_map), depth)
+    elif family == "block-sum":
+        for dim in range(2, 17):
+            bs, _ = blocksum.draw(np.random.default_rng([dim, 7]),
+                                  np.random.default_rng([dim, 7, 1]), dim, 2 + dim % 3, (4, 32))
+            model = pragmaql.load_model(blocksum.document(bs))
+            yield generate_quotient(model, list(model.atom_map), 1)
+    elif family == "crowded":
+        # the line a1 is 1.5 eps off the plane a2, inside the rank cutoff, so
+        # rank names a1 their meet; but a0 lies 10.4 eps from a1 on the other
+        # side of the plane, so a1 is crowded, and the kernel's meet, turned
+        # toward the plane, lies within class_tol of a0
+        eps, line = 1e-9, lambda t: [(np.cos(t), 0.0, np.sin(t))]
+        yield generate_quotient(span_model(3, line(-8.9 * eps), line(1.5 * eps),
+                                           [(1, 0, 0), (0, 1, 0)]), ["a0", "a1", "a2"], 1)
+    elif family == "one-range":
+        # two lines of C^64 10.5 eps apart: two classes, one range by the
+        # cutoff of 8 eps, since sqrt(1 - cos theta) is 7.4 eps
+        eps, unit = 1e-9, lambda t: [(np.cos(t), np.sin(t)) + (0.0,) * 62]
+        yield generate_quotient(span_model(64, unit(0.0), unit(10.5 * eps)), ["a0", "a1"], 1)
+    elif family == "coarse":
+        yield generate_quotient(coarse_qubit(), ["az", "ax"], 2)
+    elif family == "wide-cutoff":
+        # past dim 100 the rank cutoff exceeds class_tol; at dim 256 it is
+        # 16 eps, given here to C^3 so the kernel stays cheap.  The line a1 is
+        # 21 eps off the plane a0, inside that cutoff, and the kernel's meet
+        # lies 10.5 eps from a1: a class that no rank count names
+        wide = lambda eps, dim: 16 * eps
+        monkeypatch.setattr(pragmaql.hilbert, "_rank_cutoff", wide)
+        monkeypatch.setattr(pragmaql.lattice, "_rank_cutoff", wide)
+        line = [(np.cos(21e-9), 0.0, np.sin(21e-9))]
+        yield generate_quotient(span_model(3, [(1, 0, 0), (0, 1, 0)], line), ["a0", "a1"], 1)
+
+
+@pytest.mark.parametrize("family", ["bundled", "block-sum", "crowded", "one-range", "coarse",
+                                    "wide-cutoff"])
+def test_every_table_entry_is_the_first_class_of_the_kernel_result(monkeypatch, family):
+    # the entries the rank count names, and the guards that hand some of
+    # them back to the kernel, must give the class the kernel's own result
+    # would find: the first within class_tol among all classes
+    for lat in differential_lattices(family, monkeypatch):
+        stack = np.stack([lat.projector(c).matrix for c in range(len(lat))])
+        i, j = np.triu_indices(len(lat), 1)
+        for meet, table in ((True, lat.meet_table), (False, lat.join_table)):
+            mats, _ = _pair_spans(stack[i], stack[j], lat.eps, meet)
+            close = np.stack([np.abs(mats - p).max(axis=(1, 2)) <= lat.class_tol
+                              for p in stack], axis=1)
+            assert close.any(axis=1).all()
+            assert table[i, j].tolist() == close.argmax(axis=1).tolist(), (family, meet)
 
 
 def test_order_is_a_partial_order(mo2):
@@ -596,7 +720,13 @@ def test_checks_match_loop_reference_on_random_edits(request, name, seed):
 def test_isomorphism_catches_a_generator_that_drops_rank_one_meets(ququart, monkeypatch):
     # a corrupted meet still yields a closed, self-consistent table, so only
     # recomputing meets independently of the generator can expose it
-    pair_spans = pragmaql.lattice._pair_spans
+    span_dims, pair_spans = pragmaql.lattice._span_dims, pragmaql.lattice._pair_spans
+
+    def undecided(a, b, eps):
+        # a span count that matches no rank rule sends the pair to the kernel
+        span = span_dims(a, b, eps)
+        ranks = [np.rint(np.trace(m, axis1=1, axis2=2).real).astype(int) for m in (a, b)]
+        return np.where(ranks[0] + ranks[1] - span == 1, -1, span)
 
     def lossy(a, b, eps, meet):
         mats, ranks = pair_spans(a, b, eps, meet)
@@ -605,6 +735,7 @@ def test_isomorphism_catches_a_generator_that_drops_rank_one_meets(ququart, monk
             mats[line], ranks[line] = 0, 0   # the zero projector
         return mats, ranks
 
+    monkeypatch.setattr(pragmaql.lattice, "_span_dims", undecided)
     monkeypatch.setattr(pragmaql.lattice, "_pair_spans", lossy)
     lat = generate_quotient(ququart, ["bl", "bd", "bc"], 1)
     # the order is read off the meet table, so it is wrong too: the line bc
