@@ -357,7 +357,8 @@ def _pair_spans(a: np.ndarray, b: np.ndarray, eps: float,
 def _span_dims(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
     """The dimension of the span of the ranges of ``a[k]`` and ``b[k]`` for
     each k: the singular values of [A; B] above the rank cutoff, from one
-    values-only SVD.  They are those of ``_pair_spans``'s join."""
+    values-only SVD: those of ``_pair_spans``'s join and, in exact arithmetic,
+    of the [B_a | B_b] ``join`` counts.  Lattice generation and verification count by it."""
     s = np.linalg.svd(np.concatenate([a, b], axis=1), compute_uv=False)
     return np.count_nonzero(s > _rank_cutoff(eps, a.shape[-1]), axis=1)
 

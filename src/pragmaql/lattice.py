@@ -6,10 +6,10 @@ meet and join tables, the class order read off the meet table (i is below
 j when their meet is class i), and bottom/top.  The lattice is checked
 against the ortholattice and orthomodular laws, and for order-isomorphism
 onto its own projectors: the order by ``leq``, and meets and joins by
-dimension count (Grassmann's identity), with one values-only SVD per
-unordered pair that checks both of its table entries.  ``export_lattice``
-and ``import_lattice`` write and read it.  Tolerances follow the policy in
-``pragmaql.hilbert``.
+dimension count (Grassmann's identity), from the span counts that
+generation names entries by: one values-only SVD of the stacked projectors
+per chunk of pairs.  ``export_lattice`` and ``import_lattice`` write and
+read it.  Tolerances follow the policy in ``pragmaql.hilbert``.
 """
 
 from __future__ import annotations
@@ -116,10 +116,9 @@ class QuotientLattice:
 # infinite lattice, which no number of rounds saturates
 MAX_CLASSES = 1024
 
-# matrix entries per batched temporary: per chunk of pairs in generation
-# (2 dim x dim entries a pair: 32 pairs at dim 16, 512 at dim 4), for its
-# rank SVD and its kernel calls alike, per class-lookup temporary and per
-# batch of span SVDs in verification.  It
+# matrix entries per batched temporary: per chunk of pairs (2 dim x dim
+# entries a pair: 32 pairs at dim 16, 512 at dim 4), for every span-count
+# SVD and generation's kernel calls, and per class-lookup temporary.  It
 # bounds the peak memory at dim 16: generation chunks four times as large
 # were no faster there but tripled its peak traced memory
 _BATCH_ENTRIES = 2**14
@@ -146,20 +145,19 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
     A round combines only classes that existed when it began, so its i < j
     pairs are taken in chunks of ``_BATCH_ENTRIES // (2 dim**2)`` pairs, in
     row-major order.  Each chunk first gets one values-only SVD of the
-    stacked projectors [P_i; P_j] (``pragmaql.hilbert._span_dims``): s_ij,
-    its count of singular values above the rank cutoff, is the dimension of
-    the span.  By Grassmann's identity, dim(U meet W) + dim(U join W) =
-    dim U + dim W, that count names most entries with no vectors at all:
+    stacked projectors [P_i; P_j] (``_pair_span_dims``): s_ij, its count
+    of singular values above the rank cutoff, is the dimension of the span.
+    By Grassmann's identity, dim(U meet W) + dim(U join W) = dim U + dim W,
+    that count names most entries with no vectors at all:
     s_ij = r_i puts j below i, so the join is i and the meet j, and s_ij =
-    r_j the other way round (neither when r_i = r_j: one range, two
-    classes); s_ij = r_i + r_j makes the meet the zero matrix and s_ij = dim
-    the join the identity.  A named entry must be the class the kernel's
-    result, off the exact one by rounding at the cutoff, would find, so the
-    kernel still decides an operand that is crowded (an earlier class lies
-    within ``class_tol`` plus the cutoff of it) and a bound whose first
-    class differs between ``class_tol`` minus and plus the cutoff.  Past a
-    cutoff of ``class_tol`` (dim > 100) the kernel decides every entry and
-    no rank SVD runs.
+    r_j the other way round; s_ij = r_i + r_j makes the meet the zero
+    matrix and s_ij = dim the join the identity.  A named entry must be the
+    class the kernel's result, off the exact one by rounding at the cutoff,
+    would find, so the kernel still decides an operand that is crowded (an
+    earlier class lies within ``class_tol`` plus the cutoff of it) and a
+    bound whose first class differs between ``class_tol`` minus and plus
+    the cutoff.  Past a cutoff of ``class_tol`` (dim > 100) the kernel
+    decides every entry and no rank SVD runs.
 
     The other entries go through ``pragmaql.hilbert._pair_spans``, one
     connective at a time: one stacked SVD of the pairs' projectors, whose
@@ -262,11 +260,13 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
         whether the pair's span dimension ``span`` names the entry, and its
         class where it does.
 
-        Span r_i (r_i != r_j) names the join i and the meet j, span r_j the
-        other way round, unless the named class is crowded.  Span r_i + r_j
-        names the meet, span dim the join, as the bound ``settled`` holds:
-        its class, -1 for one not made yet, or -2 (not named) where
-        rounding at the cutoff could move it.
+        Span r_i names the join i and the meet j, span r_j the other way
+        round, unless the named class is crowded.  Where r_i = r_j (one
+        range, two classes) the later one is crowded, so both name the
+        earlier, which the kernel's result lies within cutoff / sqrt 2 of.
+        Span r_i + r_j names the meet, span dim the join, as the bound
+        ``settled`` holds: its class, -1 for one not made yet, or -2 (not
+        named) where rounding at the cutoff could move it.
         """
         ri, rj = ranks[i], ranks[j]
         bound = settled[0 if meet else 1]
@@ -274,7 +274,7 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
         hit = np.full(len(i), bound)
         for r, upper, lower in ((ri, i, j), (rj, j, i)):
             operand = lower if meet else upper
-            rule = (span == r) & (ri != rj) & ~crowded[operand]
+            rule = (span == r) & ~crowded[operand]
             hit = np.where(rule, operand, hit)
             decided |= rule
         return decided, hit
@@ -332,11 +332,7 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
         # each pair's span dimension, or -1, which names no entry.  Past a
         # cutoff of tol (dim > 100) the kernel's copy of a class may lie
         # beyond tol of it, so no entry is named by rank there
-        span = np.full(len(pi), -1)
-        if cutoff <= tol:
-            for at in range(0, len(pi), chunk):
-                k = slice(at, at + chunk)
-                span[k] = _span_dims(stack[pi[k]], stack[pj[k]], eps)
+        span = _pair_span_dims(stack, pi, pj, eps) if cutoff <= tol else np.full(len(pi), -1)
         # the order fixes class indices and member order: enumeration
         # applies one connective to all pairs before the next, closure
         # applies both to each pair in turn.  While enumerating, the pairs
@@ -382,6 +378,17 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
         eps=eps,
         class_tol=tol,
     )
+
+
+def _pair_span_dims(stack: np.ndarray, i, j, eps: float) -> np.ndarray:
+    """The span dimension of the ranges of ``stack[i_k]`` and ``stack[j_k]``
+    for each k, by ``_span_dims`` in chunks of ``_BATCH_ENTRIES // (2 dim**2)``."""
+    chunk = max(1, _BATCH_ENTRIES // (2 * stack.shape[-1] ** 2))
+    span = np.empty(len(i), dtype=int)
+    for at in range(0, len(i), chunk):
+        k = slice(at, at + chunk)
+        span[k] = _span_dims(stack[i[k]], stack[j[k]], eps)
+    return span
 
 
 def _first_hits(stack: np.ndarray, mats: np.ndarray, tol: float) -> np.ndarray:
@@ -472,48 +479,6 @@ def find_distributivity_violation(lat: QuotientLattice) -> tuple[int, int, int] 
     return None
 
 
-def _groups(keys: np.ndarray):
-    """(key, indices of the entries with that key) for each distinct key, in
-    increasing key order."""
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    ends = [*(np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist(), len(keys)]
-    start = 0
-    for end in ends:
-        if end > start:
-            yield int(ordered[start]), order[start:end]
-        start = end
-
-
-def _pair_rows(u, ranks, i, j, width):
-    """The transpose of [B_i | B_j] for each pair k, all of width r_i + r_j =
-    ``width``: row t is column t of B_i below r_i, else column t - r_i of B_j."""
-    t = np.arange(width)
-    first = t < ranks[i, None]
-    return u[np.where(first, i[:, None], j[:, None]), :,
-             np.where(first, t, t - ranks[i, None])]   # (pairs, width, dim)
-
-
-def _span_ranks(u: np.ndarray, ranks: np.ndarray, i: np.ndarray, j: np.ndarray,
-                tol: float) -> np.ndarray:
-    """For each pair (i_k, j_k), the number of singular values above ``tol``
-    of [B_i | B_j], with B_c the first ``ranks[c]`` columns of ``u[c]``: the
-    dimension of the span of the two ranges.
-
-    Pairs with one column count r_i + r_j share one values-only SVD, in
-    batches of at most ``_BATCH_ENTRIES`` matrix entries.  Each batch holds
-    the transposes of the [B_i | B_j], which have the same singular values.
-    """
-    counts = np.zeros(len(i), dtype=int)
-    for c, picked in _groups(ranks[i] + ranks[j]):
-        step = max(1, _BATCH_ENTRIES // max(1, c * u.shape[1]))
-        for at in range(0, len(picked), step):
-            k = picked[at:at + step]
-            rows = _pair_rows(u, ranks, i[k], j[k], c)
-            counts[k] = np.count_nonzero(np.linalg.svd(rows, compute_uv=False) > tol, axis=1)
-    return counts
-
-
 def verify_isomorphism(lat: QuotientLattice) -> LawReport:
     """The class-to-projector map is an order isomorphism.
 
@@ -527,12 +492,13 @@ def verify_isomorphism(lat: QuotientLattice) -> LawReport:
     right when M is below i and j and has rank r_i + r_j - s_ij, and the
     join entry J when i and j are below J and J has rank s_ij.  By
     Grassmann's identity, dim(U meet W) + dim(U join W) = dim U + dim W,
-    this forces M = U meet W and J = U join W.  Ranks and range bases come
-    from one SVD of the class matrices, not from their stored ranks; s_ij
-    is one values-only SVD per unordered pair, which checks both
-    table[i, j] and table[j, i].  The counterexample names the first failed
-    aspect (injective, order, negation, then meet before join at each
-    pair), row-major within it.
+    this forces M = U meet W and J = U join W.  Ranks come from one
+    values-only SVD of the class matrices, not from their stored ranks;
+    s_ij from generation's count (``_pair_span_dims``), one values-only
+    [P_i; P_j] row per unordered pair, which checks both table[i, j] and
+    table[j, i].  The counterexample names the first failed aspect
+    (injective, order, negation, then meet before join at each pair),
+    row-major within it.
     """
     n = len(lat)
     stack = np.stack([lat.projector(i).matrix for i in range(n)])
@@ -548,14 +514,12 @@ def verify_isomorphism(lat: QuotientLattice) -> LawReport:
         found = _first(bad)
         if found is not None:
             return fail(aspect, *found)
-    # the order check passed, so ``below`` is the class order; u's columns
-    # come sorted by singular value, so the first r of them span the range
-    tol = _rank_cutoff(lat.eps, d)
-    u, s, _ = np.linalg.svd(stack)
-    ranks = np.count_nonzero(s > tol, axis=1)
-    i, j = np.triu_indices(n)
-    span = np.zeros((n, n), dtype=int)
-    span[i, j] = span[j, i] = _span_ranks(u, ranks, i, j, tol)
+    # the order check passed, so ``below`` is the class order
+    s = np.linalg.svd(stack, compute_uv=False)
+    ranks = np.count_nonzero(s > _rank_cutoff(lat.eps, d), axis=1)
+    i, j = np.triu_indices(n, 1)
+    span = np.diag(ranks)
+    span[i, j] = span[j, i] = _pair_span_dims(stack, i, j, lat.eps)
     x = np.arange(n)
     row, col = x[:, None], x[None, :]
     mt, jt = lat.meet_table, lat.join_table

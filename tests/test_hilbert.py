@@ -28,6 +28,7 @@ from pragmaql.hilbert import (
     _class_tol,
     _pair_spans,
     _random_states,
+    _span_dims,
     decode_array,
     encode_array,
 )
@@ -517,6 +518,35 @@ def test_kernel_matches_meet_and_join(dim):
             # the near-band pairs put rows of both meet ranks into one batch
             near = set(zip((projs[x].rank for x in i[generic:]), ranks[generic:]))
             assert any((r, r) in near and (r, r - 1) in near for r in range(1, dim))
+
+
+def _near_span_pairs(dim, count):
+    """``count`` seeded turned pairs for each rank 1 to dim - 1, by angles
+    drawn log-uniformly from [0.1, 10] eps sqrt(2 dim).  The least nonzero
+    singular value of the stacked pair, sqrt(1 - cos theta), is about
+    theta / sqrt 2, so it crosses the rank cutoff eps sqrt(dim) near
+    eps sqrt(2 dim)."""
+    rng = np.random.default_rng([dim, 18])
+    edge = DEFAULT_EPS * np.sqrt(2 * dim)
+    return [turned_pair(dim, rank, int(rng.integers(2**32)), 10 ** rng.uniform(-1, 1) * edge)
+            for rank in range(1, dim) for _ in range(count)]
+
+
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_span_count_is_the_rank_of_join(dim):
+    # generation and verification count a pair's span dimension from the
+    # stacked projectors [P; Q]; it must be the rank of ``join``, which
+    # counts on the range bases [B_p | B_q], on every rank pair (0 and dim
+    # included) and on pairs whose span straddles the rank cutoff
+    projs, i, j = _kernel_cases(dim)
+    near = _near_span_pairs(dim, 24)
+    for pairs in ([(projs[x], projs[y]) for x, y in zip(i, j)], near):
+        a, b = (np.stack([pair[k].matrix for pair in pairs]) for k in (0, 1))
+        span = _span_dims(a, b, DEFAULT_EPS).tolist()
+        assert span == [join(p, q, DEFAULT_EPS).rank for p, q in pairs]
+    # the near pairs, counted last, fall on both sides of the cutoff at every rank
+    outcomes = set(zip((p.rank for p, _ in near), span))
+    assert all({(r, r), (r, r + 1)} <= outcomes for r in range(1, dim))
 
 
 # ---------------------------------------------------------------------------

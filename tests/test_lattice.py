@@ -738,6 +738,8 @@ def test_isomorphism_catches_a_generator_that_drops_rank_one_meets(ququart, monk
     monkeypatch.setattr(pragmaql.lattice, "_span_dims", undecided)
     monkeypatch.setattr(pragmaql.lattice, "_pair_spans", lossy)
     lat = generate_quotient(ququart, ["bl", "bd", "bc"], 1)
+    # verification counts spans with ``_span_dims`` too, unpatched
+    monkeypatch.undo()
     # the order is read off the meet table, so it is wrong too: the line bc
     # lies in the plane bl, but their meet no longer is bc
     assert verify_isomorphism(lat) == LawReport("order-isomorphism", False, ("order", 2, 0))
@@ -764,8 +766,8 @@ def test_isomorphism_checks_the_lower_triangle(planes, key, j, i):
 @pytest.fixture(scope="module")
 def coordinate_planes_16d():
     """Two commuting 8-dimensional coordinate subspaces of C^16: a 16-class
-    Boolean lattice, large enough at dim 16 to split each verification row
-    into batches."""
+    Boolean lattice, large enough at dim 16 to split verification's 120
+    pairs into chunks."""
     unit = lambda k: [[float(m == k), 0.0] for m in range(16)]
     return generate_quotient(pragmaql.load_model({
         "dim": 16, "states": {},
@@ -789,11 +791,13 @@ def test_isomorphism_takes_one_row_of_singular_values_per_unordered_pair(
     monkeypatch.setattr(np.linalg, "svd", counted)
     assert verify_isomorphism(lat).holds
     n, d = len(lat), lat.projector(0).dim
-    # the one full SVD is of the n class matrices, for ranks and range
-    # bases; each unordered pair then takes one values-only row, which
-    # checks both of its table entries
-    assert [shape for shape, uv in calls if uv] == [(n, d, d)]
-    assert sum(shape[0] for shape, uv in calls if not uv) == n * (n + 1) // 2
+    # no SVD computes vectors: one of the n class matrices counts the
+    # ranks, and each unordered pair i < j then takes one row of a stacked
+    # [P_i; P_j] SVD, chunked as in generation, which checks both of its
+    # table entries
+    pairs, chunk = n * (n - 1) // 2, pragmaql.lattice._BATCH_ENTRIES // (2 * d * d)
+    assert calls == [((n, d, d), False)] + [
+        ((min(chunk, pairs - at), 2 * d, d), False) for at in range(0, pairs, chunk)]
 
 
 def test_isomorphism_reads_ranks_off_the_matrices_not_the_stored_rank(planes):
