@@ -173,41 +173,43 @@ _BINARY_ASSERTIVE_OPS = {node: kind for kind, (_, node, _) in _ASSERTIVE_BINARY.
 
 # ---------------------------------------------------------------------------
 # tokenizer
-
-# A token's kind is its text, except for atoms, whose kind is "atom".
+#
+# One ``findall`` turns a text into a flat list of token strings.  Each match
+# skips whitespace, then holds a token in group 1 or one character that starts
+# no token in group 2.  A token's text is its kind: ``|-  <->  ->  ~  &  |  (
+# )``, the keywords ``AQ N K A C E``, or an atom, the only kind whose first
+# letter is lower case.  The list ends with ``""`` for end of input.  Tokens
+# carry no positions: only an error computes one, by scanning the text again
+# up to its token (``_position``).
 _TOKEN_RE = re.compile(
     r"""
-      \|- | <-> | -> | [~&|()]
-    | (?:AQ|[NKACE])(?![A-Za-z0-9_])
-    | (?P<atom>[a-z][a-z0-9_]*)
+    \s* (?:
+        ( \|- | <-> | -> | [~&|()]
+        | (?:AQ|[NKACE])(?![A-Za-z0-9_])
+        | [a-z][a-z0-9_]* )
+      | (\S) )
     """,
     re.VERBOSE,
 )
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    pos: int  # 1-based character offset
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(
-                f"unknown token at position {i + 1}: {text[i]!r}", position=i + 1
-            )
-        kind = "atom" if m.lastgroup == "atom" else m.group()
-        tokens.append(_Token(kind, m.group(), i + 1))
-        i = m.end()
-    tokens.append(_Token("end", "", len(text) + 1))
+def _tokenize(text: str) -> list[str]:
+    tokens = [token for token, _ in _TOKEN_RE.findall(text)]
+    if "" in tokens:
+        pos = _position(text, tokens.index(""))
+        raise ParseError(f"unknown token at position {pos}: {text[pos - 1]!r}",
+                         position=pos)
+    tokens.append("")
     return tokens
+
+
+def _position(text: str, k: int) -> int:
+    """1-based character position of token ``k`` of ``text``; the end of
+    input is at ``len(text) + 1``."""
+    for j, m in enumerate(_TOKEN_RE.finditer(text)):
+        if j == k:
+            return m.start(m.lastindex) + 1
+    return len(text) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -220,107 +222,95 @@ def _tokenize(text: str) -> list[_Token]:
 # n := `N` n | `|-` (atom | `(` radical `)`) | `(` assertive `)`
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
+def _parse(text: str, assertive: bool):
+    """Parse all of ``text`` with the assertive or the radical grammar."""
+    tokens = _tokenize(text)
+    i = 0  # index of the next token
 
-    def _peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def _advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def _expect(self, kind: str) -> _Token:
-        if self._peek().kind != kind:
-            self._fail({kind})
-        return self._advance()
-
-    def _fail(self, expected) -> None:
-        tok = self._peek()
-        found = "end of input" if tok.kind == "end" else repr(tok.text)
-        listing = ", ".join(sorted(expected))
+    def fail(expected):
+        tok = tokens[i]
+        pos = _position(text, i)
+        found = repr(tok) if tok else "end of input"
         raise ParseError(
-            f"syntax error at position {tok.pos}: expected {listing}, found {found}",
-            position=tok.pos,
+            f"syntax error at position {pos}: expected {', '.join(sorted(expected))}, "
+            f"found {found}",
+            position=pos,
             expected=frozenset(expected),
         )
 
-    def finish(self, f):
-        if self._peek().kind != "end":
-            self._fail({"end of input"})
-        return f
-
-    def _climb(self, table, operand, min_level: int = 1):
+    def climb(table, operand, min_level):
         """Parse operands joined by the operators of ``table`` at
         ``min_level`` or above."""
+        nonlocal i
         f = operand()
         while True:
-            entry = table.get(self._peek().kind)
+            entry = table.get(tokens[i])
             if entry is None or entry[0] < min_level:
                 return f
             level, node, right = entry
-            self._advance()
-            f = node(f, self._climb(table, operand, level if right else level + 1))
+            i += 1
+            f = node(f, climb(table, operand, level if right else level + 1))
 
-    def radical(self) -> RadicalFormula:
-        return self._climb(_RADICAL_BINARY, self._unary)
+    def closed(f):
+        """``f``, once the ``)`` that closes it is read."""
+        nonlocal i
+        if tokens[i] != ")":
+            fail({")"})
+        i += 1
+        return f
 
-    def _unary(self) -> RadicalFormula:
-        tok = self._peek()
-        if tok.kind == "~":
-            self._advance()
-            return Not(self._unary())
-        if tok.kind == "atom":
-            self._advance()
-            return Atom(tok.text)
-        if tok.kind == "(":
-            self._advance()
-            f = self.radical()
-            self._expect(")")
-            return f
-        self._fail({"~", "atom", "("})
+    def unary():
+        nonlocal i
+        tok = tokens[i]
+        if tok.islower():
+            i += 1
+            return Atom(tok)
+        if tok == "~":
+            i += 1
+            return Not(unary())
+        if tok == "(":
+            i += 1
+            return closed(climb(_RADICAL_BINARY, unary, 1))
+        fail({"~", "atom", "("})
 
-    def assertive(self) -> AssertiveFormula:
-        return self._climb(_ASSERTIVE_BINARY, self._n)
+    def n():
+        nonlocal i
+        tok = tokens[i]
+        if tok == "|-":
+            i += 1
+            tok = tokens[i]
+            if tok.islower():
+                i += 1
+                return Assert(Atom(tok))
+            if tok == "(":
+                i += 1
+                return Assert(closed(climb(_RADICAL_BINARY, unary, 1)))
+            fail({"atom", "("})
+        if tok == "N":
+            i += 1
+            return N(n())
+        if tok == "(":
+            i += 1
+            return closed(climb(_ASSERTIVE_BINARY, n, 1))
+        fail({"N", "|-", "("})
 
-    def _n(self) -> AssertiveFormula:
-        tok = self._peek()
-        if tok.kind == "N":
-            self._advance()
-            return N(self._n())
-        if tok.kind == "|-":
-            self._advance()
-            nxt = self._peek()
-            if nxt.kind == "atom":
-                self._advance()
-                return Assert(Atom(nxt.text))
-            if nxt.kind == "(":
-                self._advance()
-                r = self.radical()
-                self._expect(")")
-                return Assert(r)
-            self._fail({"atom", "("})
-        if tok.kind == "(":
-            self._advance()
-            f = self.assertive()
-            self._expect(")")
-            return f
-        self._fail({"N", "|-", "("})
+    if assertive:
+        f = climb(_ASSERTIVE_BINARY, n, 1)
+    else:
+        f = climb(_RADICAL_BINARY, unary, 1)
+    if tokens[i]:
+        fail({"end of input"})
+    return f
 
 
 def parse_radical(text: str) -> RadicalFormula:
     """Parse ``text`` with the radical grammar."""
-    p = _Parser(text)
-    return p.finish(p.radical())
+    return _parse(text, False)
 
 
 def parse_assertive(text: str) -> AssertiveFormula:
     """Parse ``text`` with the assertive grammar."""
-    p = _Parser(text)
-    return p.finish(p.assertive())
+    return _parse(text, True)
 
 
 # ---------------------------------------------------------------------------

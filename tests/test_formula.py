@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given
@@ -177,6 +178,124 @@ def test_unknown_token():
     assert exc.value.position == 3
     with pytest.raises(ParseError):
         parse_assertive("Nq")  # keywords need a word boundary
+
+
+# The parse-error contract: text, grammar, message, position, expected.
+# One row or more per place the parser can fail, in both grammars, and per
+# way the tokenizer can meet an unknown character.
+PARSE_ERRORS = [
+    # no operand where one must start
+    ("", "radical", "syntax error at position 1: expected (, atom, ~, found end of input",
+     1, {"(", "atom", "~"}),
+    ("", "assertive", "syntax error at position 1: expected (, N, |-, found end of input",
+     1, {"(", "N", "|-"}),
+    ("  \t", "radical", "syntax error at position 4: expected (, atom, ~, found end of input",
+     4, {"(", "atom", "~"}),
+    ("  \t", "assertive", "syntax error at position 4: expected (, N, |-, found end of input",
+     4, {"(", "N", "|-"}),
+    ("p & )", "radical", "syntax error at position 5: expected (, atom, ~, found ')'",
+     5, {"(", "atom", "~"}),
+    ("~", "radical", "syntax error at position 2: expected (, atom, ~, found end of input",
+     2, {"(", "atom", "~"}),
+    ("|- p K K", "assertive", "syntax error at position 8: expected (, N, |-, found 'K'",
+     8, {"(", "N", "|-"}),
+    ("N", "assertive", "syntax error at position 2: expected (, N, |-, found end of input",
+     2, {"(", "N", "|-"}),
+    ("p", "assertive", "syntax error at position 1: expected (, N, |-, found 'p'",
+     1, {"(", "N", "|-"}),
+    # `)` after a radical, after an assertive, and after `|- (`
+    ("(p & q", "radical", "syntax error at position 7: expected ), found end of input",
+     7, {")"}),
+    ("(p q)", "radical", "syntax error at position 4: expected ), found 'q'", 4, {")"}),
+    ("(|- p", "assertive", "syntax error at position 6: expected ), found end of input",
+     6, {")"}),
+    ("(|- p |- q)", "assertive", "syntax error at position 7: expected ), found '|-'",
+     7, {")"}),
+    ("|- (p & q", "assertive", "syntax error at position 10: expected ), found end of input",
+     10, {")"}),
+    ("|- (p K", "assertive", "syntax error at position 7: expected ), found 'K'", 7, {")"}),
+    # atom or `(` after `|-`
+    ("|-", "assertive", "syntax error at position 3: expected (, atom, found end of input",
+     3, {"(", "atom"}),
+    ("|- K", "assertive", "syntax error at position 4: expected (, atom, found 'K'",
+     4, {"(", "atom"}),
+    ("|- ~p", "assertive", "syntax error at position 4: expected (, atom, found '~'",
+     4, {"(", "atom"}),
+    ("|- |- p", "assertive", "syntax error at position 4: expected (, atom, found '|-'",
+     4, {"(", "atom"}),
+    # end of input
+    ("p q", "radical", "syntax error at position 3: expected end of input, found 'q'",
+     3, {"end of input"}),
+    ("p )", "radical", "syntax error at position 3: expected end of input, found ')'",
+     3, {"end of input"}),
+    ("|- p |- q", "assertive",
+     "syntax error at position 6: expected end of input, found '|-'", 6, {"end of input"}),
+    ("|- p)", "assertive", "syntax error at position 5: expected end of input, found ')'",
+     5, {"end of input"}),
+    # unknown characters after spaces, a tab, a newline and U+00A0, and in a word;
+    # the whole text is tokenized first, so they win over a syntax error before them
+    ("p   $", "radical", "unknown token at position 5: '$'", 5, set()),
+    ("p\t$", "radical", "unknown token at position 3: '$'", 3, set()),
+    ("p\n$", "radical", "unknown token at position 3: '$'", 3, set()),
+    ("p $", "radical", "unknown token at position 3: '$'", 3, set()),
+    ("|- p K #", "assertive", "unknown token at position 8: '#'", 8, set()),
+    ("Nq", "assertive", "unknown token at position 1: 'N'", 1, set()),
+    ("AQx", "assertive", "unknown token at position 1: 'A'", 1, set()),
+    ("|- p AQx |- q", "assertive", "unknown token at position 6: 'A'", 6, set()),
+    ("a$b", "radical", "unknown token at position 2: '$'", 2, set()),
+    ("p q $", "radical", "unknown token at position 5: '$'", 5, set()),
+    ("P", "radical", "unknown token at position 1: 'P'", 1, set()),
+    ("p & 1", "radical", "unknown token at position 5: '1'", 5, set()),
+    # operators split by a space
+    ("| - p", "assertive", "unknown token at position 3: '-'", 3, set()),
+    ("p | - q", "radical", "unknown token at position 5: '-'", 5, set()),
+    ("p - > q", "radical", "unknown token at position 3: '-'", 3, set()),
+    ("p <- > q", "radical", "unknown token at position 3: '<'", 3, set()),
+    # whitespace before the end: end of input sits at len(text) + 1
+    ("p &   ", "radical", "syntax error at position 7: expected (, atom, ~, found end of input",
+     7, {"(", "atom", "~"}),
+    ("|- p K \n", "assertive",
+     "syntax error at position 9: expected (, N, |-, found end of input", 9, {"(", "N", "|-"}),
+    ("|- (p\t", "assertive", "syntax error at position 7: expected ), found end of input",
+     7, {")"}),
+]
+
+
+@pytest.mark.parametrize("text, grammar, message, position, expected", PARSE_ERRORS)
+def test_parse_error_contract(text, grammar, message, position, expected):
+    parse = parse_assertive if grammar == "assertive" else parse_radical
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+    assert exc.value.position == position
+    assert exc.value.expected == frozenset(expected)
+
+
+def unwrap(f, node):
+    """The operand under a chain of ``node`` (``Not`` or ``N``) and the
+    chain's length, without recursing (``==`` recurses once per level)."""
+    depth = 0
+    while isinstance(f, node):
+        f, depth = f.operand, depth + 1
+    return f, depth
+
+
+@pytest.mark.parametrize("parse, text, node, depth, leaf", [
+    (parse_radical, "(" * 250 + "p" + ")" * 250, Not, 0, P),
+    (parse_assertive, "(" * 250 + "|- p" + ")" * 250, N, 0, Assert(P)),
+    (parse_assertive, "|- " + "(" * 250 + "p" + ")" * 250, N, 0, Assert(P)),
+    (parse_radical, "~" * 800 + "p", Not, 800, P),
+    (parse_assertive, "N " * 800 + "|- p", N, 800, Assert(P)),
+], ids=["radical-parens", "assertive-parens", "turnstile-parens", "radical-not",
+        "assertive-n"])
+def test_deep_nesting_parses_at_default_recursion_limit(parse, text, node, depth, leaf):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        got = parse(text)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert unwrap(got, node) == (leaf, depth)
 
 
 def test_atom_name_validation():

@@ -18,6 +18,7 @@ from pragmaql import (
     UnknownNameError,
     bundled_model,
     bundled_model_document,
+    bundled_model_names,
     export_lattice,
     find_distributivity_violation,
     generate_quotient,
@@ -910,6 +911,16 @@ def test_structured_round_trip(mo2):
     assert np.array_equal(rebuilt.join_table, mo2.join_table)
     assert [e.label for e in rebuilt.elements] == [e.label for e in mo2.elements]
     assert verify_isomorphism(rebuilt).holds
+
+
+@pytest.mark.parametrize("name", bundled_model_names())
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_bundled_lattice_document_round_trip(name, depth):
+    model = bundled_model(name)
+    doc = export_lattice(generate_quotient(model, sorted(model.atom_map), depth),
+                         "structured")
+    doc = json.loads(json.dumps(doc))
+    assert export_lattice(import_lattice(doc), "structured") == doc
 
 
 def test_unknown_export_format(mo2):
