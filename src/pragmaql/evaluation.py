@@ -239,7 +239,9 @@ def check_cc(model: Model, *, samples: int = 1000, seed: int = 0) -> ValidationR
     random states, one ``P @ Psi`` per atom for the justification side, and
     ``sigma`` only on the justified probes.  An invalid model is refused:
     the validation findings come back with a ``model-invalid`` error and no
-    counterexample search runs.  A negative ``samples`` or ``seed`` raises
+    counterexample search runs.  The validation is ``validate_model``'s,
+    which runs its checks once per model, so a model that ``load_model``
+    built is not checked again.  A negative ``samples`` or ``seed`` raises
     ValueError.
     """
     if samples < 0:

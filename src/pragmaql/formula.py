@@ -41,11 +41,66 @@ ATOM_NAME_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
 
 # ---------------------------------------------------------------------------
+# structural equality and hashing
+#
+# The formula classes compare and hash by their fields, as dataclasses with
+# ``eq=True`` do, but walk the tree with an explicit stack: the generated
+# methods recurse once or twice per level and fail on formulas the parser
+# accepts.  A node hashes as the tuple of its fields with each child formula
+# replaced by a stand-in that hashes to the child's hash; a tuple's hash reads
+# only its items' hashes, so the values are those of the generated ``__hash__``.
+
+
+def _fields(node) -> tuple:
+    return tuple(getattr(node, name) for name in node.__dataclass_fields__)
+
+
+class _Hashed:
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __hash__(self) -> int:
+        return self.value
+
+
+class _Node:
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            for x, y in zip(_fields(a), _fields(b)):
+                if x is y:
+                    continue
+                if isinstance(x, _Node) and x.__class__ is y.__class__:
+                    stack.append((x, y))
+                elif not x == y:
+                    return False
+        return True
+
+    def __hash__(self) -> int:
+        hashes: dict[int, _Hashed] = {}   # id(node) -> its hash's stand-in
+        stack = [self]
+        while stack:
+            fields = _fields(stack[-1])
+            pending = [x for x in fields if isinstance(x, _Node) and id(x) not in hashes]
+            if pending:
+                stack += pending
+                continue
+            hashes[id(stack.pop())] = _Hashed(hash(tuple(
+                hashes[id(x)] if isinstance(x, _Node) else x for x in fields)))
+        return hashes[id(self)].value
+
+
+# ---------------------------------------------------------------------------
 # radical stratum
 
 
-@dataclass(frozen=True)
-class Atom:
+@dataclass(frozen=True, eq=False)
+class Atom(_Node):
     """Propositional letter; the only radical allowed under ``|-`` in the
     quantum fragment."""
 
@@ -56,31 +111,31 @@ class Atom:
             raise ValueError(f"invalid atom name: {self.name!r}")
 
 
-@dataclass(frozen=True)
-class Not:
+@dataclass(frozen=True, eq=False)
+class Not(_Node):
     operand: "RadicalFormula"
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False)
+class And(_Node):
     left: "RadicalFormula"
     right: "RadicalFormula"
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False)
+class Or(_Node):
     left: "RadicalFormula"
     right: "RadicalFormula"
 
 
-@dataclass(frozen=True)
-class Implies:
+@dataclass(frozen=True, eq=False)
+class Implies(_Node):
     left: "RadicalFormula"
     right: "RadicalFormula"
 
 
-@dataclass(frozen=True)
-class Iff:
+@dataclass(frozen=True, eq=False)
+class Iff(_Node):
     left: "RadicalFormula"
     right: "RadicalFormula"
 
@@ -92,54 +147,54 @@ RadicalFormula = Union[Atom, Not, And, Or, Implies, Iff]
 # assertive stratum
 
 
-@dataclass(frozen=True)
-class Assert:
+@dataclass(frozen=True, eq=False)
+class Assert(_Node):
     """Elementary assertive formula: a radical lifted by the assertion sign."""
 
     radical: RadicalFormula
 
 
-@dataclass(frozen=True)
-class N:
+@dataclass(frozen=True, eq=False)
+class N(_Node):
     """Pragmatic negation: asserts that the operand cannot be justified."""
 
     operand: "AssertiveFormula"
 
 
-@dataclass(frozen=True)
-class K:
+@dataclass(frozen=True, eq=False)
+class K(_Node):
     """Pragmatic conjunction: justified when both operands are."""
 
     left: "AssertiveFormula"
     right: "AssertiveFormula"
 
 
-@dataclass(frozen=True)
-class A:
+@dataclass(frozen=True, eq=False)
+class A(_Node):
     """Pragmatic disjunction.  Parseable, but outside the quantum fragment."""
 
     left: "AssertiveFormula"
     right: "AssertiveFormula"
 
 
-@dataclass(frozen=True)
-class C:
+@dataclass(frozen=True, eq=False)
+class C(_Node):
     """Pragmatic implication.  Syntactic support only; no evaluation rule."""
 
     left: "AssertiveFormula"
     right: "AssertiveFormula"
 
 
-@dataclass(frozen=True)
-class E:
+@dataclass(frozen=True, eq=False)
+class E(_Node):
     """Pragmatic equivalence.  Syntactic support only; no evaluation rule."""
 
     left: "AssertiveFormula"
     right: "AssertiveFormula"
 
 
-@dataclass(frozen=True)
-class AQ:
+@dataclass(frozen=True, eq=False)
+class AQ(_Node):
     """Derived disjunction, shorthand for ``N((N left) K (N right))``."""
 
     left: "AssertiveFormula"

@@ -140,8 +140,10 @@ class Projector:
     construction); ``rank`` is the subspace dimension.  Construct through
     ``make_projector``, which validates; direct construction skips the
     checks and exists for tests that need deliberately broken data.
-    The range basis is computed once, on the first ``basis()`` call, and
-    kept on the instance as a read-only array.
+    The range basis is kept on the instance as a read-only array: ``meet``
+    and ``join`` results keep the basis they were built from, ``ortho``
+    hands on the complement of an SVD that ``basis()`` already ran, and any
+    other projector computes its basis on the first ``basis()`` call.
     """
 
     dim: int
@@ -161,7 +163,10 @@ class Projector:
     def basis(self) -> np.ndarray:
         """Orthonormal basis of the range, as a dim x rank column matrix.
 
-        The first call runs the SVD; every later call returns the same
+        Unless the projector was built with its basis (a ``meet``, ``join``
+        or ``ortho`` result, see those), the first call runs a full SVD of
+        the matrix and keeps its remaining columns, a basis of the
+        orthocomplement, for ``ortho``.  Every later call returns the same
         read-only array.
         """
         b = self.__dict__.get("_basis")
@@ -171,8 +176,8 @@ class Projector:
             else:
                 u, _, _ = np.linalg.svd(self.matrix)
                 b = u[:, : self.rank]
-            b.setflags(write=False)
-            self.__dict__["_basis"] = b
+                self.__dict__["_complement"] = _read_only(u[:, self.rank:])
+            self.__dict__["_basis"] = _read_only(b)
         return b
 
     def __repr__(self) -> str:
@@ -243,16 +248,32 @@ def _require_finite(a: np.ndarray) -> None:
                              code="schema")
 
 
-def _span(a: np.ndarray, eps: float) -> Projector:
-    """Projector onto the span of the columns of ``a``, up to the rank cutoff."""
+def _span(a: np.ndarray, eps: float, keep_basis: bool = False) -> Projector:
+    """Projector onto the span of the columns of ``a``, up to the rank cutoff;
+    with ``keep_basis``, the orthonormal columns it is built from become its
+    ``basis()``."""
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return _from_basis(a.shape[0], u[:, s > _rank_cutoff(eps, a.shape[0])])
+    basis = u[:, s > _rank_cutoff(eps, a.shape[0])]
+    p = _from_basis(a.shape[0], basis)
+    return _with_basis(p, basis) if keep_basis else p
 
 
 def _from_basis(dim: int, basis: np.ndarray) -> Projector:
     m = basis @ basis.conj().T
     m = (m + m.conj().T) / 2.0  # exactly Hermitian after symmetrization
     return Projector(dim, m, basis.shape[1])
+
+
+def _with_basis(p: Projector, basis: np.ndarray) -> Projector:
+    """``p``, with ``basis`` (orthonormal columns spanning its range) as its
+    read-only ``basis()``."""
+    p.__dict__["_basis"] = _read_only(basis)
+    return p
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def zero_projector(dim: int) -> Projector:
@@ -281,8 +302,14 @@ def _check_same_dim(a, b) -> None:
 
 
 def ortho(p: Projector) -> Projector:
-    """Orthocomplement: projector onto the orthogonal subspace."""
-    return Projector(p.dim, np.eye(p.dim) - p.matrix, p.dim - p.rank)
+    """Orthocomplement: projector onto the orthogonal subspace.
+
+    When ``p.basis()`` has run its SVD of ``p.matrix``, the remaining
+    columns of that SVD become the result's ``basis()``.
+    """
+    q = Projector(p.dim, np.eye(p.dim) - p.matrix, p.dim - p.rank)
+    complement = p.__dict__.get("_complement")
+    return q if complement is None else _with_basis(q, complement)
 
 
 def meet(p: Projector, q: Projector, eps: float = DEFAULT_EPS) -> Projector:
@@ -292,7 +319,8 @@ def meet(p: Projector, q: Projector, eps: float = DEFAULT_EPS) -> Projector:
     exactly when B_p x = B_q y for some coordinates x, y, i.e. when
     (x, y) is in the null space of the stacked constraint [B_p | -B_q].
     The left blocks of an orthonormal null-space basis therefore
-    parametrize the intersection; the image B_p x is re-orthonormalized.
+    parametrize the intersection; the image B_p x is re-orthonormalized,
+    and those orthonormal columns are the result's ``basis()``.
     Rank-revealing throughout, no iteration to tune.
     """
     _check_same_dim(p, q)
@@ -304,28 +332,33 @@ def meet(p: Projector, q: Projector, eps: float = DEFAULT_EPS) -> Projector:
     null_basis = vh[np.count_nonzero(s > _rank_cutoff(eps, p.dim)):].conj().T
     if null_basis.shape[1] == 0:
         return zero_projector(p.dim)
-    return _span(bp @ null_basis[: bp.shape[1], :], eps)
+    return _span(bp @ null_basis[: bp.shape[1], :], eps, keep_basis=True)
 
 
 def join(p: Projector, q: Projector, eps: float = DEFAULT_EPS) -> Projector:
     """Projector onto the closed span of the union of the two ranges.
 
-    Computed directly by orthonormalizing the stacked bases; agrees with
-    the De Morgan route ortho(meet(ortho(p), ortho(q))) within eps.
+    Computed directly by orthonormalizing the stacked bases, whose
+    orthonormal columns are the result's ``basis()``; agrees with the
+    De Morgan route ortho(meet(ortho(p), ortho(q))) within eps.  With an
+    operand of rank 0 the result is the other operand itself.
     """
     _check_same_dim(p, q)
     if p.rank == 0:
         return q
     if q.rank == 0:
         return p
-    return _span(np.hstack([p.basis(), q.basis()]), eps)
+    return _span(np.hstack([p.basis(), q.basis()]), eps, keep_basis=True)
 
 
 # Batched meet and join, for quotient generation.  ``meet``/``join`` stay on
-# range bases.  Routed through ``_pair_spans``, they changed the printed
-# ``extension`` matrices of two CLI commands: a ``-0.`` entry became ``0.``,
-# which moves numpy's padding.  On one pair the kernel also costs more: 17
-# against 10 us at dim 2 and 59 against 45 us at dim 16 (best of 7, 2 CPUs).
+# range bases, and their results keep the basis they are built from, so the
+# next connective of an extension reads it instead of running an SVD of the
+# matrix: a ``join`` takes one SVD and a ``meet`` at most two.  Routed through
+# ``_pair_spans``, they changed the printed ``extension`` matrices of two CLI
+# commands: a ``-0.`` entry became ``0.``, which moves numpy's padding.  On one
+# pair the kernel also costs more: 17 against 10 us at dim 2 and 59 against 45
+# us at dim 16 (best of 7, 2 CPUs), and it returns no basis to hand on.
 
 
 def _pair_spans(a: np.ndarray, b: np.ndarray, eps: float,

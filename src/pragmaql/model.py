@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -74,17 +76,24 @@ class ValidationReport:
 
 @dataclass(frozen=True, eq=False)
 class Model:
-    """A validated physical system.
+    """A physical system; ``load_model`` builds only valid ones.
 
-    Immutable after load; the atom map sends each atom name to a property
-    name, bijectively onto the declared properties.
+    Immutable: ``states``, ``properties`` and ``atom_map`` are copied at
+    construction into read-only mappings, so later changes to the mappings
+    passed in do not reach the model, and ``validate_model`` can keep its
+    report on the instance.  The atom map sends each atom name to a
+    property name, bijectively onto the declared properties.
     """
 
     dim: int
-    states: dict[str, StateVector]
-    properties: dict[str, Projector]
-    atom_map: dict[str, str]
+    states: Mapping[str, StateVector]
+    properties: Mapping[str, Projector]
+    atom_map: Mapping[str, str]
     eps: float = DEFAULT_EPS
+
+    def __post_init__(self) -> None:
+        for name in ("states", "properties", "atom_map"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
 
     def state(self, name: str) -> StateVector:
         try:
@@ -199,7 +208,7 @@ def load_model_file(path) -> Model:
 
 
 def validate_model(model: Model) -> ValidationReport:
-    """Check every invariant of a model; never raises, never mutates.
+    """Check every invariant of a model; never raises.
 
     This is the one place that decides whether a model is valid:
     ``load_model`` raises its first error, and ``check_cc`` refuses a model
@@ -208,7 +217,18 @@ def validate_model(model: Model) -> ValidationReport:
     name and target, then the bijection onto the declared properties.  An
     eps that is no tolerance (see ``pragmaql.hilbert``) is reported, and
     replaced by a 1e-12 floor for the numeric checks themselves.
+
+    A model is immutable, so the checks run once per model: the first call
+    keeps its report on the instance, and every later call, such as each
+    ``check_cc`` on a loaded model, returns that report.
     """
+    report = model.__dict__.get("_report")
+    if report is None:
+        report = model.__dict__["_report"] = _validate(model)
+    return report
+
+
+def _validate(model: Model) -> ValidationReport:
     findings: list[Finding] = []
     eff = model.eps
     if not _is_tolerance(eff):

@@ -18,6 +18,7 @@ from pragmaql import (
     TruthValue3,
     UnknownNameError,
     born_probability,
+    bundled_model,
     bundled_model_document,
     load_model,
     check_cc,
@@ -198,6 +199,32 @@ def test_extension_agrees_with_desugared_form(qubit):
     a = pragmatic_extension(qubit, f)
     b = pragmatic_extension(qubit, desugar(f))
     assert projectors_close(a, b, 1e-9)
+
+
+@pytest.mark.parametrize("text, svds", [
+    # two joins, then the meet's null-space SVD and its re-orthonormalization:
+    # the meet reads its operands' bases off the joins
+    ("((|- aa) AQ (|- ab)) K ((|- ab) AQ (|- ap))", 4),
+    # the meet's null-space SVD; the plane N(|- aa) takes its basis from the
+    # SVD that computed aa's, and meets the line ab only at zero
+    ("(N |- aa) K |- ab", 1),
+])
+def test_extension_svds_with_warm_atom_bases(monkeypatch, text, svds):
+    # a fresh model whose atoms have their bases, so only the connectives count
+    model = bundled_model("qutrit-lines")
+    for p in model.properties.values():
+        p.basis()
+    calls, svd = [], np.linalg.svd
+
+    def counted_svd(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    extension = pragmatic_extension(model, text)
+    assert len(calls) == svds
+    extension.basis()
+    assert len(calls) == svds
 
 
 def test_extension_rejects_non_quantum(qubit):

@@ -298,6 +298,51 @@ def test_deep_nesting_parses_at_default_recursion_limit(parse, text, node, depth
     assert unwrap(got, node) == (leaf, depth)
 
 
+def k_chain(depth, leaf):
+    """``depth`` K nodes nested down the left, built without the parser."""
+    f = Assert(leaf)
+    for _ in range(depth):
+        f = K(f, Assert(Q))
+    return f
+
+
+@pytest.mark.parametrize("build", [
+    lambda leaf: parse_assertive("N " * 900 + f"|- {leaf.name}"),
+    lambda leaf: parse_radical("~" * 900 + leaf.name),
+    lambda leaf: k_chain(900, leaf),
+], ids=["assertive-n", "radical-not", "left-deep-k"])
+def test_deep_formulas_compare_and_hash_at_default_recursion_limit(build):
+    f, same, other = build(P), build(P), build(R)
+    # the printed form nests parentheses, which take the parser three frames
+    # a level, so it is parsed back above the limit
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 5000))
+    try:
+        reparsed = parse_assertive(print_formula(f)) if isinstance(f, N) else same
+    finally:
+        sys.setrecursionlimit(limit)
+    sys.setrecursionlimit(1000)
+    try:
+        assert f == same and not f != same and f == reparsed
+        assert f != other and not f == other
+        assert hash(f) == hash(same) == hash(reparsed)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_formula_hash_is_the_hash_of_the_field_tuple():
+    # the values of the dataclass-generated __hash__, one level at a time
+    assert hash(P) == hash(("p",))
+    f = K(N(Assert(P)), AQ(Assert(Q), Assert(And(P, Not(R)))))
+    assert hash(f) == hash((f.left, f.right))
+    assert hash(f.left) == hash((f.left.operand,))
+    assert hash(f.right.right) == hash((f.right.right.radical,))
+    assert repr(N(Assert(P))) == "N(operand=Assert(radical=Atom(name='p')))"
+    # nodes of different classes with equal fields are not equal
+    assert AQ(Assert(P), Assert(Q)) != A(Assert(P), Assert(Q))
+    assert K(Assert(P), Assert(Q)) != "K"
+
+
 def test_atom_name_validation():
     with pytest.raises(ValueError):
         Atom("P")

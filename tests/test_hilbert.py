@@ -399,6 +399,55 @@ def test_basis_is_computed_once_and_read_only(dim, rank):
     assert b.dtype == expected.dtype and b.tobytes() == expected.tobytes()
 
 
+def sharing_pair(dim, rng):
+    """Two projectors from spans that share a random subspace, so that
+    their meet is not zero."""
+    common = rng.integers(1, dim)
+    vectors = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    p_extra, q_extra = rng.integers(0, dim - common + 1, size=2)
+    shared = list(vectors[:common])
+    return (projector_from_span(shared + list(vectors[common:common + p_extra])),
+            projector_from_span(shared + list(vectors[dim - q_extra:])))
+
+
+def assert_is_basis_of(b, p):
+    assert b.shape == (p.dim, p.rank)
+    with pytest.raises(ValueError):
+        b[...] = 0
+    eps = DEFAULT_EPS
+    assert float(np.abs(b.conj().T @ b - np.eye(p.rank)).max(initial=0.0)) <= eps
+    assert float(np.abs(b @ b.conj().T - p.matrix).max(initial=0.0)) <= eps
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
+def test_meet_join_and_ortho_hand_on_their_basis(monkeypatch, dim):
+    # each result's basis() is the orthonormal columns it was built from,
+    # and ortho reads its basis off the SVD that computed its operand's: no
+    # basis() below runs an SVD
+    rng = np.random.default_rng(dim)
+    svd, calls = np.linalg.svd, []
+
+    def counted_svd(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    for _ in range(4):
+        p, q = sharing_pair(dim, rng)
+        p.basis(), q.basis()
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        results = [meet(p, q), join(p, q), ortho(p), ortho(q)]
+        made = len(calls)
+        bases = [r.basis() for r in results]
+        assert len(calls) == made
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        for b, r in zip(bases, results):
+            assert r.basis() is b
+            assert_is_basis_of(b, r)
+        for operand, complement in ((p, bases[2]), (q, bases[3])):
+            overlap = operand.basis().conj().T @ complement
+            assert float(np.abs(overlap).max(initial=0.0)) <= DEFAULT_EPS
+
+
 # ---------------------------------------------------------------------------
 # tolerance policy: leq and meet at the inclusion threshold
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pragmaql.model
 from pragmaql import (
     Model,
     ModelError,
@@ -325,3 +326,58 @@ def test_load_then_validate_ok_for_every_accepted_document():
     # the Ex projector is built from a span; its idempotence defect is one
     # rounding unit, above eps = 1e-16
     assert rejected[("qubit-zx", 1e-16)] == "not-idempotent"
+
+
+# ---------------------------------------------------------------------------
+# immutability, and validation once per model
+
+
+def test_model_mappings_are_read_only(qubit):
+    for mapping, key, value in ((qubit.states, "z+", qubit.state("x+")),
+                                (qubit.properties, "Ez", qubit.projector("Ex")),
+                                (qubit.atom_map, "az", "Ex")):
+        with pytest.raises(TypeError):
+            mapping[key] = value
+        with pytest.raises(TypeError):
+            del mapping[key]
+    assert qubit.atom_map == {"az": "Ez", "ax": "Ex"}
+
+
+def test_model_copies_the_mappings_it_is_given(qubit):
+    states, properties = dict(qubit.states), dict(qubit.properties)
+    atom_map = dict(qubit.atom_map)
+    model = Model(dim=2, states=states, properties=properties,
+                  atom_map=atom_map, eps=qubit.eps)
+    assert validate_model(model).ok
+    states["z+"] = StateVector(3, np.array([1, 0, 0]))
+    properties["Ez"] = Projector(2, np.diag([2.0, 0.0]), 1)
+    atom_map["az"] = "Ex"
+    assert model.state("z+") is qubit.state("z+")
+    assert model.projector("Ez") is qubit.projector("Ez")
+    assert model.atom_map == qubit.atom_map
+    assert validate_model(model).ok and check_cc(model, samples=10).ok
+
+
+def test_check_cc_refuses_a_built_invalid_model_on_every_call(qubit):
+    bad = Projector(2, np.diag([1.0 + 1e-3, 0.0]).astype(complex), 1)
+    model = Model(dim=2, states=dict(qubit.states),
+                  properties={**qubit.properties, "Ez": bad},
+                  atom_map=dict(qubit.atom_map), eps=qubit.eps)
+    for _ in range(2):
+        assert [f.code for f in check_cc(model, samples=10).errors()] == [
+            "not-idempotent", "bad-rank", "model-invalid"]
+
+
+def test_a_model_is_validated_once(monkeypatch):
+    validate, runs = pragmaql.model._validate, []
+
+    def counted(model):
+        runs.append(model)
+        return validate(model)
+
+    monkeypatch.setattr(pragmaql.model, "_validate", counted)
+    model = load_model(bundled_model_document("qutrit-lines"))
+    reports = [check_cc(model, samples=10, seed=seed) for seed in range(3)]
+    assert runs == [model]
+    assert all(report.ok for report in reports)
+    assert validate_model(model) is validate_model(model)
