@@ -15,18 +15,22 @@ these rules, written once, here (``eps``: the model tolerance, default 1e-9).
   importing reject any other; ``validate_model`` reports it, as a warning
   if finite and <= 0, and checks with a 1e-12 floor.
 - Rank cutoff: singular values at or below ``eps * sqrt(dim)`` are zero.
+  A span dimension counts the sines of its pair's principal angles above
+  c sqrt(2 - c²), c the rank cutoff: in exact arithmetic the count of the
+  stacked projectors' singular values above c.
 - ``leq`` (Q P = P), ``contains_state`` (P psi = psi), ``projectors_close``
   and lattice injectivity hold at a max-entry deviation <= eps.
 - A projector is Hermitian and idempotent within eps, with a trace within
   ``eps * dim`` of its rank, 0 <= rank <= dim.
 - Class merge: projectors within ``10 * eps`` are one quotient class, and
   a lattice's negation table is checked against ``ortho`` at that bound.
-  Its meet and join tables are checked by rank count at the rank cutoff,
-  with the inclusions they need decided by ``leq``.  Generation names a
-  meet or join class by rank count only where rounding at the cutoff
-  cannot move it: no earlier class within ``10 * eps`` plus the cutoff of
-  a named operand, the same first class of the zero or identity matrix at
-  ``10 * eps`` minus and plus the cutoff, and a cutoff of at most ``10 * eps``.
+  Its meet and join tables are checked by rank and span count at the rank
+  cutoff, with the inclusions they need decided by ``leq``.  Generation
+  names a meet or join class by rank count only where rounding at the
+  cutoff cannot move it: no earlier class within ``10 * eps`` plus the
+  cutoff of a named operand, the same first class of the zero or identity
+  matrix at ``10 * eps`` minus and plus the cutoff, and a cutoff of at most
+  ``10 * eps``.
 - In ``evaluation``: TRUE at probability |p - 1| <= eps, FALSE at p <= eps.
 
 Each test is written so that a NaN deviation fails it, and a projector
@@ -387,13 +391,31 @@ def _pair_spans(a: np.ndarray, b: np.ndarray, eps: float,
     return m, np.count_nonzero(kept, axis=1)
 
 
-def _span_dims(a: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
-    """The dimension of the span of the ranges of ``a[k]`` and ``b[k]`` for
-    each k: the singular values of [A; B] above the rank cutoff, from one
-    values-only SVD: those of ``_pair_spans``'s join and, in exact arithmetic,
-    of the [B_a | B_b] ``join`` counts.  Lattice generation and verification count by it."""
-    s = np.linalg.svd(np.concatenate([a, b], axis=1), compute_uv=False)
-    return np.count_nonzero(s > _rank_cutoff(eps, a.shape[-1]), axis=1)
+def _span_dims(fa: np.ndarray, ra: np.ndarray, fb: np.ndarray, rb: np.ndarray,
+               eps: float) -> np.ndarray:
+    """The dimension of the span of the ranges A_k and B_k for each k, from
+    their frames ``fa[k]`` and ``fb[k]`` (unitaries whose first ``ra[k]``,
+    ``rb[k]`` columns span the range, the rest its complement).
+
+    The span is A_k plus the part of B_k outside A_k, so it is r_a plus the
+    count of singular values above the cutoff of the block of F_aᴴ F_b
+    whose rows are A's complement and whose columns are B's range: the
+    sines of the principal angles between A and B (Björck and Golub, 1973),
+    one values-only SVD of the ``(k, dim, dim)`` product with every other
+    entry zeroed.  The stacked
+    [A; B] of ``_pair_spans``'s join has singular values sqrt(1 - cos theta)
+    there, so its rank cutoff c is the sine cutoff c sqrt(2 - c²), and the
+    counts are the same in exact arithmetic.  A cutoff of 1 or more, which
+    no projector's own singular values exceed, keeps a sine cutoff of 1.
+    Lattice generation and verification count by it."""
+    d = fa.shape[-1]
+    c = min(_rank_cutoff(eps, d), 1.0)
+    at = np.arange(d)
+    # rows of A's complement, columns of B's range
+    block = (at[:, None] >= ra[:, None, None]) & (at < rb[:, None, None])
+    m = np.where(block, fa.conj().swapaxes(1, 2) @ fb, 0)
+    s = np.linalg.svd(m, compute_uv=False)
+    return ra + np.count_nonzero(s > c * np.sqrt(2 - c * c), axis=1)
 
 
 def leq(p: Projector, q: Projector, eps: float = DEFAULT_EPS) -> bool:

@@ -7,9 +7,12 @@ j when their meet is class i), and bottom/top.  The lattice is checked
 against the ortholattice and orthomodular laws, and for order-isomorphism
 onto its own projectors: the order by ``leq``, and meets and joins by
 dimension count (Grassmann's identity), from the span counts that
-generation names entries by: one values-only SVD of the stacked projectors
-per chunk of pairs.  ``export_lattice`` and ``import_lattice`` write and
-read it.  Tolerances follow the policy in ``pragmaql.hilbert``.
+generation names entries by: each class has a frame, the unitary of a full
+SVD of its matrix, and a pair of classes that are neither bottom nor top
+spans r_i plus the principal-angle sines between them above the cutoff,
+one values-only SVD per chunk of pairs.  ``export_lattice`` and
+``import_lattice`` write and read it.  Tolerances follow the policy in
+``pragmaql.hilbert``.
 """
 
 from __future__ import annotations
@@ -116,11 +119,12 @@ class QuotientLattice:
 # infinite lattice, which no number of rounds saturates
 MAX_CLASSES = 1024
 
-# matrix entries per batched temporary: per chunk of pairs (2 dim x dim
-# entries a pair: 32 pairs at dim 16, 512 at dim 4), for every span-count
-# SVD and generation's kernel calls, and per class-lookup temporary.  It
-# bounds the peak memory at dim 16: generation chunks four times as large
-# were no faster there but tripled its peak traced memory
+# matrix entries per batched temporary: per chunk of pairs, for every
+# span-count SVD (dim x dim entries a pair: 64 pairs at dim 16, 1,024 at
+# dim 4) and generation's kernel calls (2 dim x dim: 32 and 512 pairs), and
+# per class-lookup temporary.  It bounds the peak memory at dim 16:
+# generation chunks four times as large were no faster there but tripled
+# its peak traced memory
 _BATCH_ENTRIES = 2**14
 
 
@@ -138,30 +142,36 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
     negation/meet/join tables as it is found, so the tables are total when
     a round finds no new class (saturation).
 
-    Classes live in one store: arrays of the projector matrices, the ranks
-    and a crowded flag, which grow together.  The lattice's ``Projector``
-    objects are built from them once, when it is assembled.
+    Classes live in one store: arrays of the projector matrices, their
+    frames, the ranks and a crowded flag, which grow together.  The
+    lattice's ``Projector`` objects are built from them once, when it is
+    assembled.
 
-    A round combines only classes that existed when it began, so its i < j
-    pairs are taken in chunks of ``_BATCH_ENTRIES // (2 dim**2)`` pairs, in
-    row-major order.  Each chunk first gets one values-only SVD of the
-    stacked projectors [P_i; P_j] (``_pair_span_dims``): s_ij, its count
-    of singular values above the rank cutoff, is the dimension of the span.
-    By Grassmann's identity, dim(U meet W) + dim(U join W) = dim U + dim W,
-    that count names most entries with no vectors at all:
-    s_ij = r_i puts j below i, so the join is i and the meet j, and s_ij =
-    r_j the other way round; s_ij = r_i + r_j makes the meet the zero
-    matrix and s_ij = dim the join the identity.  A named entry must be the
+    A round combines only classes that existed when it began, and begins
+    with one batched full SVD of the classes new since the round before:
+    its unitaries are their frames, whose first r_i columns span the range
+    and the rest the complement.  Its i < j pairs first get their span
+    dimension s_ij (``_pair_span_dims``): r_i + r_j or dim for a pair with
+    a rank-0 or rank-dim class, and for the others r_i plus the count of
+    principal-angle sines between the two ranges above the rank cutoff,
+    restated on sines (see ``pragmaql.hilbert._span_dims``), one
+    values-only ``(k, dim, dim)`` SVD per chunk of ``_BATCH_ENTRIES //
+    dim**2`` pairs.  By Grassmann's identity, dim(U meet W) + dim(U join
+    W) = dim U + dim W, that count names most entries with no vectors at
+    all: s_ij = r_i puts j below i, so the join is i and the meet j, and
+    s_ij = r_j the other way round; s_ij = r_i + r_j makes the meet the
+    zero matrix and s_ij = dim the join the identity.  A named entry must be the
     class the kernel's result, off the exact one by rounding at the cutoff,
     would find, so the kernel still decides an operand that is crowded (an
     earlier class lies within ``class_tol`` plus the cutoff of it) and a
     bound whose first class differs between ``class_tol`` minus and plus
     the cutoff.  Past a cutoff of ``class_tol`` (dim > 100) the kernel
-    decides every entry and no rank SVD runs.
+    decides every entry and no frame or span SVD runs.
 
     The other entries go through ``pragmaql.hilbert._pair_spans``, one
-    connective at a time: one stacked SVD of the pairs' projectors, whose
-    ranks are those of ``meet``/``join`` and whose matrices differ from
+    connective at a time, in chunks of ``_BATCH_ENTRIES // (2 dim**2)``
+    pairs, in row-major order: one stacked SVD of the pairs' projectors,
+    whose ranks are those of ``meet``/``join`` and whose matrices differ from
     theirs by rounding only; a pair's result does not depend on its chunk.
     Each result's first class within ``class_tol`` among the classes made so
     far comes from one batched distance, at most ``_BATCH_ENTRIES`` entries
@@ -200,8 +210,9 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
     d, eps = model.dim, model.eps
     tol, cutoff = _class_tol(eps), _rank_cutoff(eps, d)
     chunk = max(1, _BATCH_ENTRIES // (2 * d * d))
-    # the class store: projector matrices, ranks and crowded flags
+    # the class store: projector matrices, frames, ranks and crowded flags
     stack = np.empty((16, d, d), dtype=np.complex128)
+    frames = np.empty_like(stack)
     ranks = np.empty(len(stack), dtype=int)
     crowded = np.empty(len(stack), dtype=bool)
     members: list[list[AssertiveFormula]] = []
@@ -227,7 +238,7 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
         called only when the class joins it or is new.  The class store
         doubles its capacity when full.
         """
-        nonlocal stack, ranks, crowded
+        nonlocal stack, frames, ranks, crowded
         n = len(members)
         if hit < 0:
             later = np.flatnonzero(_deviation(stack[searched:n], matrix) <= tol)
@@ -241,8 +252,8 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
                              f"{n + 1}, past the budget of {MAX_CLASSES}",
                              code="not-saturated")
         if n == len(stack):
-            stack, ranks, crowded = (np.concatenate([a, np.empty_like(a)])
-                                     for a in (stack, ranks, crowded))
+            stack, frames, ranks, crowded = (np.concatenate([a, np.empty_like(a)])
+                                             for a in (stack, frames, ranks, crowded))
         stack[n], ranks[n] = matrix, rank
         # the kernel's copy of a class is off it by up to the cutoff, so it
         # may lie within tol of an earlier class when this one is crowded
@@ -329,10 +340,15 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
         # the pairs i < j that include a class new in the last round, row-major
         pi, pj = np.triu_indices(count, 1)
         pi, pj = pi[pj >= seen], pj[pj >= seen]
-        # each pair's span dimension, or -1, which names no entry.  Past a
-        # cutoff of tol (dim > 100) the kernel's copy of a class may lie
-        # beyond tol of it, so no entry is named by rank there
-        span = _pair_span_dims(stack, pi, pj, eps) if cutoff <= tol else np.full(len(pi), -1)
+        # each pair's span dimension, from the frames of the classes new in
+        # the last round and those of earlier rounds, or -1, which names no
+        # entry.  Past a cutoff of tol (dim > 100) the kernel's copy of a
+        # class may lie beyond tol of it, so no entry is named by rank there
+        if cutoff <= tol:
+            frames[seen:count] = np.linalg.svd(stack[seen:count])[0]
+            span = _pair_span_dims(frames, ranks, pi, pj, eps)
+        else:
+            span = np.full(len(pi), -1)
         # the order fixes class indices and member order: enumeration
         # applies one connective to all pairs before the next, closure
         # applies both to each pair in turn.  While enumerating, the pairs
@@ -380,14 +396,19 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
     )
 
 
-def _pair_span_dims(stack: np.ndarray, i, j, eps: float) -> np.ndarray:
-    """The span dimension of the ranges of ``stack[i_k]`` and ``stack[j_k]``
-    for each k, by ``_span_dims`` in chunks of ``_BATCH_ENTRIES // (2 dim**2)``."""
-    chunk = max(1, _BATCH_ENTRIES // (2 * stack.shape[-1] ** 2))
-    span = np.empty(len(i), dtype=int)
-    for at in range(0, len(i), chunk):
-        k = slice(at, at + chunk)
-        span[k] = _span_dims(stack[i[k]], stack[j[k]], eps)
+def _pair_span_dims(frames: np.ndarray, ranks: np.ndarray, i, j, eps: float) -> np.ndarray:
+    """The span dimension of the ranges of classes i_k and j_k for each k,
+    from their frames and ranks (see ``_span_dims``).  A pair with a rank-0
+    or rank-dim class spans r_i + r_j or dim and takes no row; the others go
+    through ``_span_dims`` in chunks of ``_BATCH_ENTRIES // dim**2`` pairs."""
+    d = frames.shape[-1]
+    ri, rj = ranks[i], ranks[j]
+    span = np.where((ri == d) | (rj == d), d, ri + rj)
+    rows = np.flatnonzero((ri > 0) & (ri < d) & (rj > 0) & (rj < d))
+    chunk = max(1, _BATCH_ENTRIES // (d * d))
+    for at in range(0, len(rows), chunk):
+        k = rows[at:at + chunk]
+        span[k] = _span_dims(frames[i[k]], ri[k], frames[j[k]], rj[k], eps)
     return span
 
 
@@ -492,13 +513,14 @@ def verify_isomorphism(lat: QuotientLattice) -> LawReport:
     right when M is below i and j and has rank r_i + r_j - s_ij, and the
     join entry J when i and j are below J and J has rank s_ij.  By
     Grassmann's identity, dim(U meet W) + dim(U join W) = dim U + dim W,
-    this forces M = U meet W and J = U join W.  Ranks come from one
-    values-only SVD of the class matrices, not from their stored ranks;
-    s_ij from generation's count (``_pair_span_dims``), one values-only
-    [P_i; P_j] row per unordered pair, which checks both table[i, j] and
-    table[j, i].  The counterexample names the first failed aspect
-    (injective, order, negation, then meet before join at each pair),
-    row-major within it.
+    this forces M = U meet W and J = U join W.  Ranks and frames come
+    from one full SVD of the class matrices, not from their stored ranks
+    or from generation; s_ij from generation's count (``_pair_span_dims``)
+    on those frames: r_i + r_j or dim for a pair with the bottom or top
+    class, and one row of a values-only SVD for every other unordered
+    pair, which checks both table[i, j] and table[j, i].  The
+    counterexample names the first failed aspect (injective, order,
+    negation, then meet before join at each pair), row-major within it.
     """
     n = len(lat)
     stack = np.stack([lat.projector(i).matrix for i in range(n)])
@@ -515,11 +537,11 @@ def verify_isomorphism(lat: QuotientLattice) -> LawReport:
         if found is not None:
             return fail(aspect, *found)
     # the order check passed, so ``below`` is the class order
-    s = np.linalg.svd(stack, compute_uv=False)
+    frames, s, _ = np.linalg.svd(stack)
     ranks = np.count_nonzero(s > _rank_cutoff(lat.eps, d), axis=1)
     i, j = np.triu_indices(n, 1)
     span = np.diag(ranks)
-    span[i, j] = span[j, i] = _pair_span_dims(stack, i, j, lat.eps)
+    span[i, j] = span[j, i] = _pair_span_dims(frames, ranks, i, j, lat.eps)
     x = np.arange(n)
     row, col = x[:, None], x[None, :]
     mt, jt = lat.meet_table, lat.join_table

@@ -584,18 +584,42 @@ def _near_span_pairs(dim, count):
 @pytest.mark.parametrize("dim", range(2, 17))
 def test_span_count_is_the_rank_of_join(dim):
     # generation and verification count a pair's span dimension from the
-    # stacked projectors [P; Q]; it must be the rank of ``join``, which
-    # counts on the range bases [B_p | B_q], on every rank pair (0 and dim
-    # included) and on pairs whose span straddles the rank cutoff
+    # sines of its principal angles, on frames from an SVD of each matrix;
+    # it must be the rank of ``join``, which counts on the range bases
+    # [B_p | B_q], on every rank pair (0 and dim included) and on pairs
+    # whose span straddles the rank cutoff
     projs, i, j = _kernel_cases(dim)
     near = _near_span_pairs(dim, 24)
     for pairs in ([(projs[x], projs[y]) for x, y in zip(i, j)], near):
-        a, b = (np.stack([pair[k].matrix for pair in pairs]) for k in (0, 1))
-        span = _span_dims(a, b, DEFAULT_EPS).tolist()
+        (fa, ra), (fb, rb) = (
+            (np.linalg.svd(np.stack([pair[k].matrix for pair in pairs]))[0],
+             np.array([pair[k].rank for pair in pairs])) for k in (0, 1))
+        span = _span_dims(fa, ra, fb, rb, DEFAULT_EPS).tolist()
         assert span == [join(p, q, DEFAULT_EPS).rank for p, q in pairs]
     # the near pairs, counted last, fall on both sides of the cutoff at every rank
     outcomes = set(zip((p.rank for p, _ in near), span))
     assert all({(r, r), (r, r + 1)} <= outcomes for r in range(1, dim))
+
+
+@pytest.mark.parametrize("dim", range(2, 17))
+def test_span_count_turns_at_the_sine_cutoff(dim):
+    # the rank cutoff c on the stacked [P; Q] is the cutoff c sqrt(2 - c^2)
+    # on the sines of the principal angles: a rank-r range with one vector
+    # turned out of it by a sine 1% above that spans r + 1 with the range,
+    # and by a sine 1% below it r.  The frames are exact: the unitary u,
+    # and u with the turned column and the one it turns toward rotated
+    c = DEFAULT_EPS * np.sqrt(dim)
+    cases = []
+    for rank in range(1, dim):
+        for factor, span in ((1.01, rank + 1), (0.99, rank)):
+            theta = np.arcsin(factor * c * np.sqrt(2 - c * c))
+            u, turned = turned_basis(dim, rank, 100 * dim + rank, theta)
+            v = u.copy()
+            v[:, :rank] = turned
+            v[:, rank] = np.cos(theta) * u[:, rank] - np.sin(theta) * u[:, rank - 1]
+            cases += [(u, v, rank, span), (v, u, rank, span)]
+    fa, fb, ranks, expected = (np.array(side) for side in zip(*cases))
+    assert (_span_dims(fa, ranks, fb, ranks, DEFAULT_EPS) == expected).all()
 
 
 # ---------------------------------------------------------------------------

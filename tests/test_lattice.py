@@ -164,21 +164,25 @@ def assert_no_class_near_a_threshold(lat):
         assert not ((dist > lat.class_tol - cutoff) & (dist <= lat.class_tol + cutoff)).any()
 
 
-@pytest.mark.parametrize("name, atoms, depth", [
+BUNDLED_LATTICES = [
     ("qubit-zx", ("az", "ax"), 3),
     ("qutrit-lines", ("aa", "ab", "ap"), 1),
     ("ququart-planes", ("bl", "bd", "bc"), 1),
-])
+]
+
+
+@pytest.mark.parametrize("name, atoms, depth", BUNDLED_LATTICES)
 def test_generation_takes_one_rank_row_per_pair_and_kernel_rows_for_the_rest(
         all_models, monkeypatch, name, atoms, depth):
-    # each unordered pair i < j is one row of the values-only rank SVD; the
-    # kernel then takes exactly the entries that the rank count names no class for
+    # each unordered pair i < j of classes other than bottom and top is one
+    # row of the values-only rank SVD; the kernel then takes exactly the
+    # entries that the rank count names no class for
     calls = {"rank": 0, "meet": 0, "join": 0}
     span_dims, pair_spans = pragmaql.lattice._span_dims, pragmaql.lattice._pair_spans
 
-    def counted_ranks(a, b, eps):
-        calls["rank"] += len(a)
-        return span_dims(a, b, eps)
+    def counted_ranks(fa, ra, fb, rb, eps):
+        calls["rank"] += len(fa)
+        return span_dims(fa, ra, fb, rb, eps)
 
     def counted_kernel(a, b, eps, meet):
         calls["meet" if meet else "join"] += len(a)
@@ -189,9 +193,75 @@ def test_generation_takes_one_rank_row_per_pair_and_kernel_rows_for_the_rest(
     lat = generate_quotient(all_models[name], atoms, depth)
     assert_no_class_near_a_threshold(lat)
     meet_named, join_named = named_entries(lat)
-    pairs = len(lat) * (len(lat) - 1) // 2
-    assert calls == {"rank": pairs, "meet": int((~meet_named).sum()),
+    n = len(lat)
+    assert calls == {"rank": n * (n - 1) // 2 - (2 * n - 3), "meet": int((~meet_named).sum()),
                      "join": int((~join_named).sum())}
+
+
+def record_svds(monkeypatch):
+    """A list that each later ``np.linalg.svd`` call appends its
+    ``(shape, compute_uv, full_matrices)`` to, and each call of the
+    lattice module's ``_span_dims`` ``("rows", ranks a, ranks b)``."""
+    calls = []
+    svd, span_dims = np.linalg.svd, pragmaql.lattice._span_dims
+
+    def counted_svd(a, full_matrices=True, compute_uv=True, **kwargs):
+        calls.append((np.shape(a), compute_uv, full_matrices))
+        return svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+
+    def counted_rows(fa, ra, fb, rb, eps):
+        calls.append(("rows", ra.tolist(), rb.tolist()))
+        return span_dims(fa, ra, fb, rb, eps)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(pragmaql.lattice, "_span_dims", counted_rows)
+    return calls
+
+
+def generation_rounds(calls, d):
+    """``calls`` of ``record_svds`` split at each round's full ``(k, d, d)``
+    frame SVD, which begins the round's list."""
+    rounds = []
+    for call in calls:
+        if call[1:] == (True, True) and call[0][1:] == (d, d):
+            rounds.append([])
+        rounds[-1].append(call)
+    return rounds
+
+
+def inner_pairs(ranks, d, seen, count):
+    """The rank pairs (r_i, r_j) of the pairs i < j with seen <= j < count,
+    row-major, whose classes are neither bottom (rank 0) nor top (rank d)."""
+    i, j = np.triu_indices(count, 1)
+    inner = (ranks > 0) & (ranks < d)
+    keep = (j >= seen) & inner[i] & inner[j]
+    return list(zip(ranks[i[keep]].tolist(), ranks[j[keep]].tolist()))
+
+
+@pytest.mark.parametrize("name, atoms, depth", BUNDLED_LATTICES)
+def test_span_rows_leave_out_the_bottom_and_top_classes(all_models, monkeypatch,
+                                                       name, atoms, depth):
+    # a pair with the bottom or the top class spans r_i + r_j or dim, so
+    # neither side sends it to the rank SVD: each generation round sends its
+    # pairs of other classes, and verification the n(n-1)/2 - (2n-3) pairs
+    # of other classes
+    calls = record_svds(monkeypatch)
+    lat = generate_quotient(all_models[name], atoms, depth)
+    n, d = len(lat), lat.projector(0).dim
+    ranks = np.array([lat.projector(c).rank for c in range(n)])
+    seen, total = 0, 0
+    for calls_of_round in generation_rounds(calls, d):
+        count = seen + calls_of_round[0][0][0]
+        sent = [pair for call in calls_of_round if call[0] == "rows"
+                for pair in zip(call[1], call[2])]
+        assert sent == inner_pairs(ranks, d, seen, count)
+        seen, total = count, total + len(sent)
+    assert seen == n and total == n * (n - 1) // 2 - (2 * n - 3)
+    calls.clear()
+    assert verify_isomorphism(lat).holds
+    sent = [pair for call in calls if call[0] == "rows" for pair in zip(call[1], call[2])]
+    assert sent == inner_pairs(ranks, d, 0, n)
+    assert len(sent) == n * (n - 1) // 2 - (2 * n - 3)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -243,30 +313,37 @@ def test_class_tol_that_merges_in_the_other_atom_order_leaves_laws_failing():
 def test_generation_svds_are_its_rank_chunks_and_its_kernel_calls(monkeypatch, name, atoms):
     # a fresh model, so no projector arrives with its basis already cached
     # and any basis generation computed would be counted.  It keeps none:
-    # each chunk of pairs takes one values-only SVD for its rank counts,
-    # each call of the batched kernel one stacked SVD, and nothing else
-    # makes one
+    # each round takes one full SVD of its new classes for their frames,
+    # then one values-only (k, dim, dim) SVD per chunk of its pairs for
+    # their span counts, then one stacked (k, 2 dim, dim) SVD per call of
+    # the batched kernel, and nothing else makes one
     model = bundled_model(name)
-    calls = {"values": 0, "full": 0, "rank": 0, "kernel": 0}
-    svd, span_dims = np.linalg.svd, pragmaql.lattice._span_dims
+    calls = record_svds(monkeypatch)
     pair_spans = pragmaql.lattice._pair_spans
 
-    def counted_svd(a, *args, **kwargs):
-        calls["full" if kwargs.get("compute_uv", True) else "values"] += 1
-        return svd(a, *args, **kwargs)
+    def counted_kernel(a, b, eps, meet):
+        calls.append(("kernel", len(a)))
+        return pair_spans(a, b, eps, meet)
 
-    def counted(key, function):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return function(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    monkeypatch.setattr(pragmaql.lattice, "_span_dims", counted("rank", span_dims))
-    monkeypatch.setattr(pragmaql.lattice, "_pair_spans", counted("kernel", pair_spans))
-    generate_quotient(model, list(atoms), 1)
-    assert calls["rank"] > 0 and calls["kernel"] > 0
-    assert (calls["values"], calls["full"]) == (calls["rank"], calls["kernel"])
+    monkeypatch.setattr(pragmaql.lattice, "_pair_spans", counted_kernel)
+    lat = generate_quotient(model, list(atoms), 1)
+    n, d = len(lat), model.dim
+    ranks = np.array([lat.projector(c).rank for c in range(n)])
+    chunk = pragmaql.lattice._BATCH_ENTRIES // (d * d)
+    calls = [call for call in calls if call[0] != "rows"]
+    seen, kernels = 0, 0
+    for calls_of_round in generation_rounds(calls, d):
+        count = seen + calls_of_round[0][0][0]
+        rows = len(inner_pairs(ranks, d, seen, count))
+        head = [((count - seen, d, d), True, True)] + [
+            ((min(chunk, rows - at), d, d), False, True) for at in range(0, rows, chunk)]
+        assert calls_of_round[:len(head)] == head
+        kernel = calls_of_round[len(head):]
+        sizes = [call[1] for call in kernel if call[0] == "kernel"]
+        assert kernel == [call for k in sizes
+                          for call in (("kernel", k), ((k, 2 * d, d), True, False))]
+        seen, kernels = count, kernels + len(sizes)
+    assert seen == n and kernels > 0
 
 
 # sha256 of each export's float-free content, recorded before generation
@@ -723,11 +800,10 @@ def test_isomorphism_catches_a_generator_that_drops_rank_one_meets(ququart, monk
     # recomputing meets independently of the generator can expose it
     span_dims, pair_spans = pragmaql.lattice._span_dims, pragmaql.lattice._pair_spans
 
-    def undecided(a, b, eps):
+    def undecided(fa, ra, fb, rb, eps):
         # a span count that matches no rank rule sends the pair to the kernel
-        span = span_dims(a, b, eps)
-        ranks = [np.rint(np.trace(m, axis1=1, axis2=2).real).astype(int) for m in (a, b)]
-        return np.where(ranks[0] + ranks[1] - span == 1, -1, span)
+        span = span_dims(fa, ra, fb, rb, eps)
+        return np.where(ra + rb - span == 1, -1, span)
 
     def lossy(a, b, eps, meet):
         mats, ranks = pair_spans(a, b, eps, meet)
@@ -767,8 +843,8 @@ def test_isomorphism_checks_the_lower_triangle(planes, key, j, i):
 @pytest.fixture(scope="module")
 def coordinate_planes_16d():
     """Two commuting 8-dimensional coordinate subspaces of C^16: a 16-class
-    Boolean lattice, large enough at dim 16 to split verification's 120
-    pairs into chunks."""
+    Boolean lattice, large enough at dim 16 to split the 91 of its 120 pairs
+    that verification counts, those without bottom or top, into chunks."""
     unit = lambda k: [[float(m == k), 0.0] for m in range(16)]
     return generate_quotient(pragmaql.load_model({
         "dim": 16, "states": {},
@@ -792,13 +868,14 @@ def test_isomorphism_takes_one_row_of_singular_values_per_unordered_pair(
     monkeypatch.setattr(np.linalg, "svd", counted)
     assert verify_isomorphism(lat).holds
     n, d = len(lat), lat.projector(0).dim
-    # no SVD computes vectors: one of the n class matrices counts the
-    # ranks, and each unordered pair i < j then takes one row of a stacked
-    # [P_i; P_j] SVD, chunked as in generation, which checks both of its
-    # table entries
-    pairs, chunk = n * (n - 1) // 2, pragmaql.lattice._BATCH_ENTRIES // (2 * d * d)
-    assert calls == [((n, d, d), False)] + [
-        ((min(chunk, pairs - at), 2 * d, d), False) for at in range(0, pairs, chunk)]
+    # one full SVD of the n class matrices gives their frames and ranks,
+    # and each unordered pair i < j of classes other than bottom and top
+    # then takes one row of a values-only (k, dim, dim) SVD of its
+    # principal-angle block, chunked as in generation, which checks both of
+    # its table entries
+    rows, chunk = n * (n - 1) // 2 - (2 * n - 3), pragmaql.lattice._BATCH_ENTRIES // (d * d)
+    assert calls == [((n, d, d), True)] + [
+        ((min(chunk, rows - at), d, d), False) for at in range(0, rows, chunk)]
 
 
 def test_isomorphism_reads_ranks_off_the_matrices_not_the_stored_rank(planes):
