@@ -204,8 +204,6 @@ class AQ(_Node):
 AssertiveFormula = Union[Assert, N, K, A, C, E, AQ]
 Formula = Union[RadicalFormula, AssertiveFormula]
 
-_RADICAL_TYPES = (Atom, Not, And, Or, Implies, Iff)
-
 # Binary operators of each stratum: token kind -> (level, node,
 # right-associative).  A higher level binds tighter.  The parser and the
 # printer both read these tables.
@@ -222,34 +220,35 @@ _ASSERTIVE_BINARY = {
     "A": (3, A, False),
     "K": (4, K, False),
 }
-_BINARY_RADICAL_OPS = {node: kind for kind, (_, node, _) in _RADICAL_BINARY.items()}
-_BINARY_ASSERTIVE_OPS = {node: kind for kind, (_, node, _) in _ASSERTIVE_BINARY.items()}
+_BINARY_OPS = {node: kind for table in (_RADICAL_BINARY, _ASSERTIVE_BINARY)
+               for kind, (_, node, _) in table.items()}
 
 
 # ---------------------------------------------------------------------------
 # tokenizer
 #
 # One ``findall`` turns a text into a flat list of token strings.  Each match
-# skips whitespace, then holds a token in group 1 or one character that starts
-# no token in group 2.  A token's text is its kind: ``|-  <->  ->  ~  &  |  (
-# )``, the keywords ``AQ N K A C E``, or an atom, the only kind whose first
-# letter is lower case.  The list ends with ``""`` for end of input.  Tokens
-# carry no positions: only an error computes one, by scanning the text again
-# up to its token (``_position``).
+# skips whitespace, then holds a token in the regex's one group or one
+# character that starts no token outside it, which ``findall`` gives as ``""``.
+# A token's text is its kind: ``|-  <->  ->  ~  &  |  (  )``, the keywords
+# ``AQ N K A C E``, or an atom, the only kind whose first letter is lower case.
+# The list ends with ``""`` for end of input.  Tokens carry no positions: only
+# an error computes one, by scanning the text again up to its token
+# (``_position``).
 _TOKEN_RE = re.compile(
     r"""
     \s* (?:
         ( \|- | <-> | -> | [~&|()]
         | (?:AQ|[NKACE])(?![A-Za-z0-9_])
         | [a-z][a-z0-9_]* )
-      | (\S) )
+      | \S )
     """,
     re.VERBOSE,
 )
 
 
 def _tokenize(text: str) -> list[str]:
-    tokens = [token for token, _ in _TOKEN_RE.findall(text)]
+    tokens = _TOKEN_RE.findall(text)
     if "" in tokens:
         pos = _position(text, tokens.index(""))
         raise ParseError(f"unknown token at position {pos}: {text[pos - 1]!r}",
@@ -263,7 +262,8 @@ def _position(text: str, k: int) -> int:
     input is at ``len(text) + 1``."""
     for j, m in enumerate(_TOKEN_RE.finditer(text)):
         if j == k:
-            return m.start(m.lastindex) + 1
+            # a character that starts no token is the match's last
+            return m.start(1) + 1 if m.lastindex else m.end()
     return len(text) + 1
 
 
@@ -275,11 +275,42 @@ def _position(text: str, k: int) -> int:
 #
 # unary := `~` unary | atom | `(` radical `)`
 # n := `N` n | `|-` (atom | `(` radical `)`) | `(` assertive `)`
+#
+# A parenthesized group parses the same wherever it stands, so the texts of
+# one document can share one table of groups (``_DocumentParser``): a group
+# whose exact tokens parsed before takes that AST and is skipped.  Only a
+# group that parsed is kept, so the tokens an error is raised at, and the
+# error, are those of a parse of the text alone.  A radical group holds no
+# ``|-`` and an assertive one always does, so one table serves both strata.
 
 
-def _parse(text: str, assertive: bool):
-    """Parse all of ``text`` with the assertive or the radical grammar."""
+_new, _set = object.__new__, object.__setattr__
+
+
+def _parsed_atom(name: str) -> Atom:
+    """``Atom(name)`` for a name the token regex matched: the check in
+    ``Atom.__post_init__`` would repeat the match."""
+    atom = _new(Atom)
+    _set(atom, "name", name)
+    return atom
+
+
+def _group_ends(tokens: list[str]) -> dict[int, int]:
+    """Index of the ``)`` that closes each ``(`` of ``tokens`` it closes."""
+    ends, opened = {}, []
+    for k, tok in enumerate(tokens):
+        if tok == "(":
+            opened.append(k)
+        elif tok == ")" and opened:
+            ends[opened.pop()] = k
+    return ends
+
+
+def _parse(text: str, assertive: bool, groups: dict | None = None):
+    """Parse all of ``text`` with the assertive or the radical grammar;
+    ``groups`` maps the tokens of each group parsed so far to its AST."""
     tokens = _tokenize(text)
+    ends = None if groups is None else _group_ends(tokens)
     i = 0  # index of the next token
 
     def fail(expected):
@@ -306,12 +337,29 @@ def _parse(text: str, assertive: bool):
             i += 1
             f = node(f, climb(table, operand, level if right else level + 1))
 
-    def closed(f):
-        """``f``, once the ``)`` that closes it is read."""
+    def opened():
+        """The AST of an earlier group of the same tokens as the one that
+        opens at token i, which is then skipped; else None, past its ``(``."""
+        nonlocal i
+        if ends is not None:
+            end = ends.get(i)
+            if end is not None:
+                f = groups.get(" ".join(tokens[i:end + 1]))
+                if f is not None:
+                    i = end + 1
+                    return f
+        i += 1
+        return None
+
+    def closed(start, f):
+        """``f``, once the ``)`` that closes the group whose first token
+        after ``(`` is ``start`` is read."""
         nonlocal i
         if tokens[i] != ")":
             fail({")"})
         i += 1
+        if groups is not None:
+            groups[" ".join(tokens[start - 1:i])] = f
         return f
 
     def unary():
@@ -319,13 +367,12 @@ def _parse(text: str, assertive: bool):
         tok = tokens[i]
         if tok.islower():
             i += 1
-            return Atom(tok)
+            return _parsed_atom(tok)
         if tok == "~":
             i += 1
             return Not(unary())
         if tok == "(":
-            i += 1
-            return closed(climb(_RADICAL_BINARY, unary, 1))
+            return opened() or closed(i, climb(_RADICAL_BINARY, unary, 1))
         fail({"~", "atom", "("})
 
     def n():
@@ -336,17 +383,15 @@ def _parse(text: str, assertive: bool):
             tok = tokens[i]
             if tok.islower():
                 i += 1
-                return Assert(Atom(tok))
+                return Assert(_parsed_atom(tok))
             if tok == "(":
-                i += 1
-                return Assert(closed(climb(_RADICAL_BINARY, unary, 1)))
+                return Assert(opened() or closed(i, climb(_RADICAL_BINARY, unary, 1)))
             fail({"atom", "("})
         if tok == "N":
             i += 1
             return N(n())
         if tok == "(":
-            i += 1
-            return closed(climb(_ASSERTIVE_BINARY, n, 1))
+            return opened() or closed(i, climb(_ASSERTIVE_BINARY, n, 1))
         fail({"N", "|-", "("})
 
     if assertive:
@@ -368,6 +413,22 @@ def parse_assertive(text: str) -> AssertiveFormula:
     return _parse(text, True)
 
 
+class _DocumentParser:
+    """``parse_assertive`` for the texts of one document, each distinct text
+    and group parsed once: a repeated text, or a group of the same tokens as
+    one parsed before, takes that AST.  Its tables live as long as it does."""
+
+    def __init__(self) -> None:
+        self._texts: dict[str, AssertiveFormula] = {}
+        self._groups: dict[str, Formula] = {}
+
+    def __call__(self, text: str) -> AssertiveFormula:
+        f = self._texts.get(text)
+        if f is None:
+            f = self._texts[text] = _parse(text, True, self._groups)
+        return f
+
+
 # ---------------------------------------------------------------------------
 # printing
 
@@ -377,34 +438,36 @@ def print_formula(f: Formula) -> str:
 
     ``parse_*(print_formula(f)) == f`` holds structurally for every AST.
     """
-    if isinstance(f, _RADICAL_TYPES):
-        return _print_radical(f)
-    return _print_assertive(f)
+    return _Printer()(f)
 
 
-def _print_radical(f: RadicalFormula) -> str:
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Not):
-        return "~" + _print_radical(f.operand)
-    op = _BINARY_RADICAL_OPS[type(f)]
-    return f"({_print_radical(f.left)} {op} {_print_radical(f.right)})"
+class _Printer:
+    """``print_formula`` that renders each AST node once: it keeps the text
+    of every node it printed, by the node's identity, for as long as it
+    lives, so formulas that share subtrees print each of them once."""
 
+    def __init__(self) -> None:
+        # id(node) -> (node, text); holding the node keeps its id from reuse
+        self._texts: dict[int, tuple[Formula, str]] = {}
 
-def _print_assertive(f: AssertiveFormula) -> str:
-    if isinstance(f, Assert):
-        r = f.radical
-        if isinstance(r, Atom):
-            return f"(|- {r.name})"
-        body = _print_radical(r)
-        if isinstance(r, Not):
+    def __call__(self, f: Formula) -> str:
+        known = self._texts.get(id(f))
+        if known is not None:
+            return known[1]
+        if isinstance(f, Atom):
+            text = f.name
+        elif isinstance(f, Not):
+            text = "~" + self(f.operand)
+        elif isinstance(f, Assert):
             # binary radicals already carry their own parentheses
-            body = f"({body})"
-        return f"(|- {body})"
-    if isinstance(f, N):
-        return f"N({_print_assertive(f.operand)})"
-    op = _BINARY_ASSERTIVE_OPS[type(f)]
-    return f"({_print_assertive(f.left)} {op} {_print_assertive(f.right)})"
+            r = f.radical
+            text = f"(|- ({self(r)}))" if isinstance(r, Not) else f"(|- {self(r)})"
+        elif isinstance(f, N):
+            text = f"N({self(f.operand)})"
+        else:
+            text = f"({self(f.left)} {_BINARY_OPS[type(f)]} {self(f.right)})"
+        self._texts[id(f)] = (f, text)
+        return text
 
 
 # ---------------------------------------------------------------------------

@@ -23,26 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ModelError, ParseError, ProjectorError
-from .formula import (
-    AQ,
-    Assert,
-    AssertiveFormula,
-    Atom,
-    K,
-    N,
-    parse_assertive,
-    print_formula,
-)
+from .formula import AQ, Assert, AssertiveFormula, Atom, K, N, print_formula
+from .formula import _DocumentParser, _Printer
+from .hilbert import DEFAULT_EPS, Projector, decode_array, encode_array, ortho
 from .hilbert import (
-    DEFAULT_EPS,
-    Projector,
-    decode_array,
-    encode_array,
-    make_projector,
-    ortho,
-)
-from .hilbert import (
-    _class_tol, _deviation, _is_tolerance, _nested, _pair_spans, _rank_cutoff, _span_dims,
+    _class_tol, _deviation, _is_tolerance, _nested, _pair_spans, _projectors,
+    _rank_cutoff, _span_dims, _square_matrix,
 )
 from .model import Model
 
@@ -315,9 +301,12 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
             yield from zip(*found)
 
     # shortlex: plain lexicographic order would favor longer members, since
-    # "(" sorts below every other formula character
+    # "(" sorts below every other formula character.  Members share their
+    # operands, which one printer prints once
+    printed = _Printer()
+
     def shortlex(f: AssertiveFormula):
-        text = print_formula(f)
+        text = printed(f)
         return (len(text), text)
 
     rounds = 0
@@ -521,10 +510,15 @@ def verify_isomorphism(lat: QuotientLattice) -> LawReport:
     pair, which checks both table[i, j] and table[j, i].  The
     counterexample names the first failed aspect (injective, order,
     negation, then meet before join at each pair), row-major within it.
+    At a rank cutoff of 1 or more no singular value of a projector exceeds
+    it, so every class would read as rank 0 and the meet and join checks
+    could not fail: the report then fails with ``("coarse-tolerance",)``.
     """
     n = len(lat)
     stack = np.stack([lat.projector(i).matrix for i in range(n)])
     d = stack.shape[1]
+    if _rank_cutoff(lat.eps, d) >= 1:
+        return LawReport("order-isomorphism", False, ("coarse-tolerance",))
     comp = np.eye(d) - stack
     fail = lambda *at: LawReport("order-isomorphism", False, at)
 
@@ -589,13 +583,14 @@ def _to_dot(lat: QuotientLattice) -> str:
 
 
 def _to_document(lat: QuotientLattice) -> dict:
+    printed = _Printer()   # members share subtrees, which it prints once
     elements = []
     for e in lat.elements:
         elements.append({
             "index": e.index,
-            "formula": None if e.formula is None else print_formula(e.formula),
+            "formula": None if e.formula is None else printed(e.formula),
             "synthesized": bool(e.synthesized),
-            "members": [print_formula(m) for m in e.members],
+            "members": [printed(m) for m in e.members],
             "rank": None if e.projector is None else int(e.projector.rank),
             "projector": None if e.projector is None
             else encode_array(e.projector.matrix),
@@ -606,10 +601,10 @@ def _to_document(lat: QuotientLattice) -> dict:
         "bottom": int(lat.bottom),
         "top": int(lat.top),
         "elements": elements,
-        "order": [[bool(v) for v in row] for row in lat.order],
-        "neg": [int(v) for v in lat.neg_table],
-        "meet": [[int(v) for v in row] for row in lat.meet_table],
-        "join": [[int(v) for v in row] for row in lat.join_table],
+        "order": np.asarray(lat.order, dtype=bool).tolist(),
+        "neg": np.asarray(lat.neg_table, dtype=int).tolist(),
+        "meet": np.asarray(lat.meet_table, dtype=int).tolist(),
+        "join": np.asarray(lat.join_table, dtype=int).tolist(),
     }
 
 
@@ -626,8 +621,18 @@ def _entries(document: dict, key: str, kind: type, ndim: int) -> np.ndarray:
 
 def import_lattice(document) -> QuotientLattice:
     """Rebuild a lattice from the structured export document.  A malformed
-    one is a ``ModelError``, which names a bad element and keeps its
-    ``ProjectorError``'s code (``schema`` for formula text)."""
+    one is a ``ModelError``, which names the first bad element and keeps its
+    ``ProjectorError``'s code (``schema`` for formula text).
+
+    The document's formula texts go through one parser, which parses each
+    distinct text, and each parenthesized group of the same tokens, once
+    (see ``pragmaql.formula``).  The element projectors are checked in one
+    batched pass per dimension, after the elements are read, up to the
+    first that fails to read; an element's projector is checked before its
+    members, so the error is the one a check element by element would
+    raise.  A document whose rank cutoff is 1 or more, at which every
+    projector has rank 0, is a ``ModelError(code="coarse-tolerance")``.
+    """
     if not isinstance(document, dict):
         raise ModelError("lattice document must be a mapping", code="schema")
     try:
@@ -658,27 +663,41 @@ def import_lattice(document) -> QuotientLattice:
         raise ModelError("lattice document names a class index out of range",
                          code="schema")
 
-    elements = []
+    parse = _DocumentParser()
+    read = []       # (raw, formula, members, synthesized) of each element read whole
+    matrices = []   # each element's projector matrix or None, the failed one's too
+    failure = None  # the error of the first element that did not read whole
     for i, raw in enumerate(raw_elements):
-        if not isinstance(raw, dict):
-            raise ModelError(f"lattice element {i} must be a mapping", code="schema")
-        text = raw.get("formula")
-        texts = raw.get("members", [])
-        synthesized = raw.get("synthesized", False)
-        if not (text is None or isinstance(text, str)) or not isinstance(texts, list) \
-                or not all(isinstance(m, str) for m in texts) \
-                or not isinstance(synthesized, bool):
-            raise ModelError(f"lattice element {i}: formula and members must be "
-                             "formula text, synthesized a boolean", code="schema")
+        matrix = None
         try:
-            formula = None if text is None else parse_assertive(text)
-            projector = None if raw.get("projector") is None else \
-                make_projector(decode_array(raw["projector"], 2), eps=eps)
-            members = tuple(parse_assertive(m) for m in texts)
-        except ParseError as exc:
-            raise ModelError(f"lattice element {i}: {exc}", code="schema") from exc
-        except ProjectorError as exc:
-            raise ModelError(f"lattice element {i}: {exc}", code=exc.code) from exc
+            if not isinstance(raw, dict):
+                raise ModelError(f"lattice element {i} must be a mapping", code="schema")
+            text, texts = raw.get("formula"), raw.get("members", [])
+            synthesized = raw.get("synthesized", False)
+            if not (text is None or isinstance(text, str)) or not isinstance(texts, list) \
+                    or not all(isinstance(m, str) for m in texts) \
+                    or not isinstance(synthesized, bool):
+                raise ModelError(f"lattice element {i}: formula and members must be "
+                                 "formula text, synthesized a boolean", code="schema")
+            formula = None if text is None else parse(text)
+            if raw.get("projector") is not None:
+                matrix = _square_matrix(decode_array(raw["projector"], 2))
+            members = tuple(map(parse, texts))
+        except (ModelError, ParseError, ProjectorError) as exc:
+            failure = _element_error(i, exc)
+        matrices.append(matrix)
+        if failure is not None:
+            break
+        read.append((raw, formula, members, synthesized))
+
+    projectors, defect = _element_projectors(matrices, eps)
+    elements = []
+    for i, projector in enumerate(projectors):
+        if defect is not None and defect[0] == i:
+            raise _element_error(i, defect[1])
+        if i == len(read):
+            raise failure
+        raw, formula, members, synthesized = read[i]
         index, rank = raw.get("index", i), raw.get("rank")
         if type(index) is not int or index != i or rank is not None and (
                 projector is None or type(rank) is not int or rank != projector.rank):
@@ -689,6 +708,10 @@ def import_lattice(document) -> QuotientLattice:
     if len(dims) > 1:
         raise ModelError(f"lattice element projectors differ in dimension: {dims}",
                          code="schema")
+    cutoff = _rank_cutoff(eps, dims[0]) if dims else 0.0
+    if cutoff >= 1:
+        raise ModelError(f"rank cutoff {cutoff:.3g} (eps {eps:.3g} at dim {dims[0]}) is 1 "
+                         "or more: every projector reads as rank 0", code="coarse-tolerance")
     return QuotientLattice(
         elements=elements,
         order=order,
@@ -700,3 +723,34 @@ def import_lattice(document) -> QuotientLattice:
         eps=eps,
         class_tol=class_tol,
     )
+
+
+def _element_error(i: int, exc: Exception) -> ModelError:
+    """``exc``, raised reading lattice element ``i``, as the ``ModelError``
+    that names the element: a ``ProjectorError`` keeps its code, formula
+    text is a ``schema`` error."""
+    if isinstance(exc, ModelError):
+        return exc
+    error = ModelError(f"lattice element {i}: {exc}", code=getattr(exc, "code", "schema"))
+    error.__cause__ = exc
+    return error
+
+
+def _element_projectors(matrices: list, eps: float) -> tuple[list, tuple | None]:
+    """The ``make_projector`` result of each of ``matrices``, square, finite
+    and possibly None, and (k, its error) for the first one that is not a
+    projector, or None.  The matrices of each dimension are checked in one
+    batched pass."""
+    projectors = [None] * len(matrices)
+    by_dim: dict[int, list[int]] = {}
+    for k, m in enumerate(matrices):
+        if m is not None:
+            by_dim.setdefault(len(m), []).append(k)
+    bad = None
+    for at in by_dim.values():
+        made, defect = _projectors(np.stack([matrices[k] for k in at]), eps)
+        for k, p in zip(at, made):
+            projectors[k] = p
+        if defect is not None and (bad is None or at[defect[0]] < bad[0]):
+            bad = (at[defect[0]], defect[1])
+    return projectors, bad

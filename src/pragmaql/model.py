@@ -253,14 +253,20 @@ def _validate(model: Model) -> ValidationReport:
                 f"state {name!r} has norm {norm:.9g}",
             ))
 
+    # the projector defects of all properties of the model's dim, in one pass
+    sized = [(name, p) for name, p in model.properties.items() if p.dim == model.dim]
+    defects: dict[str, list[tuple[str, float]]] = {}
+    if sized:
+        stack = np.stack([p.matrix for _, p in sized])
+        for k, code, dev in _projector_defects(stack, [p.rank for _, p in sized], eff):
+            defects.setdefault(sized[k][0], []).append((code, dev))
     for name, p in model.properties.items():
         if p.dim != model.dim:
             findings.append(Finding(
                 "error", "dimension-mismatch",
                 f"property {name!r} has dim {p.dim}, model dim is {model.dim}",
             ))
-            continue
-        for code, dev in _projector_defects(p.matrix, p.rank, eff):
+        for code, dev in defects.get(name, ()):
             findings.append(Finding(
                 "error", code,
                 f"property {name!r} (rank {p.rank}) deviates by {dev:.3g}",

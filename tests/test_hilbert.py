@@ -96,6 +96,15 @@ def test_non_finite_projector_input_rejected(bad):
         assert exc.value.code == "schema"
 
 
+@pytest.mark.parametrize("diagonal", [[1e308, 1e308], [1e308, 0.0]])
+def test_projector_input_near_the_float_limit_is_not_a_projector(diagonal):
+    # the trace or the Hermitian part overflows; that is a failed check,
+    # with no OverflowError from rounding the trace and no RuntimeWarning
+    with pytest.raises(ProjectorError) as exc:
+        make_projector(np.diag(diagonal).astype(complex))
+    assert exc.value.code == "not-idempotent"
+
+
 def test_state_normalization_and_rejection():
     s = make_state([0.707107, 0.707107])  # hand-typed decimals are fine
     assert abs(np.linalg.norm(s.amplitudes) - 1) < 1e-12

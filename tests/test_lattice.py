@@ -14,6 +14,7 @@ from pragmaql import (
     LatticeElement,
     LawReport,
     ModelError,
+    ParseError,
     QuotientLattice,
     UnknownNameError,
     bundled_model,
@@ -26,6 +27,7 @@ from pragmaql import (
     import_lattice,
     justify,
     ortho,
+    parse_assertive,
     projector_from_span,
     projectors_close,
     random_state,
@@ -1094,3 +1096,153 @@ def test_import_rejects_projectors_of_different_dimensions(mo2):
         import_lattice(doc)
     assert info.value.code == "schema"
     assert "dimension" in str(info.value)
+
+
+def mo2_document(mo2):
+    return json.loads(json.dumps(export_lattice(mo2, "structured")))
+
+
+# G is the group "((|- az) AQ (|- ax))": part of members of elements 2 and 3
+# and the first member of element 5, so a later text reuses its parse
+G = "((|- az) AQ (|- ax))"
+
+
+@pytest.mark.parametrize("field, element, text, groups", [
+    ("members", 5, f"{G} K", [G]),
+    ("members", 5, f"({G} K {G}", [G]),
+    ("members", 5, f"{G} {G}", [G]),
+    ("members", 5, f"N{G} AQ |- (az &)", [G]),
+    ("members", 5, f"({G} K {G}))", [G]),
+    ("members", 5, f"{G} K |- az $", [G]),
+    ("members", 5, f"N({G}) K (|- az", [G]),
+    ("members", 5, f"( {G}\tK {G} AQ N( {G} )", [G]),
+    # a formula whose groups all repeat members of earlier elements
+    ("formula", 4, "((|- az) K (|- az)) K (N((|- ax)) K ((|- az) AQ (|- ax))) AQ",
+     ["((|- az) K (|- az))", "(N((|- ax)) K ((|- az) AQ (|- ax)))"]),
+])
+def test_import_parse_error_after_repeated_groups_is_that_of_the_text_alone(
+        mo2, field, element, text, groups):
+    doc = mo2_document(mo2)
+    earlier = [m for e in doc["elements"][:element] for m in e["members"]]
+    assert all(any(g in m for m in earlier) for g in groups)
+    if field == "formula":
+        doc["elements"][element]["formula"] = text
+    else:
+        doc["elements"][element]["members"].append(text)
+    with pytest.raises(ParseError) as alone:
+        parse_assertive(text)
+    with pytest.raises(ModelError) as info:
+        import_lattice(doc)
+    assert info.value.code == "schema"
+    assert str(info.value) == f"lattice element {element}: {alone.value}"
+    cause = info.value.__cause__
+    assert isinstance(cause, ParseError)
+    assert (str(cause), cause.position, cause.expected) == \
+        (str(alone.value), alone.value.position, alone.value.expected)
+
+
+def respaced(text: str, k: int) -> str:
+    """``text`` with the whitespace between its tokens changed: none, tabs
+    or doubled spaces, chosen by ``k``, and a space where two letters meet."""
+    tokens = re.findall(r"\|-|AQ|[NKACE~&|()]|<->|->|[a-z][a-z0-9_]*", text)
+    gaps = ["", " ", "\t", "  ", " \t ", "\n"]
+    out = tokens[0]
+    for n, (a, b) in enumerate(zip(tokens, tokens[1:])):
+        gap = gaps[(k + n) % len(gaps)]
+        if not gap and a[-1].isalnum() and b[0].isalnum():
+            gap = " "
+        out += gap + b
+    return out
+
+
+def test_respaced_document_imports_to_the_same_asts_and_exports_canonically(mo2):
+    canonical = mo2_document(mo2)
+    doc = json.loads(json.dumps(canonical))
+    k = 0
+    for e in doc["elements"]:
+        e["formula"] = respaced(e["formula"], k)
+        e["members"] = [respaced(m, k := k + 1) for m in e["members"]]
+    doc["elements"][4]["members"][0] = "(( |- az )K(|- ax))"
+    assert canonical["elements"][4]["members"][0] == "((|- az) K (|- ax))"
+    texts = [t for e in doc["elements"] for t in [e["formula"], *e["members"]]]
+    assert all(any(gap in t for t in texts) for gap in (")K(", "\t", "  ", "\n"))
+    back, same = import_lattice(doc), import_lattice(canonical)
+    for e, f in zip(back.elements, same.elements):
+        assert e.formula == f.formula and e.members == f.members
+    assert json.dumps(export_lattice(back, "structured")) == json.dumps(canonical)
+
+
+def test_import_parses_each_distinct_text_once(mo2, monkeypatch):
+    doc = mo2_document(mo2)
+    texts = [t for e in doc["elements"] for t in [e["formula"], *e["members"]]]
+    parsed = []
+    parse = pragmaql.formula._parse
+    monkeypatch.setattr(pragmaql.formula, "_parse",
+                        lambda text, *args: parsed.append(text) or parse(text, *args))
+    import_lattice(doc)
+    assert sorted(parsed) == sorted(set(texts)) and len(set(texts)) < len(texts)
+
+
+def bad_projector(element):
+    element["projector"] = [[[x / 2, y / 2] for x, y in row] for row in element["projector"]]
+
+
+def bad_member(element):
+    element["members"].append("(|- az) K")
+
+
+def bad_rank(element):
+    element["rank"] += 1
+
+
+def half_1x1(element):
+    element["projector"] = [[[0.5, 0.0]]]
+
+
+def huge(element):
+    element["projector"] = [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e308, 0.0]]]
+
+
+@pytest.mark.parametrize("faults, named, code", [
+    # elements 0-3 are the four rank-1 classes, 4 the bottom and 5 the top
+    ([(3, bad_projector), (1, bad_member)], 1, "schema"),
+    ([(1, bad_projector), (3, bad_member)], 1, "not-idempotent"),
+    ([(3, bad_projector), (2, bad_projector)], 2, "not-idempotent"),
+    ([(2, bad_rank), (3, bad_projector)], 2, "schema"),
+    ([(5, bad_projector), (4, bad_rank)], 4, "schema"),
+    # an element's projector is checked before its members and its rank
+    ([(2, bad_member), (2, bad_projector), (3, bad_projector)], 2, "not-idempotent"),
+    ([(3, bad_rank), (3, bad_projector)], 3, "not-idempotent"),
+    # projectors of two dimensions: the first bad one is named, whichever
+    # dimension's batch holds it
+    ([(3, bad_projector), (1, half_1x1)], 1, "not-idempotent"),
+    ([(2, huge), (1, bad_member)], 1, "schema"),
+    ([(2, huge), (3, bad_projector)], 2, "not-idempotent"),
+])
+def test_import_names_the_first_bad_element_after_the_batched_projector_check(
+        mo2, faults, named, code):
+    doc = mo2_document(mo2)
+    for at, fault in faults:
+        fault(doc["elements"][at])
+    with pytest.raises(ModelError) as info:
+        import_lattice(doc)
+    assert info.value.code == code
+    assert str(info.value).startswith(f"lattice element {named}: ")
+
+
+@pytest.mark.parametrize("eps, coarse", [(0.2, False), (0.25, True), (0.3, True)])
+def test_rank_cutoff_of_one_or_more_is_coarse_tolerance(coordinate_planes_16d, eps, coarse):
+    # at dim 16 the rank cutoff eps * 4 reaches 1 at eps 0.25; past it every
+    # class would read as rank 0 and the meet and join checks could not fail
+    lat = dataclasses.replace(coordinate_planes_16d, eps=eps)
+    report = verify_isomorphism(lat)
+    doc = json.loads(json.dumps(export_lattice(lat, "structured")))
+    if not coarse:
+        assert report.holds
+        assert export_lattice(import_lattice(doc), "structured") == doc
+        return
+    assert report == LawReport("order-isomorphism", False, ("coarse-tolerance",))
+    with pytest.raises(ModelError) as info:
+        import_lattice(doc)
+    assert info.value.code == "coarse-tolerance"
+

@@ -248,6 +248,24 @@ def test_validate_flags_corrupted_projector(qubit):
     assert any(f.code == "not-idempotent" for f in report.errors())
 
 
+def test_validate_reports_each_property_s_defects_in_property_order():
+    # one batched check covers the properties of the model's dim; a rank
+    # outside [0, dim] fails even where the trace is within eps * dim of it
+    eye, zero = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
+    skewed = np.array([[1.0, 0.9], [0.9, 0.0]], dtype=complex)
+    properties = {"A": Projector(2, eye, 2), "B": Projector(2, skewed, 1),
+                  "C": Projector(3, np.eye(3), 3), "D": Projector(2, eye, 3),
+                  "E": Projector(2, zero, -1), "F": Projector(2, zero, 0)}
+    model = Model(dim=2, states={}, properties=properties,
+                  atom_map={k.lower(): k for k in properties}, eps=0.6)
+    assert [(f.code, f.message) for f in validate_model(model).errors()] == [
+        ("not-idempotent", "property 'B' (rank 1) deviates by 0.81"),
+        ("dimension-mismatch", "property 'C' has dim 3, model dim is 2"),
+        ("bad-rank", "property 'D' (rank 3) deviates by 1"),
+        ("bad-rank", "property 'E' (rank -1) deviates by 1"),
+    ]
+
+
 def test_validate_flags_nan_state_and_projector(qubit):
     # every norm and deviation test is false for NaN, so each must be
     # written to fail on it rather than to pass
