@@ -275,13 +275,6 @@ def _position(text: str, k: int) -> int:
 #
 # unary := `~` unary | atom | `(` radical `)`
 # n := `N` n | `|-` (atom | `(` radical `)`) | `(` assertive `)`
-#
-# A parenthesized group parses the same wherever it stands, so the texts of
-# one document can share one table of groups (``_DocumentParser``): a group
-# whose exact tokens parsed before takes that AST and is skipped.  Only a
-# group that parsed is kept, so the tokens an error is raised at, and the
-# error, are those of a parse of the text alone.  A radical group holds no
-# ``|-`` and an assertive one always does, so one table serves both strata.
 
 
 _new, _set = object.__new__, object.__setattr__
@@ -295,22 +288,9 @@ def _parsed_atom(name: str) -> Atom:
     return atom
 
 
-def _group_ends(tokens: list[str]) -> dict[int, int]:
-    """Index of the ``)`` that closes each ``(`` of ``tokens`` it closes."""
-    ends, opened = {}, []
-    for k, tok in enumerate(tokens):
-        if tok == "(":
-            opened.append(k)
-        elif tok == ")" and opened:
-            ends[opened.pop()] = k
-    return ends
-
-
-def _parse(text: str, assertive: bool, groups: dict | None = None):
-    """Parse all of ``text`` with the assertive or the radical grammar;
-    ``groups`` maps the tokens of each group parsed so far to its AST."""
+def _parse(text: str, assertive: bool):
+    """Parse all of ``text`` with the assertive or the radical grammar."""
     tokens = _tokenize(text)
-    ends = None if groups is None else _group_ends(tokens)
     i = 0  # index of the next token
 
     def fail(expected):
@@ -337,29 +317,12 @@ def _parse(text: str, assertive: bool, groups: dict | None = None):
             i += 1
             f = node(f, climb(table, operand, level if right else level + 1))
 
-    def opened():
-        """The AST of an earlier group of the same tokens as the one that
-        opens at token i, which is then skipped; else None, past its ``(``."""
-        nonlocal i
-        if ends is not None:
-            end = ends.get(i)
-            if end is not None:
-                f = groups.get(" ".join(tokens[i:end + 1]))
-                if f is not None:
-                    i = end + 1
-                    return f
-        i += 1
-        return None
-
-    def closed(start, f):
-        """``f``, once the ``)`` that closes the group whose first token
-        after ``(`` is ``start`` is read."""
+    def closed(f):
+        """``f``, once the ``)`` that closes it is read."""
         nonlocal i
         if tokens[i] != ")":
             fail({")"})
         i += 1
-        if groups is not None:
-            groups[" ".join(tokens[start - 1:i])] = f
         return f
 
     def unary():
@@ -372,7 +335,8 @@ def _parse(text: str, assertive: bool, groups: dict | None = None):
             i += 1
             return Not(unary())
         if tok == "(":
-            return opened() or closed(i, climb(_RADICAL_BINARY, unary, 1))
+            i += 1
+            return closed(climb(_RADICAL_BINARY, unary, 1))
         fail({"~", "atom", "("})
 
     def n():
@@ -385,13 +349,15 @@ def _parse(text: str, assertive: bool, groups: dict | None = None):
                 i += 1
                 return Assert(_parsed_atom(tok))
             if tok == "(":
-                return Assert(opened() or closed(i, climb(_RADICAL_BINARY, unary, 1)))
+                i += 1
+                return Assert(closed(climb(_RADICAL_BINARY, unary, 1)))
             fail({"atom", "("})
         if tok == "N":
             i += 1
             return N(n())
         if tok == "(":
-            return opened() or closed(i, climb(_ASSERTIVE_BINARY, n, 1))
+            i += 1
+            return closed(climb(_ASSERTIVE_BINARY, n, 1))
         fail({"N", "|-", "("})
 
     if assertive:
@@ -413,22 +379,6 @@ def parse_assertive(text: str) -> AssertiveFormula:
     return _parse(text, True)
 
 
-class _DocumentParser:
-    """``parse_assertive`` for the texts of one document, each distinct text
-    and group parsed once: a repeated text, or a group of the same tokens as
-    one parsed before, takes that AST.  Its tables live as long as it does."""
-
-    def __init__(self) -> None:
-        self._texts: dict[str, AssertiveFormula] = {}
-        self._groups: dict[str, Formula] = {}
-
-    def __call__(self, text: str) -> AssertiveFormula:
-        f = self._texts.get(text)
-        if f is None:
-            f = self._texts[text] = _parse(text, True, self._groups)
-        return f
-
-
 # ---------------------------------------------------------------------------
 # printing
 
@@ -438,7 +388,22 @@ def print_formula(f: Formula) -> str:
 
     ``parse_*(print_formula(f)) == f`` holds structurally for every AST.
     """
-    return _Printer()(f)
+    return _render(f, print_formula)
+
+
+def _render(f: Formula, text) -> str:
+    """The canonical text of ``f``, with ``text`` giving its operands'."""
+    if isinstance(f, Atom):
+        return f.name
+    if isinstance(f, Not):
+        return "~" + text(f.operand)
+    if isinstance(f, Assert):
+        # binary radicals already carry their own parentheses
+        r = f.radical
+        return f"(|- ({text(r)}))" if isinstance(r, Not) else f"(|- {text(r)})"
+    if isinstance(f, N):
+        return f"N({text(f.operand)})"
+    return f"({text(f.left)} {_BINARY_OPS[type(f)]} {text(f.right)})"
 
 
 class _Printer:
@@ -454,18 +419,7 @@ class _Printer:
         known = self._texts.get(id(f))
         if known is not None:
             return known[1]
-        if isinstance(f, Atom):
-            text = f.name
-        elif isinstance(f, Not):
-            text = "~" + self(f.operand)
-        elif isinstance(f, Assert):
-            # binary radicals already carry their own parentheses
-            r = f.radical
-            text = f"(|- ({self(r)}))" if isinstance(r, Not) else f"(|- {self(r)})"
-        elif isinstance(f, N):
-            text = f"N({self(f.operand)})"
-        else:
-            text = f"({self(f.left)} {_BINARY_OPS[type(f)]} {self(f.right)})"
+        text = _render(f, self)
         self._texts[id(f)] = (f, text)
         return text
 

@@ -85,44 +85,25 @@ def _deviation(a: np.ndarray, b: np.ndarray, axes: int = 2) -> np.ndarray:
     return np.abs(a - b).max(axis=tuple(range(-axes, 0)), initial=0.0)
 
 
-_DEFECTS = ("not-hermitian", "not-idempotent", "bad-rank")
-
-
 def _projector_defects(m: np.ndarray, rank, eps: float) -> list[tuple[int, str, float]]:
     """(k, code, deviation) for each invariant that ``m[k]``, of a stack of
-    square matrices, breaks as a rank-``rank[k]`` projector, by k and then in
-    the order of ``_DEFECTS``, from one batched pass: idempotence is measured
-    on the Hermitian part, which it keeps, and a rank outside [0, dim] fails
-    the trace check whatever the trace."""
+    square matrices, breaks as a rank-``rank[k]`` projector, by k: the
+    deviations of the whole stack come from one batched pass.  Idempotence
+    is measured on the Hermitian part, which it keeps, and a rank outside
+    [0, dim] fails the trace check whatever the trace."""
     d = m.shape[-1]
-    rank = np.asarray(rank)
-    dev = np.empty((len(m), len(_DEFECTS)))
     # entries near the float limit overflow to inf and NaN, which fail
     with np.errstate(over="ignore", invalid="ignore"):
         mh = m.conj().swapaxes(1, 2)
         h = (m + mh) / 2.0
-        dev[:, 0] = _deviation(m, mh)
-        dev[:, 1] = _deviation(h @ h, h)
-        dev[:, 2] = np.abs(np.trace(h, axis1=1, axis2=2).real - rank)
-        ok = dev <= (eps, eps, eps * d)
-    ok[:, 2] &= rank.clip(0, d) == rank
-    k, check = np.nonzero(~ok)
-    return [(at, _DEFECTS[c], value) for at, c, value
-            in zip(k.tolist(), check.tolist(), dev[k, check].tolist())]
-
-
-def _trace_ranks(m: np.ndarray) -> list[int]:
-    """The rank that each matrix of the stack ``m`` claims: the real part of
-    its trace, rounded, or -1, which fails the rank check, where that is
-    not finite."""
-    with np.errstate(over="ignore"):
-        traces = np.trace(m, axis1=1, axis2=2).real.tolist()
-    return [round(t) if math.isfinite(t) else -1 for t in traces]
-
-
-def _not_a_projector(code: str, deviation: float) -> ProjectorError:
-    return ProjectorError(f"matrix is not a projector ({code}, deviation {deviation:.3g})",
-                          code=code)
+        deviations = zip(_deviation(m, mh).tolist(), _deviation(h @ h, h).tolist(),
+                         np.trace(h, axis1=1, axis2=2).real.tolist(), rank)
+    defects = []
+    for k, (herm, idem, trace, r) in enumerate(deviations):
+        checks = (("not-hermitian", herm, eps), ("not-idempotent", idem, eps),
+                  ("bad-rank", abs(trace - r), eps * d if 0 <= r <= d else -1.0))
+        defects += [(k, code, dev) for code, dev, bound in checks if not dev <= bound]
+    return defects
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,23 +207,27 @@ def make_projector(spec, dim: int | None = None, eps: float = DEFAULT_EPS) -> Pr
     """
     if not (isinstance(spec, np.ndarray) and spec.ndim == 2):
         return projector_from_span(spec, dim, eps)
-    (p,), bad = _projectors(_square_matrix(spec, dim)[None], eps)
-    if bad is not None:
-        raise bad[1]
+    (p,), errors = _projectors(_square_matrix(spec, dim)[None], eps)
+    if errors:
+        raise errors[0]
     return p
 
 
-def _projectors(m: np.ndarray, eps: float) -> tuple[list[Projector], tuple | None]:
+def _projectors(m: np.ndarray, eps: float) -> tuple[list[Projector], dict[int, ProjectorError]]:
     """``make_projector`` of each matrix of the stack ``m`` of square, finite
     matrices, by one batched check: each symmetrized, with the rank its
-    trace claims, and (k, its ``ProjectorError``) for the first that is not
-    a projector within ``eps``, or None."""
-    ranks = _trace_ranks(m)
-    defects = _projector_defects(m, ranks, eps)
-    bad = (defects[0][0], _not_a_projector(*defects[0][1:])) if defects else None
+    trace claims (-1, which fails, where the trace is not finite), and the
+    ``ProjectorError`` of its first defect by k for each that is not a
+    projector within ``eps``."""
     with np.errstate(over="ignore", invalid="ignore"):   # only where the check fails
         symmetric = (m + m.conj().swapaxes(1, 2)) / 2.0
-    return [Projector(m.shape[-1], h, r) for h, r in zip(symmetric, ranks)], bad
+        traces = np.trace(m, axis1=1, axis2=2).real.tolist()
+    ranks = [round(t) if math.isfinite(t) else -1 for t in traces]
+    errors: dict[int, ProjectorError] = {}
+    for k, code, dev in _projector_defects(m, ranks, eps):
+        errors.setdefault(k, ProjectorError(
+            f"matrix is not a projector ({code}, deviation {dev:.3g})", code=code))
+    return [Projector(m.shape[-1], h, r) for h, r in zip(symmetric, ranks)], errors
 
 
 def _square_matrix(spec: np.ndarray, dim: int | None = None) -> np.ndarray:

@@ -17,15 +17,31 @@ one values-only SVD per chunk of pairs.  ``export_lattice`` and
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ModelError, ParseError, ProjectorError
-from .formula import AQ, Assert, AssertiveFormula, Atom, K, N, print_formula
-from .formula import _DocumentParser, _Printer
-from .hilbert import DEFAULT_EPS, Projector, decode_array, encode_array, ortho
+from .formula import (
+    AQ,
+    Assert,
+    AssertiveFormula,
+    Atom,
+    K,
+    N,
+    parse_assertive,
+    print_formula,
+)
+from .formula import _Printer
+from .hilbert import (
+    DEFAULT_EPS,
+    Projector,
+    decode_array,
+    encode_array,
+    ortho,
+)
 from .hilbert import (
     _class_tol, _deviation, _is_tolerance, _nested, _pair_spans, _projectors,
     _rank_cutoff, _span_dims, _square_matrix,
@@ -583,7 +599,7 @@ def _to_dot(lat: QuotientLattice) -> str:
 
 
 def _to_document(lat: QuotientLattice) -> dict:
-    printed = _Printer()   # members share subtrees, which it prints once
+    printed = _Printer()   # generated members share operands, printed once
     elements = []
     for e in lat.elements:
         elements.append({
@@ -624,14 +640,13 @@ def import_lattice(document) -> QuotientLattice:
     one is a ``ModelError``, which names the first bad element and keeps its
     ``ProjectorError``'s code (``schema`` for formula text).
 
-    The document's formula texts go through one parser, which parses each
-    distinct text, and each parenthesized group of the same tokens, once
-    (see ``pragmaql.formula``).  The element projectors are checked in one
-    batched pass per dimension, after the elements are read, up to the
-    first that fails to read; an element's projector is checked before its
-    members, so the error is the one a check element by element would
-    raise.  A document whose rank cutoff is 1 or more, at which every
-    projector has rank 0, is a ``ModelError(code="coarse-tolerance")``.
+    Each distinct formula text of the document is parsed once.  The element
+    projectors are checked in one batched pass per dimension before the
+    elements are read; each element's error, from its formula, its
+    projector, then its members, is raised at its turn, as a check element
+    by element would, and no element after the first bad one is parsed.  A document whose
+    rank cutoff is 1 or more, at which every projector has rank 0, is a
+    ``ModelError(code="coarse-tolerance")``.
     """
     if not isinstance(document, dict):
         raise ModelError("lattice document must be a mapping", code="schema")
@@ -663,41 +678,41 @@ def import_lattice(document) -> QuotientLattice:
         raise ModelError("lattice document names a class index out of range",
                          code="schema")
 
-    parse = _DocumentParser()
-    read = []       # (raw, formula, members, synthesized) of each element read whole
-    matrices = []   # each element's projector matrix or None, the failed one's too
-    failure = None  # the error of the first element that did not read whole
+    # every projector is decoded and checked before any formula is read, and
+    # its error waits for its element's turn, so the first bad element is named
+    matrices, errors = {}, {}
     for i, raw in enumerate(raw_elements):
-        matrix = None
-        try:
-            if not isinstance(raw, dict):
-                raise ModelError(f"lattice element {i} must be a mapping", code="schema")
-            text, texts = raw.get("formula"), raw.get("members", [])
-            synthesized = raw.get("synthesized", False)
-            if not (text is None or isinstance(text, str)) or not isinstance(texts, list) \
-                    or not all(isinstance(m, str) for m in texts) \
-                    or not isinstance(synthesized, bool):
-                raise ModelError(f"lattice element {i}: formula and members must be "
-                                 "formula text, synthesized a boolean", code="schema")
-            formula = None if text is None else parse(text)
-            if raw.get("projector") is not None:
-                matrix = _square_matrix(decode_array(raw["projector"], 2))
-            members = tuple(map(parse, texts))
-        except (ModelError, ParseError, ProjectorError) as exc:
-            failure = _element_error(i, exc)
-        matrices.append(matrix)
-        if failure is not None:
-            break
-        read.append((raw, formula, members, synthesized))
+        if isinstance(raw, dict) and raw.get("projector") is not None:
+            try:
+                matrices[i] = _square_matrix(decode_array(raw["projector"], 2))
+            except ProjectorError as exc:
+                errors[i] = exc
+    projectors, defects = _element_projectors(matrices, eps)
+    errors.update(defects)
 
-    projectors, defect = _element_projectors(matrices, eps)
+    parse = functools.cache(parse_assertive)   # texts repeat within a document
     elements = []
-    for i, projector in enumerate(projectors):
-        if defect is not None and defect[0] == i:
-            raise _element_error(i, defect[1])
-        if i == len(read):
-            raise failure
-        raw, formula, members, synthesized = read[i]
+    for i, raw in enumerate(raw_elements):
+        if not isinstance(raw, dict):
+            raise ModelError(f"lattice element {i} must be a mapping", code="schema")
+        text = raw.get("formula")
+        texts = raw.get("members", [])
+        synthesized = raw.get("synthesized", False)
+        if not (text is None or isinstance(text, str)) or not isinstance(texts, list) \
+                or not all(isinstance(m, str) for m in texts) \
+                or not isinstance(synthesized, bool):
+            raise ModelError(f"lattice element {i}: formula and members must be "
+                             "formula text, synthesized a boolean", code="schema")
+        try:
+            formula = None if text is None else parse(text)
+            if i in errors:
+                raise errors[i]
+            projector = projectors.get(i)
+            members = tuple(map(parse, texts))
+        except ParseError as exc:
+            raise ModelError(f"lattice element {i}: {exc}", code="schema") from exc
+        except ProjectorError as exc:
+            raise ModelError(f"lattice element {i}: {exc}", code=exc.code) from exc
         index, rank = raw.get("index", i), raw.get("rank")
         if type(index) is not int or index != i or rank is not None and (
                 projector is None or type(rank) is not int or rank != projector.rank):
@@ -725,32 +740,17 @@ def import_lattice(document) -> QuotientLattice:
     )
 
 
-def _element_error(i: int, exc: Exception) -> ModelError:
-    """``exc``, raised reading lattice element ``i``, as the ``ModelError``
-    that names the element: a ``ProjectorError`` keeps its code, formula
-    text is a ``schema`` error."""
-    if isinstance(exc, ModelError):
-        return exc
-    error = ModelError(f"lattice element {i}: {exc}", code=getattr(exc, "code", "schema"))
-    error.__cause__ = exc
-    return error
-
-
-def _element_projectors(matrices: list, eps: float) -> tuple[list, tuple | None]:
-    """The ``make_projector`` result of each of ``matrices``, square, finite
-    and possibly None, and (k, its error) for the first one that is not a
-    projector, or None.  The matrices of each dimension are checked in one
-    batched pass."""
-    projectors = [None] * len(matrices)
-    by_dim: dict[int, list[int]] = {}
-    for k, m in enumerate(matrices):
-        if m is not None:
-            by_dim.setdefault(len(m), []).append(k)
-    bad = None
-    for at in by_dim.values():
-        made, defect = _projectors(np.stack([matrices[k] for k in at]), eps)
-        for k, p in zip(at, made):
-            projectors[k] = p
-        if defect is not None and (bad is None or at[defect[0]] < bad[0]):
-            bad = (at[defect[0]], defect[1])
-    return projectors, bad
+def _element_projectors(matrices: dict, eps: float) -> tuple[dict, dict]:
+    """The ``make_projector`` result of each of ``matrices``, square and
+    finite, by key, and the ``ProjectorError`` of each that is not a
+    projector.  The matrices of each dimension are checked in one batched
+    pass."""
+    by_dim: dict[int, list] = {}
+    for i, m in matrices.items():
+        by_dim.setdefault(len(m), []).append(i)
+    projectors, errors = {}, {}
+    for keys in by_dim.values():
+        made, bad = _projectors(np.stack([matrices[i] for i in keys]), eps)
+        projectors.update(zip(keys, made))
+        errors.update((keys[k], exc) for k, exc in bad.items())
+    return projectors, errors

@@ -28,7 +28,6 @@ from pragmaql import (
     quantum_fragment_check,
     radical_atoms,
 )
-from pragmaql.formula import _DocumentParser
 
 P, Q, R = Atom("p"), Atom("q"), Atom("r")
 
@@ -476,44 +475,3 @@ def test_connective_depth():
 def test_radical_atoms_order_and_dedup():
     f = parse_radical("q & p | q -> r")
     assert radical_atoms(f) == ("q", "p", "r")
-
-
-# ---------------------------------------------------------------------------
-# one parser for the texts of a document
-
-
-def parse_outcome(parse, text):
-    try:
-        return parse(text)
-    except ParseError as exc:
-        return (str(exc), exc.position, exc.expected)
-
-
-@given(st.lists(assertive_st, min_size=1, max_size=4),
-       st.lists(st.tuples(st.integers(0, 50), st.integers(0, 50), st.integers(0, 299)),
-                max_size=12))
-def test_document_parser_gives_each_text_the_outcome_of_the_text_alone(pool, picks):
-    # texts built from earlier ones repeat their groups, respaced or cut off
-    texts = [print_formula(f) for f in pool]
-    for i, j, cut in picks:
-        a, b = texts[i % len(texts)], texts[j % len(texts)]
-        text = f"({a} K N{b})" if cut % 2 else f"{a} AQ ({b})"
-        if cut % 3 == 0:
-            text = text[:cut % (len(text) + 1)]
-        elif cut % 3 == 1:
-            text = text.replace("(", "( ", cut % 4).replace(") ", ")\t", cut % 3)
-        texts.append(text)
-    parse = _DocumentParser()
-    for text in texts + texts[::-1]:
-        assert parse_outcome(parse, text) == parse_outcome(parse_assertive, text)
-
-
-def test_document_parser_shares_repeated_groups():
-    parse = _DocumentParser()
-    f = parse("((|- p) AQ N(|- q))")
-    g = parse("(N(|- q) K ( (|- p)\tAQ N( |- q ) ))")
-    h = parse("((|- p) AQ N(|- q))")
-    # N is no group, but the group it takes is
-    assert g.right is f and h is f and g.left.operand is f.right.operand
-    assert g == parse_assertive("(N(|- q) K ((|- p) AQ N(|- q)))")
-

@@ -1103,7 +1103,7 @@ def mo2_document(mo2):
 
 
 # G is the group "((|- az) AQ (|- ax))": part of members of elements 2 and 3
-# and the first member of element 5, so a later text reuses its parse
+# and the first member of element 5, so a later text repeats it
 G = "((|- az) AQ (|- ax))"
 
 
@@ -1116,6 +1116,10 @@ G = "((|- az) AQ (|- ax))"
     ("members", 5, f"{G} K |- az $", [G]),
     ("members", 5, f"N({G}) K (|- az", [G]),
     ("members", 5, f"( {G}\tK {G} AQ N( {G} )", [G]),
+    # a group that parses as assertive, where a radical stands, and the reverse
+    ("members", 5, "|- (|- az)", ["(|- az)"]),
+    ("members", 5, f"{G} K |- (~(|- az))", [G, "(|- az)"]),
+    ("members", 5, "|- (az & ax) K (az & ax)", []),
     # a formula whose groups all repeat members of earlier elements
     ("formula", 4, "((|- az) K (|- az)) K (N((|- ax)) K ((|- az) AQ (|- ax))) AQ",
      ["((|- az) K (|- az))", "(N((|- ax)) K ((|- az) AQ (|- ax)))"]),
@@ -1203,6 +1207,11 @@ def huge(element):
     element["projector"] = [[[1e308, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e308, 0.0]]]
 
 
+def deep_member(element):
+    # nested past the parser's recursion limit: it raises RecursionError
+    element["members"].append("(" * 1000 + "|- az" + ")" * 1000)
+
+
 @pytest.mark.parametrize("faults, named, code", [
     # elements 0-3 are the four rank-1 classes, 4 the bottom and 5 the top
     ([(3, bad_projector), (1, bad_member)], 1, "schema"),
@@ -1218,6 +1227,9 @@ def huge(element):
     ([(3, bad_projector), (1, half_1x1)], 1, "not-idempotent"),
     ([(2, huge), (1, bad_member)], 1, "schema"),
     ([(2, huge), (3, bad_projector)], 2, "not-idempotent"),
+    # no element after the first bad one is parsed
+    ([(1, bad_projector), (3, deep_member)], 1, "not-idempotent"),
+    ([(1, bad_member), (3, deep_member)], 1, "schema"),
 ])
 def test_import_names_the_first_bad_element_after_the_batched_projector_check(
         mo2, faults, named, code):
