@@ -110,8 +110,16 @@ def _resolve_radical(radical: RadicalLike) -> RadicalFormula:
     return parse_radical(radical) if isinstance(radical, str) else radical
 
 
-def _resolve_assertive(formula: AssertiveLike) -> AssertiveFormula:
-    return parse_assertive(formula) if isinstance(formula, str) else formula
+def _resolve_quantum(formula: AssertiveLike) -> AssertiveFormula:
+    """The formula, parsed if it is a text, once it passes the fragment check."""
+    f = parse_assertive(formula) if isinstance(formula, str) else formula
+    report = quantum_fragment_check(f)
+    if not report.is_quantum:
+        raise NonQuantumFormulaError(
+            f"formula is outside the quantum fragment: {print_formula(f)}",
+            violations=report.violations,
+        )
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -180,27 +188,38 @@ def _classical(r: RadicalFormula, env: dict[str, bool]) -> bool:
 
 def pragmatic_extension(model: Model, formula: AssertiveLike) -> Projector:
     """The closed subspace of states in which the formula is justified."""
-    f = _resolve_assertive(formula)
-    report = quantum_fragment_check(f)
-    if not report.is_quantum:
-        raise NonQuantumFormulaError(
-            f"formula is outside the quantum fragment: {print_formula(f)}",
-            violations=report.violations,
-        )
-    return _extension(model, f)
+    return _extension(model, _resolve_quantum(formula), {})[1]
 
 
-def _extension(model: Model, f: AssertiveFormula) -> Projector:
+def _extension(model: Model, f: AssertiveFormula, memo: dict) -> tuple[int, Projector]:
+    """The id and extension of the quantum formula ``f``, each distinct
+    subformula evaluated once, left to right.
+
+    ``memo`` lives for one call: it maps a subformula's key, its atom's name
+    or its class and its operands' ids, to its id and extension, an id being
+    the count of entries before it.  A key is built from the operands'
+    entries, so it costs one small tuple and no walk of the subtree.
+    """
     if isinstance(f, Assert):
-        return model.atom_projector(f.radical.name)
-    if isinstance(f, N):
-        return ortho(_extension(model, f.operand))
-    if isinstance(f, K):
-        return meet(_extension(model, f.left), _extension(model, f.right),
-                    eps=model.eps)
-    # AQ: the derived disjunction lands on the closed span
-    return join(_extension(model, f.left), _extension(model, f.right),
-                eps=model.eps)
+        key = f.radical.name
+    elif isinstance(f, N):
+        x = _extension(model, f.operand, memo)
+        key = (N, x[0])
+    else:
+        x, y = _extension(model, f.left, memo), _extension(model, f.right, memo)
+        key = (f.__class__, x[0], y[0])
+    entry = memo.get(key)
+    if entry is None:
+        if isinstance(f, Assert):
+            p = model.atom_projector(key)
+        elif isinstance(f, N):
+            p = ortho(x[1])
+        elif isinstance(f, K):
+            p = meet(x[1], y[1], eps=model.eps)
+        else:   # AQ: the derived disjunction lands on the closed span
+            p = join(x[1], y[1], eps=model.eps)
+        entry = memo[key] = (len(memo), p)
+    return entry
 
 
 def justify(model: Model, state: StateLike,
@@ -217,13 +236,14 @@ def precedes(model: Model, first: AssertiveLike, second: AssertiveLike) -> bool:
     """Justification-preserving order between two quantum formulas.
 
     Decided by extension inclusion, which settles the "in every state"
-    quantifier algebraically over the whole continuum of pure states.
+    quantifier algebraically over the whole continuum of pure states.  The
+    two extensions share one memo, so a subformula of both is evaluated
+    once; the first formula is checked and evaluated before the second.
     """
-    return leq(
-        pragmatic_extension(model, first),
-        pragmatic_extension(model, second),
-        model.eps,
-    )
+    memo: dict = {}
+    _, p = _extension(model, _resolve_quantum(first), memo)
+    _, q = _extension(model, _resolve_quantum(second), memo)
+    return leq(p, q, model.eps)
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,33 @@ def make_state(amplitudes, *, normalize_tol: float = 1e-6) -> StateVector:
     return StateVector(a.shape[0], a / norm)
 
 
+class _FormedOnRead:
+    """``Projector.matrix`` of a ``meet``, ``join`` or ``ortho`` result, which
+    is formed on its first read and kept in the instance's ``__dict__``.  The
+    descriptor defines no ``__set__``, so an instance entry takes precedence
+    over it: a matrix given to the constructor, or one already formed, is
+    read without a call."""
+
+    def __get__(self, p, owner=None):
+        if p is None:
+            return self
+        # an ortho result keeps its operand until it forms I - (the operand's
+        # matrix): walk the chain of such results down to the first with a
+        # matrix or a basis, then form back up, so that a long chain recurses
+        # no deeper than a short one
+        chain = []
+        while "_operand" in p.__dict__:
+            chain.append(p)
+            p = p.__dict__["_operand"]
+        m = p.__dict__.get("matrix")
+        if m is None:
+            m = p.__dict__["matrix"] = _read_only(_outer(p.__dict__["_basis"]))
+        for q in reversed(chain):
+            m = q.__dict__["matrix"] = _read_only(np.eye(q.dim) - m)
+            del q.__dict__["_operand"]
+        return m
+
+
 @dataclass(frozen=True, eq=False)
 class Projector:
     """Orthogonal projector onto a closed subspace of C^dim.
@@ -153,10 +180,14 @@ class Projector:
     construction); ``rank`` is the subspace dimension.  Construct through
     ``make_projector``, which validates; direct construction skips the
     checks and exists for tests that need deliberately broken data.
+    A projector is immutable and its matrix read-only.  The results of
+    ``meet``, ``join`` and ``ortho`` form their matrix on its first read:
+    B Bᴴ of their basis B, symmetrized, or I minus their operand's matrix.
     The range basis is kept on the instance as a read-only array: ``meet``
-    and ``join`` results keep the basis they were built from, ``ortho``
-    hands on the complement of an SVD that ``basis()`` already ran, and any
-    other projector computes its basis on the first ``basis()`` call.
+    and ``join`` results keep the basis they were built from and the rest
+    of its SVD as the complement, ``ortho`` hands on its operand's
+    complement, and any other projector computes its basis on the first
+    ``basis()`` call.
     """
 
     dim: int
@@ -195,6 +226,11 @@ class Projector:
 
     def __repr__(self) -> str:
         return f"Projector(dim={self.dim}, rank={self.rank})"
+
+
+# set after the dataclass is made, so that ``matrix`` stays a field without a
+# default; an instance's own ``matrix`` entry takes precedence over it
+Projector.matrix = _FormedOnRead()
 
 
 def make_projector(spec, dim: int | None = None, eps: float = DEFAULT_EPS) -> Projector:
@@ -282,25 +318,38 @@ def _require_finite(a: np.ndarray) -> None:
 
 
 def _span(a: np.ndarray, eps: float, keep_basis: bool = False) -> Projector:
-    """Projector onto the span of the columns of ``a``, up to the rank cutoff;
-    with ``keep_basis``, the orthonormal columns it is built from become its
-    ``basis()``."""
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    basis = u[:, s > _rank_cutoff(eps, a.shape[0])]
-    p = _from_basis(a.shape[0], basis)
-    return _with_basis(p, basis) if keep_basis else p
+    """Projector onto the span of the columns of ``a``, up to the rank cutoff.
+
+    With ``keep_basis``, the orthonormal columns it is built from become its
+    ``basis()``, the remaining columns of a full SVD its complement, which
+    ``ortho`` hands on, and its matrix forms on first read."""
+    d, n = a.shape
+    # an SVD of d or more columns already has all d columns of U
+    u, s, _ = np.linalg.svd(a, full_matrices=keep_basis and n < d)
+    # selecting the columns by mask copies them column-major; ``meet``
+    # multiplies by a kept basis, and a product's rounding follows its layout
+    basis = u[:, : s.size][:, s > _rank_cutoff(eps, d)]
+    rank = basis.shape[1]
+    if not keep_basis:
+        return _from_basis(d, basis)
+    return _deferred(d, rank, _basis=_read_only(basis), _complement=_read_only(u[:, rank:]))
 
 
 def _from_basis(dim: int, basis: np.ndarray) -> Projector:
+    return Projector(dim, _outer(basis), basis.shape[1])
+
+
+def _outer(basis: np.ndarray) -> np.ndarray:
+    """B Bᴴ of the orthonormal columns B, symmetrized."""
     m = basis @ basis.conj().T
-    m = (m + m.conj().T) / 2.0  # exactly Hermitian after symmetrization
-    return Projector(dim, m, basis.shape[1])
+    return (m + m.conj().T) / 2.0  # exactly Hermitian after symmetrization
 
 
-def _with_basis(p: Projector, basis: np.ndarray) -> Projector:
-    """``p``, with ``basis`` (orthonormal columns spanning its range) as its
-    read-only ``basis()``."""
-    p.__dict__["_basis"] = _read_only(basis)
+def _deferred(dim: int, rank: int, **parts) -> Projector:
+    """A projector whose matrix forms on first read from ``parts``: its
+    ``_basis``, or its ``_operand`` for an orthocomplement."""
+    p = object.__new__(Projector)
+    p.__dict__.update(dim=dim, rank=rank, **parts)
     return p
 
 
@@ -337,12 +386,16 @@ def _check_same_dim(a, b) -> None:
 def ortho(p: Projector) -> Projector:
     """Orthocomplement: projector onto the orthogonal subspace.
 
-    When ``p.basis()`` has run its SVD of ``p.matrix``, the remaining
-    columns of that SVD become the result's ``basis()``.
+    Its matrix, I minus ``p.matrix``, forms on first read.  When ``p`` holds
+    the complement of its basis (a ``meet`` or ``join`` result, or a
+    projector whose ``basis()`` has run its SVD), that becomes the result's
+    ``basis()``.
     """
-    q = Projector(p.dim, np.eye(p.dim) - p.matrix, p.dim - p.rank)
+    q = _deferred(p.dim, p.dim - p.rank, _operand=p)
     complement = p.__dict__.get("_complement")
-    return q if complement is None else _with_basis(q, complement)
+    if complement is not None:
+        q.__dict__["_basis"] = complement
+    return q
 
 
 def meet(p: Projector, q: Projector, eps: float = DEFAULT_EPS) -> Projector:
@@ -385,13 +438,15 @@ def join(p: Projector, q: Projector, eps: float = DEFAULT_EPS) -> Projector:
 
 
 # Batched meet and join, for quotient generation.  ``meet``/``join`` stay on
-# range bases, and their results keep the basis they are built from, so the
-# next connective of an extension reads it instead of running an SVD of the
-# matrix: a ``join`` takes one SVD and a ``meet`` at most two.  Routed through
-# ``_pair_spans``, they changed the printed ``extension`` matrices of two CLI
-# commands: a ``-0.`` entry became ``0.``, which moves numpy's padding.  On one
-# pair the kernel also costs more: 17 against 10 us at dim 2 and 59 against 45
-# us at dim 16 (best of 7, 2 CPUs), and it returns no basis to hand on.
+# range bases, and their results keep the basis they are built from and its
+# complement, so the next connective of an extension, or an ``ortho`` over
+# it, reads them instead of running an SVD of the matrix: a ``join`` takes one
+# SVD and a ``meet`` at most two, and neither forms a matrix that nothing
+# reads.  Routed through ``_pair_spans``, they changed the printed
+# ``extension`` matrices of two CLI commands: a ``-0.`` entry became ``0.``,
+# which moves numpy's padding.  On one pair the kernel also costs more: 17
+# against 10 us at dim 2 and 59 against 45 us at dim 16 (best of 7, 2 CPUs),
+# and it returns no basis to hand on.
 
 
 def _pair_spans(a: np.ndarray, b: np.ndarray, eps: float,

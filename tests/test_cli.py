@@ -4,11 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import pragmaql.cli
 from pragmaql import bundled_model_document
 from pragmaql.cli import run
 
-from helpers import child_env, seeded_c3_triple
+from helpers import blocksum, child_env, seeded_c3_triple
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -100,6 +102,21 @@ def test_extension_structured(capsys):
     assert payload["rank"] == 1
     assert payload["matrix"] == [[[1.0, 0.0], [0.0, 0.0]],
                                  [[0.0, 0.0], [0.0, 0.0]]]
+
+
+def test_extension_structured_of_a_block_sum_model(tmp_path, capsys):
+    # the rank of an AQ over N of a K result is a plain int, so the
+    # structured output is JSON
+    rng = np.random.default_rng(20140901)
+    model, _ = blocksum.draw(rng, rng, 6, 3, (12, 16))
+    path = tmp_path / "blocksum.json"
+    path.write_text(json.dumps(blocksum.document(model, rng)))
+    code, out, err = invoke(capsys, "extension", "-m", str(path),
+                            "-f", "N(|- a0 K |- a1) AQ |- a2", "--format", "structured")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["dim"] == 6 and type(payload["rank"]) is int
+    assert np.array(payload["matrix"]).shape == (6, 6, 2)
 
 
 def test_extension_human(capsys):

@@ -201,19 +201,17 @@ def test_extension_agrees_with_desugared_form(qubit):
     assert projectors_close(a, b, 1e-9)
 
 
-@pytest.mark.parametrize("text, svds", [
-    # two joins, then the meet's null-space SVD and its re-orthonormalization:
-    # the meet reads its operands' bases off the joins
-    ("((|- aa) AQ (|- ab)) K ((|- ab) AQ (|- ap))", 4),
-    # the meet's null-space SVD; the plane N(|- aa) takes its basis from the
-    # SVD that computed aa's, and meets the line ab only at zero
-    ("(N |- aa) K |- ab", 1),
-])
-def test_extension_svds_with_warm_atom_bases(monkeypatch, text, svds):
-    # a fresh model whose atoms have their bases, so only the connectives count
+def warm_qutrit():
+    """A fresh qutrit-lines model whose atoms have their bases, so that only
+    the connectives run SVDs."""
     model = bundled_model("qutrit-lines")
     for p in model.properties.values():
         p.basis()
+    return model
+
+
+def counting_svds(monkeypatch):
+    """The list that each later ``np.linalg.svd`` call appends its input's shape to."""
     calls, svd = [], np.linalg.svd
 
     def counted_svd(a, *args, **kwargs):
@@ -221,10 +219,47 @@ def test_extension_svds_with_warm_atom_bases(monkeypatch, text, svds):
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    return calls
+
+
+@pytest.mark.parametrize("text, svds", [
+    # two joins, then the meet's null-space SVD and its re-orthonormalization:
+    # the meet reads its operands' bases off the joins
+    ("((|- aa) AQ (|- ab)) K ((|- ab) AQ (|- ap))", 4),
+    # the meet's null-space SVD; the plane N(|- aa) takes its basis from the
+    # SVD that computed aa's, and meets the line ab only at zero
+    ("(N |- aa) K |- ab", 1),
+    # the repeated join runs its SVD once, then the meet's two
+    ("((|- aa) AQ (|- ab)) K ((|- aa) AQ (|- ab))", 3),
+    # the join once; N takes the join's complement, so the meet's null-space
+    # SVD is the only other one, and finds the intersection zero
+    ("N((|- aa) AQ (|- ab)) K ((|- aa) AQ (|- ab))", 2),
+    ("((|- aa) AQ (|- ab)) K N((|- aa) AQ (|- ab))", 2),
+    # the join once, the complement's join with ap, and the meet's two
+    ("(N((|- aa) AQ (|- ab)) AQ |- ap) K ((|- aa) AQ (|- ab))", 4),
+])
+def test_extension_svds_with_warm_atom_bases(monkeypatch, text, svds):
+    model = warm_qutrit()
+    calls = counting_svds(monkeypatch)
     extension = pragmatic_extension(model, text)
     assert len(calls) == svds
     extension.basis()
     assert len(calls) == svds
+
+
+@pytest.mark.parametrize("text", [
+    "(|- aa) AQ (|- ab)", "N((|- aa) AQ (|- ab)) K |- ap",
+    "((|- aa) AQ (|- ab)) K ((|- ab) AQ (|- ap))",
+    "N(((|- aa) K (|- ap)) AQ N |- ab) K ((|- ab) AQ (|- ap))",
+])
+def test_precedes_of_a_formula_and_itself_evaluates_it_once(monkeypatch, text):
+    first, second = warm_qutrit(), warm_qutrit()
+    calls = counting_svds(monkeypatch)
+    pragmatic_extension(first, text)
+    once = len(calls)
+    assert once > 0
+    assert precedes(second, text, text)
+    assert len(calls) == 2 * once
 
 
 def test_extension_rejects_non_quantum(qubit):
@@ -325,6 +360,33 @@ def test_precedes_matches_statewise_justification(qubit):
         for psi in states:
             if justify(qubit, psi, f) is J:
                 assert justify(qubit, psi, g) is J
+
+
+@pytest.mark.parametrize("first, second, error", [
+    # the first operand is evaluated before the second is parsed or checked
+    ("|- nosuch", "(|- aa) A (|- ab)", UnknownNameError),
+    ("|- nosuch", "|- aa K", UnknownNameError),
+    ("(|- aa) A (|- ab)", "|- nosuch", NonQuantumFormulaError),
+    ("N |- aa", "|- nosuch", UnknownNameError),
+])
+def test_precedes_raises_the_first_operands_error_first(qutrit, first, second, error):
+    with pytest.raises(error):
+        precedes(qutrit, first, second)
+
+
+@pytest.mark.parametrize("text, rank", [
+    ("N |- aa", 2),
+    ("N((|- aa) K (|- ab))", 3),
+    ("((|- aa) AQ (|- ab)) K ((|- ab) AQ (|- ap))", 2),
+    ("(N |- aa) K |- ap", 1),
+    ("(|- aa) AQ (|- ab)", 2),
+    ("(|- aa) K (|- ab)", 0),    # two lines meet at zero
+])
+def test_extension_rank_and_dim_are_ints(qutrit, text, rank):
+    # JSON output and callers rely on plain ints, not numpy integers
+    p = pragmatic_extension(qutrit, text)
+    assert type(p.rank) is int and type(p.dim) is int
+    assert p.rank == rank
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -6,16 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pragmaql import (
+    JustificationValue,
     Projector,
     ProjectorError,
     contains_state,
     identity_projector,
     join,
+    justify,
     leq,
     make_projector,
     make_state,
     meet,
     ortho,
+    pragmatic_extension,
+    precedes,
     projector_from_span,
     projectors_close,
     random_projector,
@@ -430,9 +435,9 @@ def assert_is_basis_of(b, p):
 
 @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
 def test_meet_join_and_ortho_hand_on_their_basis(monkeypatch, dim):
-    # each result's basis() is the orthonormal columns it was built from,
-    # and ortho reads its basis off the SVD that computed its operand's: no
-    # basis() below runs an SVD
+    # each meet and join result's basis() is the orthonormal columns it was
+    # built from, and ortho reads its basis off the SVD that computed its
+    # operand's, a meet's and a join's included: no basis() below runs an SVD
     rng = np.random.default_rng(dim)
     svd, calls = np.linalg.svd, []
 
@@ -444,7 +449,9 @@ def test_meet_join_and_ortho_hand_on_their_basis(monkeypatch, dim):
         p, q = sharing_pair(dim, rng)
         p.basis(), q.basis()
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
-        results = [meet(p, q), join(p, q), ortho(p), ortho(q)]
+        pq_meet, pq_join = meet(p, q), join(p, q)
+        operands = [p, q, pq_meet, pq_join]
+        results = [pq_meet, pq_join] + [ortho(x) for x in operands]
         made = len(calls)
         bases = [r.basis() for r in results]
         assert len(calls) == made
@@ -452,9 +459,67 @@ def test_meet_join_and_ortho_hand_on_their_basis(monkeypatch, dim):
         for b, r in zip(bases, results):
             assert r.basis() is b
             assert_is_basis_of(b, r)
-        for operand, complement in ((p, bases[2]), (q, bases[3])):
+        for operand, complement in zip(operands, bases[2:]):
             overlap = operand.basis().conj().T @ complement
             assert float(np.abs(overlap).max(initial=0.0)) <= DEFAULT_EPS
+
+
+def eager_matrix(result, operands):
+    """The matrix that ``result``, of a connective over ``operands``, had
+    when results formed theirs as they were made: I minus the operand's for
+    an orthocomplement, else B Bᴴ of its basis B, symmetrized."""
+    if len(operands) == 1:
+        return np.eye(result.dim) - operands[0].matrix
+    b = result.basis()
+    m = b @ b.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+def test_results_form_the_eager_matrix_on_first_read(dim):
+    # seeded chains of meets, joins and orthocomplements over random
+    # projectors; each new result forms no matrix until one is read, then
+    # the one an eager result would have had, read-only
+    rng = np.random.default_rng(200 + dim)
+    pool = [random_projector(dim, int(rng.integers(1, dim)), rng) for _ in range(3)]
+    for step in range(60):
+        kind = int(rng.integers(3))
+        operands = [pool[int(i)] for i in rng.integers(len(pool), size=1 if kind == 2 else 2)]
+        result = (meet, join, ortho)[kind](*operands)
+        if any(result is x for x in operands) or kind == 0 and result.rank == 0:
+            continue   # a join's operand, or a meet's eager zero
+        assert "matrix" not in vars(result)
+        expected = eager_matrix(result, operands)
+        for name, value in (("matrix", expected), ("rank", 0), ("dim", dim)):
+            with pytest.raises(AttributeError):
+                setattr(result, name, value)
+        if step % 3 == 0:
+            result.basis()   # a basis first must not change the matrix
+        assert np.array_equal(result.matrix, expected)
+        assert result.matrix is result.matrix
+        with pytest.raises(ValueError):
+            result.matrix[0, 0] = 0
+        pool.append(result)
+
+
+def test_a_long_chain_of_orthocomplements_forms_without_recursing(qubit):
+    # each N's matrix is I minus its operand's, formed on first read; at the
+    # default recursion limit a chain the parser accepts must form too
+    text = "N " * 800 + "|- az"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        p = pragmatic_extension(qubit, text)
+        assert np.array_equal(p.matrix, qubit.atom_projector("az").matrix)
+        assert justify(qubit, "z+", text) is JustificationValue.J
+        assert justify(qubit, "z-", "N " + text) is JustificationValue.J
+        assert precedes(qubit, text, text)
+        chain = [ortho(P_X)]
+        for _ in range(5000):
+            chain.append(ortho(chain[-1]))
+        assert np.array_equal(chain[-1].matrix, np.eye(2) - chain[-2].matrix)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # ---------------------------------------------------------------------------
