@@ -191,18 +191,20 @@ def pragmatic_extension(model: Model, formula: AssertiveLike) -> Projector:
     return _extension(model, _resolve_quantum(formula), {})[1]
 
 
-def _extension(model: Model, f: AssertiveFormula, memo: dict) -> tuple[int, Projector]:
-    """The id and extension of the quantum formula ``f``, each distinct
+def _extension(model: Model, f: AssertiveFormula,
+               memo: dict) -> tuple[str | int, Projector]:
+    """The key and extension of the quantum formula ``f``, each distinct
     subformula evaluated once, left to right.
 
-    ``memo`` lives for one call: it maps a subformula's key, its atom's name
-    or its class and its operands' ids, to its id and extension, an id being
-    the count of entries before it.  A key is built from the operands'
-    entries, so it costs one small tuple and no walk of the subtree.
+    An elementary assertion is keyed by its atom's name.  ``memo`` lives
+    for one call and holds each connective evaluated in it: keyed by its
+    class and its operands' keys, its entry is its own key, the int count
+    of entries before it, and its extension.  Building a key takes one
+    small tuple and no walk of the subtree.
     """
     if isinstance(f, Assert):
-        key = f.radical.name
-    elif isinstance(f, N):
+        return f.radical.name, model.atom_projector(f.radical.name)
+    if isinstance(f, N):
         x = _extension(model, f.operand, memo)
         key = (N, x[0])
     else:
@@ -210,9 +212,7 @@ def _extension(model: Model, f: AssertiveFormula, memo: dict) -> tuple[int, Proj
         key = (f.__class__, x[0], y[0])
     entry = memo.get(key)
     if entry is None:
-        if isinstance(f, Assert):
-            p = model.atom_projector(key)
-        elif isinstance(f, N):
+        if isinstance(f, N):
             p = ortho(x[1])
         elif isinstance(f, K):
             p = meet(x[1], y[1], eps=model.eps)

@@ -73,7 +73,8 @@ def _is_tolerance(value) -> bool:
 
 
 def _rank_cutoff(eps: float, dim: int) -> float:
-    return eps * np.sqrt(dim)
+    # math.sqrt gives numpy's value at a sixth of the cost of a numpy scalar
+    return eps * math.sqrt(dim)
 
 
 def _class_tol(eps: float) -> float:
@@ -332,7 +333,8 @@ def _span(a: np.ndarray, eps: float, keep_basis: bool = False) -> Projector:
     rank = basis.shape[1]
     if not keep_basis:
         return _from_basis(d, basis)
-    return _deferred(d, rank, _basis=_read_only(basis), _complement=_read_only(u[:, rank:]))
+    return _deferred(d, rank, _basis=_read_only(basis),
+                     _complement=_read_only(u[:, rank:]))
 
 
 def _from_basis(dim: int, basis: np.ndarray) -> Projector:
