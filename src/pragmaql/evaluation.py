@@ -41,16 +41,9 @@ from .formula import (
     quantum_fragment_check,
     radical_atoms,
 )
-from .hilbert import (
-    Projector,
-    StateVector,
-    contains_state,
-    join,
-    leq,
-    meet,
-    ortho,
-)
-from .hilbert import _check_same_dim, _contains_states, _random_states
+from .hilbert import Projector, StateVector, contains_state, leq, ortho
+from .hilbert import (_check_same_dim, _contains_states, _join, _meet, _outer,
+                      _random_states, _with_bases)
 from .model import Finding, Model, ValidationReport, validate_model
 
 __all__ = [
@@ -188,38 +181,60 @@ def _classical(r: RadicalFormula, env: dict[str, bool]) -> bool:
 
 def pragmatic_extension(model: Model, formula: AssertiveLike) -> Projector:
     """The closed subspace of states in which the formula is justified."""
-    return _extension(model, _resolve_quantum(formula), {})[1]
+    return _projector(_extension(model, _resolve_quantum(formula), {}))
 
 
-def _extension(model: Model, f: AssertiveFormula,
-               memo: dict) -> tuple[str | int, Projector]:
-    """The key and extension of the quantum formula ``f``, each distinct
-    subformula evaluated once, left to right.
+def _extension(model: Model, f: AssertiveFormula, memo: dict) -> tuple:
+    """The extension of the quantum formula ``f`` as (key, core, negated),
+    each distinct subformula evaluated once, left to right.
 
-    An elementary assertion is keyed by its atom's name.  ``memo`` lives
-    for one call and holds each connective evaluated in it: keyed by its
-    class and its operands' keys, its entry is its own key, the int count
-    of entries before it, and its extension.  Building a key takes one
-    small tuple and no walk of the subtree.
+    The core is an atom's projector or the (range, complement) bases of a
+    K or AQ result, and ``negated`` selects the core's orthocomplement, so
+    N swaps the two and N N g evaluates as g.  An atom is keyed by its
+    name, N g by (N, g's key).  ``memo`` lives for one call and holds each
+    K and AQ evaluated in it, keyed by its class and its operands' keys; a
+    new entry's key is the int count of entries before it.
     """
     if isinstance(f, Assert):
-        return f.radical.name, model.atom_projector(f.radical.name)
+        return f.radical.name, model.atom_projector(f.radical.name), False
     if isinstance(f, N):
-        x = _extension(model, f.operand, memo)
-        key = (N, x[0])
-    else:
-        x, y = _extension(model, f.left, memo), _extension(model, f.right, memo)
-        key = (f.__class__, x[0], y[0])
+        key, core, negated = _extension(model, f.operand, memo)
+        return key[1] if negated else (N, key), core, not negated
+    x, y = _extension(model, f.left, memo), _extension(model, f.right, memo)
+    key = (f.__class__, x[0], y[0])
     entry = memo.get(key)
     if entry is None:
-        if isinstance(f, N):
-            p = ortho(x[1])
-        elif isinstance(f, K):
-            p = meet(x[1], y[1], eps=model.eps)
+        bx, by = _range(x), _range(y)
+        if isinstance(f, K):
+            entry = (len(memo), _meet(bx, by, model.eps), False)
+        elif not bx.shape[1]:   # AQ over a zero operand is the other operand
+            entry = y
+        elif not by.shape[1]:
+            entry = x
         else:   # AQ: the derived disjunction lands on the closed span
-            p = join(x[1], y[1], eps=model.eps)
-        entry = memo[key] = (len(memo), p)
+            entry = (len(memo), _join(bx, by, model.eps), False)
+        memo[key] = entry
     return entry
+
+
+def _range(extension: tuple) -> np.ndarray:
+    """Orthonormal basis of an ``_extension`` triple's subspace."""
+    _, core, negated = extension
+    if isinstance(core, Projector):
+        return core._complement_basis() if negated else core.basis()
+    return core[negated]
+
+
+def _projector(extension: tuple) -> Projector:
+    """The projector of an ``_extension`` triple: an atom's own, or its
+    ``ortho``; B Bᴴ of a K or AQ result's basis B, symmetrized, or I minus
+    that.  It keeps the triple's two bases."""
+    _, core, negated = extension
+    if isinstance(core, Projector):
+        return ortho(core) if negated else core
+    m = _outer(core[0])
+    return _with_bases(np.eye(m.shape[0]) - m if negated else m,
+                       core[negated], core[not negated])
 
 
 def justify(model: Model, state: StateLike,
@@ -241,8 +256,8 @@ def precedes(model: Model, first: AssertiveLike, second: AssertiveLike) -> bool:
     once; the first formula is checked and evaluated before the second.
     """
     memo: dict = {}
-    _, p = _extension(model, _resolve_quantum(first), memo)
-    _, q = _extension(model, _resolve_quantum(second), memo)
+    p = _projector(_extension(model, _resolve_quantum(first), memo))
+    q = _projector(_extension(model, _resolve_quantum(second), memo))
     return leq(p, q, model.eps)
 
 

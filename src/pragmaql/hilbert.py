@@ -5,6 +5,8 @@ Closed subspaces are represented by their orthogonal projectors
 understood as rays (global phase never matters to any operation here).
 ``ortho``, ``meet``, ``join`` and ``leq`` realize the lattice of closed
 subspaces: orthocomplement, intersection, closed span, and inclusion.
+They work on orthonormal bases; ``_meet`` and ``_join`` return a result's
+range and complement bases, on which extensions are evaluated.
 ``encode_array`` and ``decode_array`` write and read arrays as row-major
 nested lists with each complex entry a two-element ``[re, im]`` list.
 
@@ -146,33 +148,6 @@ def make_state(amplitudes, *, normalize_tol: float = 1e-6) -> StateVector:
     return StateVector(a.shape[0], a / norm)
 
 
-class _FormedOnRead:
-    """``Projector.matrix`` of a ``meet``, ``join`` or ``ortho`` result, which
-    is formed on its first read and kept in the instance's ``__dict__``.  The
-    descriptor defines no ``__set__``, so an instance entry takes precedence
-    over it: a matrix given to the constructor, or one already formed, is
-    read without a call."""
-
-    def __get__(self, p, owner=None):
-        if p is None:
-            return self
-        # an ortho result keeps its operand until it forms I - (the operand's
-        # matrix): walk the chain of such results down to the first with a
-        # matrix or a basis, then form back up, so that a long chain recurses
-        # no deeper than a short one
-        chain = []
-        while "_operand" in p.__dict__:
-            chain.append(p)
-            p = p.__dict__["_operand"]
-        m = p.__dict__.get("matrix")
-        if m is None:
-            m = p.__dict__["matrix"] = _read_only(_outer(p.__dict__["_basis"]))
-        for q in reversed(chain):
-            m = q.__dict__["matrix"] = _read_only(np.eye(q.dim) - m)
-            del q.__dict__["_operand"]
-        return m
-
-
 @dataclass(frozen=True, eq=False)
 class Projector:
     """Orthogonal projector onto a closed subspace of C^dim.
@@ -181,14 +156,12 @@ class Projector:
     construction); ``rank`` is the subspace dimension.  Construct through
     ``make_projector``, which validates; direct construction skips the
     checks and exists for tests that need deliberately broken data.
-    A projector is immutable and its matrix read-only.  The results of
-    ``meet``, ``join`` and ``ortho`` form their matrix on its first read:
-    B Bᴴ of their basis B, symmetrized, or I minus their operand's matrix.
-    The range basis is kept on the instance as a read-only array: ``meet``
-    and ``join`` results keep the basis they were built from and the rest
-    of its SVD as the complement, ``ortho`` hands on its operand's
-    complement, and any other projector computes its basis on the first
-    ``basis()`` call.
+    A projector is immutable and its matrix read-only.  It keeps two
+    read-only orthonormal bases once it has them: of its range
+    (``basis()``) and of the orthocomplement.  ``meet`` and ``join`` results
+    are built with both, from their one full SVD, and ``ortho`` results with
+    their operand's two, swapped; any other projector computes each from an
+    SVD on first use.
     """
 
     dim: int
@@ -208,30 +181,26 @@ class Projector:
     def basis(self) -> np.ndarray:
         """Orthonormal basis of the range, as a dim x rank column matrix.
 
-        Unless the projector was built with its basis (a ``meet``, ``join``
-        or ``ortho`` result, see those), the first call runs a full SVD of
-        the matrix and keeps its remaining columns, a basis of the
-        orthocomplement, for ``ortho``.  Every later call returns the same
+        Unless the projector was built with it, the first call takes it
+        from an SVD of the matrix; every later call returns the same
         read-only array.
         """
         b = self.__dict__.get("_basis")
         if b is None:
-            if self.rank == 0:
-                b = np.zeros((self.dim, 0), dtype=np.complex128)
-            else:
-                u, _, _ = np.linalg.svd(self.matrix)
-                b = u[:, : self.rank]
-                self.__dict__["_complement"] = _read_only(u[:, self.rank:])
-            self.__dict__["_basis"] = _read_only(b)
+            b = self.__dict__["_basis"] = _leading_columns(self.matrix, self.rank)
         return b
+
+    def _complement_basis(self) -> np.ndarray:
+        """Orthonormal basis of the orthocomplement, as ``basis()`` is of the
+        range: unless the projector was built with it, from an SVD of I - P."""
+        c = self.__dict__.get("_complement")
+        if c is None:
+            c = self.__dict__["_complement"] = _leading_columns(
+                np.eye(self.dim) - self.matrix, self.dim - self.rank)
+        return c
 
     def __repr__(self) -> str:
         return f"Projector(dim={self.dim}, rank={self.rank})"
-
-
-# set after the dataclass is made, so that ``matrix`` stays a field without a
-# default; an instance's own ``matrix`` entry takes precedence over it
-Projector.matrix = _FormedOnRead()
 
 
 def make_projector(spec, dim: int | None = None, eps: float = DEFAULT_EPS) -> Projector:
@@ -309,7 +278,8 @@ def projector_from_span(vectors, dim: int | None = None,
         return zero_projector(dim)
     a = np.column_stack(vecs)
     _require_finite(a)
-    return _span(a, eps)
+    u, sv, _ = np.linalg.svd(a, full_matrices=False)
+    return _from_basis(dim, u[:, sv > _rank_cutoff(eps, dim)])
 
 
 def _require_finite(a: np.ndarray) -> None:
@@ -318,23 +288,16 @@ def _require_finite(a: np.ndarray) -> None:
                              code="schema")
 
 
-def _span(a: np.ndarray, eps: float, keep_basis: bool = False) -> Projector:
-    """Projector onto the span of the columns of ``a``, up to the rank cutoff.
-
-    With ``keep_basis``, the orthonormal columns it is built from become its
-    ``basis()``, the remaining columns of a full SVD its complement, which
-    ``ortho`` hands on, and its matrix forms on first read."""
+def _span(a: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only orthonormal bases of the span of the columns of ``a``, up
+    to the rank cutoff, and of its orthocomplement, from one full SVD."""
     d, n = a.shape
     # an SVD of d or more columns already has all d columns of U
-    u, s, _ = np.linalg.svd(a, full_matrices=keep_basis and n < d)
-    # selecting the columns by mask copies them column-major; ``meet``
+    u, s, _ = np.linalg.svd(a, full_matrices=n < d)
+    # selecting the columns by mask copies them column-major; ``_meet``
     # multiplies by a kept basis, and a product's rounding follows its layout
     basis = u[:, : s.size][:, s > _rank_cutoff(eps, d)]
-    rank = basis.shape[1]
-    if not keep_basis:
-        return _from_basis(d, basis)
-    return _deferred(d, rank, _basis=_read_only(basis),
-                     _complement=_read_only(u[:, rank:]))
+    return _read_only(basis), _read_only(u[:, basis.shape[1]:])
 
 
 def _from_basis(dim: int, basis: np.ndarray) -> Projector:
@@ -347,12 +310,21 @@ def _outer(basis: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2.0  # exactly Hermitian after symmetrization
 
 
-def _deferred(dim: int, rank: int, **parts) -> Projector:
-    """A projector whose matrix forms on first read from ``parts``: its
-    ``_basis``, or its ``_operand`` for an orthocomplement."""
-    p = object.__new__(Projector)
-    p.__dict__.update(dim=dim, rank=rank, **parts)
+def _with_bases(matrix: np.ndarray, basis: np.ndarray, complement: np.ndarray) -> Projector:
+    """The projector ``matrix`` onto the span of the orthonormal columns
+    ``basis``, built with them as its ``basis()`` and ``complement`` as its
+    orthocomplement's."""
+    p = Projector(basis.shape[0], matrix, basis.shape[1])
+    p.__dict__.update(_basis=basis, _complement=complement)
     return p
+
+
+def _leading_columns(m: np.ndarray, rank: int) -> np.ndarray:
+    """The first ``rank`` left singular vectors of ``m``, read-only; at rank
+    0, no SVD."""
+    if rank == 0:
+        return _read_only(np.zeros((m.shape[0], 0), dtype=np.complex128))
+    return _read_only(np.linalg.svd(m)[0][:, :rank])
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -388,67 +360,74 @@ def _check_same_dim(a, b) -> None:
 def ortho(p: Projector) -> Projector:
     """Orthocomplement: projector onto the orthogonal subspace.
 
-    Its matrix, I minus ``p.matrix``, forms on first read.  When ``p`` holds
-    the complement of its basis (a ``meet`` or ``join`` result, or a
-    projector whose ``basis()`` has run its SVD), that becomes the result's
-    ``basis()``.
+    Its matrix is I minus ``p.matrix``.  It is built with ``p``'s two
+    bases, swapped: ``p``'s complement basis is its ``basis()``, and
+    ``p.basis()`` its complement's.
     """
-    q = _deferred(p.dim, p.dim - p.rank, _operand=p)
-    complement = p.__dict__.get("_complement")
-    if complement is not None:
-        q.__dict__["_basis"] = complement
-    return q
+    return _with_bases(np.eye(p.dim) - p.matrix, p._complement_basis(), p.basis())
 
 
 def meet(p: Projector, q: Projector, eps: float = DEFAULT_EPS) -> Projector:
     """Projector onto the intersection of the two ranges.
 
-    With orthonormal bases B_p, B_q of the ranges, a vector lies in both
-    exactly when B_p x = B_q y for some coordinates x, y, i.e. when
-    (x, y) is in the null space of the stacked constraint [B_p | -B_q].
-    The left blocks of an orthonormal null-space basis therefore
-    parametrize the intersection; the image B_p x is re-orthonormalized,
-    and those orthonormal columns are the result's ``basis()``.
-    Rank-revealing throughout, no iteration to tune.
+    Its matrix is B Bᴴ, symmetrized, of the orthonormal columns B that
+    ``_meet`` finds from the two range bases, and it keeps B as its
+    ``basis()`` and the rest of B's full SVD as its complement's.
     """
     _check_same_dim(p, q)
-    if p.rank == 0 or q.rank == 0:
-        return zero_projector(p.dim)
-    bp, bq = p.basis(), q.basis()
-    _, s, vh = np.linalg.svd(np.hstack([bp, -bq]))
-    # singular values come sorted, so the null space is spanned by vh's last rows
-    null_basis = vh[np.count_nonzero(s > _rank_cutoff(eps, p.dim)):].conj().T
-    if null_basis.shape[1] == 0:
-        return zero_projector(p.dim)
-    return _span(bp @ null_basis[: bp.shape[1], :], eps, keep_basis=True)
+    b, c = _meet(p.basis(), q.basis(), eps)
+    return _with_bases(_outer(b), b, c)
 
 
 def join(p: Projector, q: Projector, eps: float = DEFAULT_EPS) -> Projector:
     """Projector onto the closed span of the union of the two ranges.
 
-    Computed directly by orthonormalizing the stacked bases, whose
-    orthonormal columns are the result's ``basis()``; agrees with the
-    De Morgan route ortho(meet(ortho(p), ortho(q))) within eps.  With an
-    operand of rank 0 the result is the other operand itself.
+    With an operand of rank 0 the result is the other operand itself.
+    Otherwise it is built as ``meet``'s, from the bases ``_join`` finds;
+    it agrees with the De Morgan route ortho(meet(ortho(p), ortho(q)))
+    within eps.
     """
     _check_same_dim(p, q)
     if p.rank == 0:
         return q
     if q.rank == 0:
         return p
-    return _span(np.hstack([p.basis(), q.basis()]), eps, keep_basis=True)
+    b, c = _join(p.basis(), q.basis(), eps)
+    return _with_bases(_outer(b), b, c)
 
 
-# Batched meet and join, for quotient generation.  ``meet``/``join`` stay on
-# range bases, and their results keep the basis they are built from and its
-# complement, so the next connective of an extension, or an ``ortho`` over
-# it, reads them instead of running an SVD of the matrix: a ``join`` takes one
-# SVD and a ``meet`` at most two, and neither forms a matrix that nothing
-# reads.  Routed through ``_pair_spans``, they changed the printed
-# ``extension`` matrices of two CLI commands: a ``-0.`` entry became ``0.``,
-# which moves numpy's padding.  On one pair the kernel also costs more: 17
-# against 10 us at dim 2 and 59 against 45 us at dim 16 (best of 7, 2 CPUs),
-# and it returns no basis to hand on.
+def _meet(bp: np.ndarray, bq: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the intersection of the spans of the orthonormal
+    columns ``bp`` and ``bq``, and of its orthocomplement.
+
+    A vector lies in both exactly when B_p x = B_q y for some coordinates
+    x, y, i.e. when (x, y) is in the null space of the stacked constraint
+    [B_p | -B_q].  The left blocks of an orthonormal null-space basis
+    therefore parametrize the intersection, and the image B_p x is
+    re-orthonormalized.  Rank-revealing throughout, no iteration to tune.
+    The zero subspace has the identity as its complement basis.
+    """
+    d = bp.shape[0]
+    if bp.shape[1] and bq.shape[1]:
+        _, s, vh = np.linalg.svd(np.hstack([bp, -bq]))
+        # singular values come sorted, so the null space is spanned by vh's last rows
+        null_basis = vh[np.count_nonzero(s > _rank_cutoff(eps, d)):].conj().T
+        if null_basis.shape[1]:
+            return _span(bp @ null_basis[: bp.shape[1], :], eps)
+    return (_read_only(np.zeros((d, 0), dtype=np.complex128)),
+            _read_only(np.eye(d, dtype=np.complex128)))
+
+
+def _join(bp: np.ndarray, bq: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases of the span of the orthonormal columns ``bp`` and
+    ``bq``, and of its orthocomplement: the stacked bases orthonormalized."""
+    return _span(np.hstack([bp, bq]), eps)
+
+
+# Batched meet and join, for quotient generation.  ``meet``/``join`` and
+# extension evaluation stay on range bases: the kernel returns no basis to
+# hand on, and on one pair it costs more (17 against 10 us at dim 2, 59
+# against 45 us at dim 16; best of 7, 2 CPUs).
 
 
 def _pair_spans(a: np.ndarray, b: np.ndarray, eps: float,

@@ -40,7 +40,6 @@ from .hilbert import (
     Projector,
     decode_array,
     encode_array,
-    ortho,
 )
 from .hilbert import (
     _class_tol, _deviation, _is_tolerance, _nested, _pair_spans, _projectors,
@@ -340,8 +339,8 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
         if seen == count:
             break
         for i in range(seen, count):
-            p = ortho(Projector(d, stack[i], int(ranks[i])))
-            neg.append(record(p.matrix, p.rank, -1, 0, lambda: N(operands[i])))
+            neg.append(record(np.eye(d) - stack[i], d - int(ranks[i]), -1, 0,
+                              lambda: N(operands[i])))
         # the pairs i < j that include a class new in the last round, row-major
         pi, pj = np.triu_indices(count, 1)
         pi, pj = pi[pj >= seen], pj[pj >= seen]

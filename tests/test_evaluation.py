@@ -202,11 +202,12 @@ def test_extension_agrees_with_desugared_form(qubit):
 
 
 def warm_qutrit():
-    """A fresh qutrit-lines model whose atoms have their bases, so that only
-    the connectives run SVDs."""
+    """A fresh qutrit-lines model whose atoms have the bases of their ranges
+    and complements, so that only the connectives run SVDs."""
     model = bundled_model("qutrit-lines")
     for p in model.properties.values():
         p.basis()
+        p._complement_basis()
     return model
 
 
@@ -226,8 +227,8 @@ def counting_svds(monkeypatch):
     # two joins, then the meet's null-space SVD and its re-orthonormalization:
     # the meet reads its operands' bases off the joins
     ("((|- aa) AQ (|- ab)) K ((|- ab) AQ (|- ap))", 4),
-    # the meet's null-space SVD; the plane N(|- aa) takes its basis from the
-    # SVD that computed aa's, and meets the line ab only at zero
+    # the meet's null-space SVD; the plane N(|- aa) takes aa's complement
+    # basis, and meets the line ab only at zero
     ("(N |- aa) K |- ab", 1),
     # the repeated join runs its SVD once, then the meet's two
     ("((|- aa) AQ (|- ab)) K ((|- aa) AQ (|- ab))", 3),
@@ -237,6 +238,13 @@ def counting_svds(monkeypatch):
     ("((|- aa) AQ (|- ab)) K N((|- aa) AQ (|- ab))", 2),
     # the join once, the complement's join with ap, and the meet's two
     ("(N((|- aa) AQ (|- ab)) AQ |- ap) K ((|- aa) AQ (|- ab))", 4),
+    # N N g evaluates as g: the meet's null-space SVD only
+    ("N(N(|- aa)) K |- ab", 1),
+    # the join, then the meet's two
+    ("N N ((|- aa) AQ (|- ab)) K |- ap", 3),
+    # the zero meet of two lines has the identity as its complement basis, so
+    # N over it runs no SVD: the first meet's null-space SVD, then the second's two
+    ("N((|- aa) K (|- ab)) K |- ap", 3),
 ])
 def test_extension_svds_with_warm_atom_bases(monkeypatch, text, svds):
     model = warm_qutrit()
@@ -245,6 +253,16 @@ def test_extension_svds_with_warm_atom_bases(monkeypatch, text, svds):
     assert len(calls) == svds
     extension.basis()
     assert len(calls) == svds
+
+
+def test_extension_does_not_depend_on_earlier_calls():
+    # N over an atom takes its basis from an SVD of I - P, whether or not an
+    # earlier call computed the atom's own basis
+    text = "N(|- aa) K |- ap"
+    fresh = pragmatic_extension(bundled_model("qutrit-lines"), text).matrix
+    model = bundled_model("qutrit-lines")
+    pragmatic_extension(model, "|- aa K |- ap")
+    assert np.array_equal(pragmatic_extension(model, text).matrix, fresh)
 
 
 @pytest.mark.parametrize("text", [
