@@ -8,7 +8,10 @@ Justification side: every quantum assertive formula denotes a closed
 subspace (its *pragmatic extension*), and the formula is justified in a
 state exactly when the state's ray lies inside that subspace.  Elementary
 assertions land on the atom's property; ``N``, ``K``, ``AQ`` land on
-orthocomplement, intersection, and closed span.
+orthocomplement, intersection, and closed span.  Those form an
+orthomodular lattice, whose laws decide some ``K`` and ``AQ`` nodes with
+no SVD: x K x = x AQ x = x, x K N x = 0, x AQ N x = 1, 1 K y = y and
+1 AQ y = 1.
 
 Formulas with ``A``, ``C`` or ``E``, or with molecular radicals under the
 assertion sign, have no extension and are rejected here.
@@ -191,9 +194,12 @@ def _extension(model: Model, f: AssertiveFormula, memo: dict) -> tuple:
     The core is an atom's projector or the (range, complement) bases of a
     K or AQ result, and ``negated`` selects the core's orthocomplement, so
     N swaps the two and N N g evaluates as g.  An atom is keyed by its
-    name, N g by (N, g's key).  ``memo`` lives for one call and holds each
-    K and AQ evaluated in it, keyed by its class and its operands' keys; a
-    new entry's key is the int count of entries before it.
+    name, N g by (N, g's key).  A K or AQ that the orthomodular laws decide
+    from its operands' keys and ranks (``_by_laws``) is that triple, with
+    no SVD.  ``memo`` lives for one call and holds each other K and AQ
+    evaluated in it, keyed by its class and its operands' keys; a new
+    entry's key is the int count of entries before it.  A computed result
+    of rank 0 or dim keeps its computed bases and its int key.
     """
     if isinstance(f, Assert):
         return f.radical.name, model.atom_projector(f.radical.name), False
@@ -201,20 +207,66 @@ def _extension(model: Model, f: AssertiveFormula, memo: dict) -> tuple:
         key, core, negated = _extension(model, f.operand, memo)
         return key[1] if negated else (N, key), core, not negated
     x, y = _extension(model, f.left, memo), _extension(model, f.right, memo)
+    meet = isinstance(f, K)
+    decided = _by_laws(meet, x, y, model.dim)
+    if decided is not None:
+        return decided
     key = (f.__class__, x[0], y[0])
     entry = memo.get(key)
     if entry is None:
         bx, by = _range(x), _range(y)
-        if isinstance(f, K):
+        if meet:
             entry = (len(memo), _meet(bx, by, model.eps), False)
-        elif not bx.shape[1]:   # AQ over a zero operand is the other operand
-            entry = y
-        elif not by.shape[1]:
-            entry = x
         else:   # AQ: the derived disjunction lands on the closed span
             entry = (len(memo), _join(bx, by, model.eps), False)
         memo[key] = entry
     return entry
+
+
+def _by_laws(meet: bool, x: tuple, y: tuple, dim: int) -> tuple | None:
+    """The K (``meet`` true) or AQ of the ``_extension`` triples ``x`` and
+    ``y`` where an orthomodular law decides it from their keys and ranks,
+    else None.
+
+    x K x = x AQ x = x, key included; x K N x is the zero subspace and
+    x AQ N x the whole space; with an operand of rank 0, AQ is the other
+    operand (K goes on to ``_meet``, which returns its zero without an
+    SVD); with one of rank dim, K is the other operand and AQ the whole
+    space.
+    """
+    kx, ky = x[0], y[0]
+    if kx == ky:
+        return x
+    if kx == (N, ky) or ky == (N, kx):
+        return _bound(dim, not meet)
+    rx, ry = _rank(x), _rank(y)
+    if meet:
+        return y if rx == dim else x if ry == dim else None
+    if not rx:
+        return y
+    if not ry:
+        return x
+    return _bound(dim, True) if dim in (rx, ry) else None
+
+
+def _bound(dim: int, whole: bool) -> tuple:
+    """The zero subspace, or the whole space (``whole``), as an
+    ``_extension`` triple: the zero has ``_meet``'s zero bases (a dim x 0
+    basis and the identity as complement) and the key None, and the whole
+    space is the zero negated, keyed (N, None), so N maps each to the
+    other."""
+    core = (np.zeros((dim, 0), dtype=np.complex128), np.eye(dim, dtype=np.complex128))
+    for basis in core:
+        basis.setflags(write=False)
+    return ((N, None) if whole else None), core, whole
+
+
+def _rank(extension: tuple) -> int:
+    """Dimension of an ``_extension`` triple's subspace, with no SVD."""
+    _, core, negated = extension
+    if isinstance(core, Projector):
+        return core.dim - core.rank if negated else core.rank
+    return core[negated].shape[1]
 
 
 def _range(extension: tuple) -> np.ndarray:

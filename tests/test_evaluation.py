@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pragmaql import (
+    AQ,
     Atom,
     Finding,
     JustificationValue,
@@ -36,6 +37,7 @@ from pragmaql import (
     parse_assertive,
     pragmatic_extension,
     precedes,
+    print_formula,
     projectors_close,
     random_state,
     sigma,
@@ -201,14 +203,18 @@ def test_extension_agrees_with_desugared_form(qubit):
     assert projectors_close(a, b, 1e-9)
 
 
-def warm_qutrit():
-    """A fresh qutrit-lines model whose atoms have the bases of their ranges
-    and complements, so that only the connectives run SVDs."""
-    model = bundled_model("qutrit-lines")
+def warm(model):
+    """``model``, its atoms given the bases of their ranges and complements,
+    so that only the connectives run SVDs."""
     for p in model.properties.values():
         p.basis()
         p._complement_basis()
     return model
+
+
+def warm_qutrit():
+    """A fresh, warm qutrit-lines model."""
+    return warm(bundled_model("qutrit-lines"))
 
 
 def counting_svds(monkeypatch):
@@ -230,21 +236,30 @@ def counting_svds(monkeypatch):
     # the meet's null-space SVD; the plane N(|- aa) takes aa's complement
     # basis, and meets the line ab only at zero
     ("(N |- aa) K |- ab", 1),
-    # the repeated join runs its SVD once, then the meet's two
-    ("((|- aa) AQ (|- ab)) K ((|- aa) AQ (|- ab))", 3),
-    # the join once; N takes the join's complement, so the meet's null-space
-    # SVD is the only other one, and finds the intersection zero
-    ("N((|- aa) AQ (|- ab)) K ((|- aa) AQ (|- ab))", 2),
-    ("((|- aa) AQ (|- ab)) K N((|- aa) AQ (|- ab))", 2),
-    # the join once, the complement's join with ap, and the meet's two
-    ("(N((|- aa) AQ (|- ab)) AQ |- ap) K ((|- aa) AQ (|- ab))", 4),
+    # equal keys: the join once, and x K x is x
+    ("((|- aa) AQ (|- ab)) K ((|- aa) AQ (|- ab))", 1),
+    # complementary keys: the join once, and x K N x is zero
+    ("N((|- aa) AQ (|- ab)) K ((|- aa) AQ (|- ab))", 1),
+    ("((|- aa) AQ (|- ab)) K N((|- aa) AQ (|- ab))", 1),
+    # the join once, and the complement's join with ap, which is the whole
+    # space; an operand of rank dim: K is the other operand, the first join
+    ("(N((|- aa) AQ (|- ab)) AQ |- ap) K ((|- aa) AQ (|- ab))", 2),
     # N N g evaluates as g: the meet's null-space SVD only
     ("N(N(|- aa)) K |- ab", 1),
     # the join, then the meet's two
     ("N N ((|- aa) AQ (|- ab)) K |- ap", 3),
     # the zero meet of two lines has the identity as its complement basis, so
-    # N over it runs no SVD: the first meet's null-space SVD, then the second's two
-    ("N((|- aa) K (|- ab)) K |- ap", 3),
+    # N over it runs no SVD and has rank dim: the first meet's null-space SVD,
+    # and an operand of rank dim makes the second K the other operand, ap
+    ("N((|- aa) K (|- ab)) K |- ap", 1),
+    # an operand of rank dim makes AQ the whole space: the first meet's SVD only
+    ("N((|- aa) K (|- ab)) AQ |- ap", 1),
+    # equal keys: x K x is x, and x AQ x is x, after the join's one SVD
+    ("(|- aa) K (|- aa)", 0),
+    ("((|- aa) AQ (|- ab)) AQ ((|- aa) AQ (|- ab))", 1),
+    # complementary keys: x K N x is zero, x AQ N x the whole space
+    ("(|- aa) K N(|- aa)", 0),
+    ("(|- aa) AQ N(|- aa)", 0),
 ])
 def test_extension_svds_with_warm_atom_bases(monkeypatch, text, svds):
     model = warm_qutrit()
@@ -278,6 +293,104 @@ def test_precedes_of_a_formula_and_itself_evaluates_it_once(monkeypatch, text):
     assert once > 0
     assert precedes(second, text, text)
     assert len(calls) == 2 * once
+
+
+def bounds_qutrit():
+    """A dim-3 model with a line, a plane, an empty-span property (ae, rank
+    0) and a full-span property (af, rank dim)."""
+    r = 2 ** -0.5
+    return load_model({
+        "dim": 3, "states": {},
+        "properties": {
+            "L": {"span": [[[r, 0], [r, 0], [0, 0]]]},
+            "P": {"span": [[[0, 0], [r, 0], [0, r]], [[1, 0], [0, 0], [0, 0]]]},
+            "E0": {"span": []},
+            "E1": {"span": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]],
+                            [[0, 0], [0, 0], [1, 0]]]},
+        },
+        "atoms": {"al": "L", "ap": "P", "ae": "E0", "af": "E1"},
+    })
+
+
+def composed(model, f):
+    """The extension of ``f`` from ``ortho``, ``meet`` and ``join``, node by node."""
+    if isinstance(f, N):
+        return ortho(composed(model, f.operand))
+    if isinstance(f, K):
+        return meet(composed(model, f.left), composed(model, f.right), model.eps)
+    if isinstance(f, AQ):
+        return join(composed(model, f.left), composed(model, f.right), model.eps)
+    return model.atom_projector(f.radical.name)
+
+
+def law_formulas(atoms):
+    """For each operand g of a few shapes over the first two atoms, and for
+    each atom h: g ∘ g, g ∘ N g, N g ∘ g, g ∘ h, h ∘ g and N g ∘ N h, ∘ each
+    of K and AQ.  With a rank-0 or rank-dim atom or operand, each rule of
+    ``evaluation._by_laws`` is met."""
+    a, b = (parse_assertive(f"|- {name}") for name in atoms[:2])
+    operands = [a, N(a), AQ(a, b), K(a, b), N(K(a, b)), AQ(N(a), b)]
+    hs = [parse_assertive(f"|- {name}") for name in atoms]
+    for g in operands:
+        for op in (K, AQ):
+            yield from (op(g, g), op(g, N(g)), op(N(g), g))
+            for h in hs:
+                yield from (op(g, h), op(h, g), op(N(g), N(h)))
+
+
+@pytest.mark.parametrize("name", ["qubit-zx", "qutrit-lines", "ququart-planes", "bounds"])
+def test_laws_agree_with_the_composed_extension(name):
+    model = bounds_qutrit() if name == "bounds" else bundled_model(name)
+    atoms = list(model.atom_map)
+    for f in law_formulas(atoms):
+        got, expected = pragmatic_extension(model, f), composed(model, f)
+        assert got.rank == expected.rank, print_formula(f)
+        assert np.max(np.abs(got.matrix - expected.matrix)) <= 1e-12, print_formula(f)
+
+
+@pytest.mark.parametrize("text, rank", [
+    ("(|- ae) AQ (|- al)", 1), ("(|- al) AQ (|- ae)", 1),   # rank 0: the other operand
+    ("(|- ae) K (|- ap)", 0),   # rank 0: _meet's zero branch
+    ("(|- af) K (|- ap)", 2), ("(|- ap) K (|- af)", 2),     # rank dim: the other operand
+    ("(|- af) AQ (|- al)", 3), ("(|- al) AQ (|- af)", 3),   # rank dim: the whole space
+    ("(|- al) K N(|- al)", 0), ("N(|- ap) AQ (|- ap)", 3),  # complementary keys
+    ("N((|- al) K N(|- al)) K (|- ap)", 2),   # N over the bound zero has rank dim
+    ("((|- ap) AQ (|- ap)) K ((|- ap) AQ (|- ap))", 2),    # equal keys
+])
+def test_laws_decide_bounds_model_nodes_without_an_svd(monkeypatch, text, rank):
+    model = warm(bounds_qutrit())
+    calls = counting_svds(monkeypatch)
+    extension = pragmatic_extension(model, text)
+    assert (extension.rank, calls) == (rank, [])
+    extension.basis()
+    assert calls == []
+
+
+@pytest.mark.parametrize("g", ["|- aa", "N |- ap", "(|- aa) AQ (|- ab)",
+                               "N((|- aa) K (|- ab))"])
+def test_precedes_holds_both_ways_between_g_and_g_with_itself(g):
+    model = bundled_model("qutrit-lines")
+    for op in ("K", "AQ"):
+        twice = f"({g}) {op} ({g})"
+        assert precedes(model, g, twice)
+        assert precedes(model, twice, g)
+
+
+def test_precedes_of_an_atom_and_its_meet_with_itself_runs_no_svd(monkeypatch):
+    # x K x is x, key included, so the second extension is the atom's own
+    model = warm_qutrit()
+    calls = counting_svds(monkeypatch)
+    assert precedes(model, "|- aa", "(|- aa) K (|- aa)")
+    assert calls == []
+
+
+def test_a_computed_top_keeps_its_computed_matrix(qubit):
+    # the laws decide a node only before it is computed: a join that comes out
+    # as the whole space keeps its own bases, whose matrix is not exactly I
+    expected = join(qubit.atom_projector("az"), qubit.atom_projector("ax"), qubit.eps)
+    assert not np.array_equal(expected.matrix, np.eye(2))
+    got = pragmatic_extension(qubit, "|- az AQ |- ax")
+    assert np.array_equal(got.matrix, expected.matrix)
 
 
 def test_extension_rejects_non_quantum(qubit):
