@@ -135,11 +135,16 @@ def classify_property(model: Model, state: StateLike,
     """TRUE at probability 1, FALSE at probability 0 (within model.eps),
     UNDEFINED anywhere in between."""
     p = born_probability(model, state, prop)
-    if abs(p - 1.0) <= model.eps:
+    if _probability_one(p, model.eps):
         return TruthValue3.TRUE
     if p <= model.eps:
         return TruthValue3.FALSE
     return TruthValue3.UNDEFINED
+
+
+def _probability_one(p, eps: float):
+    """The TRUE test, |p - 1| <= eps, of a probability or an array of them."""
+    return abs(p - 1.0) <= eps
 
 
 def sigma(model: Model, state: StateLike, radical: RadicalLike) -> TruthValue3:
@@ -322,14 +327,16 @@ def check_cc(model: Model, *, samples: int = 1000, seed: int = 0) -> ValidationR
     justified, the atom must evaluate TRUE.
 
     Runs over every declared state plus ``samples`` random unit states and
-    every atom.  The probes are evaluated in one batch: one draw for all
-    random states, one ``P @ Psi`` per atom for the justification side, and
-    ``sigma`` only on the justified probes.  An invalid model is refused:
-    the validation findings come back with a ``model-invalid`` error and no
-    counterexample search runs.  The validation is ``validate_model``'s,
-    which runs its checks once per model, so a model that ``load_model``
-    built is not checked again.  A negative ``samples`` or ``seed`` raises
-    ValueError.
+    every atom, in one stacked pass: one draw for all random states, one
+    product of the stacked atom projectors with all probes, whose images
+    decide containment for every (atom, probe) pair, and, for the justified
+    pairs, the Born probability from the same image, clamped to [0, 1] and
+    tested as ``classify_property`` tests TRUE.  Findings come atom first,
+    then probe.  An invalid model is refused: the validation findings come
+    back with a ``model-invalid`` error and no counterexample search runs.
+    The validation is ``validate_model``'s, which runs its checks once per
+    model, so a model that ``load_model`` built is not checked again.  A
+    negative ``samples`` or ``seed`` raises ValueError.
     """
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
@@ -340,22 +347,22 @@ def check_cc(model: Model, *, samples: int = 1000, seed: int = 0) -> ValidationR
         refusal = Finding("error", "model-invalid",
                           "correctness check not run on an invalid model")
         return ValidationReport(base.findings + (refusal,))
+    atoms, names, d = list(model.atom_map), list(model.states), model.dim
+    # the reshapes give a model with no states or no atoms its empty stacks
+    declared = np.array([s.amplitudes for s in model.states.values()]).reshape(len(names), d)
+    psis = np.concatenate([declared, _random_states(d, samples, np.random.default_rng(seed))])
+    matrices = np.array([model.atom_projector(a).matrix for a in atoms])
+    images = matrices.reshape(len(atoms), d, d) @ psis.T
+    atom_of, probe_of = np.nonzero(_contains_states(images, psis, model.eps))
+    p = np.einsum("kd,kd->k", psis[probe_of].conj(), images[atom_of, :, probe_of]).real
+    false = ~_probability_one(p.clip(0.0, 1.0), model.eps)
 
-    labels = list(model.states) + [f"sample-{i}" for i in range(samples)]
-    psis = np.vstack([s.amplitudes for s in model.states.values()]
-                     + [_random_states(model.dim, samples, np.random.default_rng(seed))])
-
-    findings: list[Finding] = []
-    for atom in model.atom_map:
-        justified = _contains_states(model.atom_projector(atom).matrix, psis, model.eps)
-        for k in np.flatnonzero(justified):
-            if sigma(model, StateVector(model.dim, psis[k]), Atom(atom)) \
-                    is not TruthValue3.TRUE:
-                findings.append(Finding(
-                    "error", "cc-counterexample",
-                    f"atom {atom!r} is justified but not true in state {labels[k]}",
-                ))
-    return ValidationReport(tuple(findings))
+    def label(k: int) -> str:
+        return names[k] if k < len(names) else f"sample-{k - len(names)}"
+    return ValidationReport(tuple(
+        Finding("error", "cc-counterexample",
+                f"atom {atoms[a]!r} is justified but not true in state {label(k)}")
+        for a, k in zip(atom_of[false].tolist(), probe_of[false].tolist())))
 
 
 # ---------------------------------------------------------------------------

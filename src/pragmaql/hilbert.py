@@ -137,7 +137,8 @@ def make_state(amplitudes, *, normalize_tol: float = 1e-6) -> StateVector:
     more than the tolerance (hand-typed decimals like 0.7071 are fine).
     """
     a = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-    norm = float(np.linalg.norm(a))
+    with np.errstate(over="ignore"):   # amplitudes near the float limit: an inf norm, which fails
+        norm = float(np.linalg.norm(a))
     if norm <= normalize_tol:
         raise ProjectorError("zero state vector", code="zero-state")
     if not abs(norm - 1.0) <= normalize_tol:   # a NaN norm fails too
@@ -499,13 +500,16 @@ def contains_state(p: Projector, state: StateVector,
                    eps: float = DEFAULT_EPS) -> bool:
     """Ray membership: P psi = psi within eps (max-entry)."""
     _check_same_dim(p, state)
-    return bool(_contains_states(p.matrix, state.amplitudes[None, :], eps)[0])
+    psis = state.amplitudes[None, :]
+    return bool(_contains_states(p.matrix @ psis.T, psis, eps)[0])
 
 
-def _contains_states(matrix: np.ndarray, psis: np.ndarray, eps: float) -> np.ndarray:
-    """Ray membership for each row of the ``(m, dim)`` array ``psis``, by one
-    ``P @ psis.T``: a boolean array of length m."""
-    return _deviation((matrix @ psis.T).T, psis, axes=1) <= eps
+def _contains_states(images: np.ndarray, psis: np.ndarray, eps: float) -> np.ndarray:
+    """Ray membership of each row psi of the ``(n, dim)`` array ``psis`` in
+    each projector P of a stack, from the images ``P @ psis.T`` of shape
+    ``(..., dim, n)``: max |P psi - psi| <= eps, a boolean array of shape
+    ``(..., n)``."""
+    return _deviation(images.swapaxes(-1, -2), psis, axes=1) <= eps
 
 
 # ---------------------------------------------------------------------------
@@ -521,17 +525,19 @@ def _random_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray
     """``count`` Haar-uniform rays as the rows of a ``(count, dim)`` array.
 
     Each draw reads ``dim`` real normals, then ``dim`` imaginary ones, from
-    the stream; a draw whose norm is <= 1e-6 is discarded and the next one
-    taken, so the rows are the draws of ``count`` ``random_state`` calls.
+    the stream, and all ``count`` draws are read at once.  A draw whose norm
+    is <= 1e-6 is discarded and the rows still missing are drawn after the
+    kept ones, so the rows are the draws of ``count`` ``random_state``
+    calls.  When every draw is kept, the normalized draw is the result.
     """
-    rows = np.empty((0, dim), dtype=np.complex128)
-    while rows.shape[0] < count:
-        x = rng.standard_normal((count - rows.shape[0], 2 * dim))
-        z = x[:, :dim] + 1j * x[:, dim:]
-        norms = np.linalg.norm(z, axis=1)
-        keep = norms > 1e-6
-        rows = np.vstack([rows, z[keep] / norms[keep, None]])
-    return rows
+    x = rng.standard_normal((count, 2 * dim))
+    z = x[:, :dim] + 1j * x[:, dim:]
+    norms = np.linalg.norm(z, axis=1)
+    keep = norms > 1e-6
+    if keep.all():
+        return z / norms[:, None]
+    rows = z[keep] / norms[keep, None]
+    return np.concatenate([rows, _random_states(dim, count - rows.shape[0], rng)])
 
 
 def random_projector(dim: int, rank: int, rng: np.random.Generator) -> Projector:

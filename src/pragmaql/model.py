@@ -246,7 +246,8 @@ def _validate(model: Model) -> ValidationReport:
                 f"state {name!r} has dim {s.dim}, model dim is {model.dim}",
             ))
             continue
-        norm = float(np.linalg.norm(s.amplitudes))
+        with np.errstate(over="ignore"):   # an inf norm, which fails
+            norm = float(np.linalg.norm(s.amplitudes))
         if not abs(norm - 1.0) <= eff:   # a NaN norm fails too
             findings.append(Finding(
                 "error", "non-unit-state",

@@ -431,6 +431,21 @@ def test_model_with_an_entry_beyond_float_range_is_domain_error(tmp_path):
     assert "z+" in err
 
 
+def test_model_with_a_state_norm_beyond_the_float_limit_is_domain_error(tmp_path, capsys):
+    # the norm overflows: one error line, with no numpy warning before it,
+    # under the warning policy of pytest and of the CI console-script step
+    doc = bundled_model_document("qubit-zx")
+    doc["states"]["z+"] = [[1e200, 0], [0, 0]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    expected = "error: state 'z+': state norm inf is not 1 within 1e-06\n"
+    assert invoke(capsys, "check", "-m", str(path)) == (1, "", expected)
+    proc = subprocess.run([sys.executable, "-m", "pragmaql.cli", "check", "-m", str(path)],
+                          env={**child_env(), "PYTHONWARNINGS": "error::RuntimeWarning"},
+                          capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", expected)
+
+
 def test_deeply_nested_formula_is_domain_error():
     formula = "N " * 5000 + "|- az"
     for argv in (["parse", "-f", formula],

@@ -16,6 +16,7 @@ from pragmaql import (
     Overlay,
     Projector,
     ProjectorError,
+    StateVector,
     TruthValue3,
     UnknownNameError,
     born_probability,
@@ -583,8 +584,9 @@ def test_check_cc_reports_counterexamples_in_probe_order():
 
 
 def test_check_cc_batches_its_probes(ququart, monkeypatch):
-    # no justify(), random_state() or contains_state() per probe: one draw,
-    # one batched containment per atom, and sigma on the justified probes only
+    # one stacked pass: one draw, one containment for every (atom, probe)
+    # pair, and no sigma, justify, random_state, contains_state,
+    # classify_property or born_probability per probe
     cases = [(ququart, 100, 0), (tilted_model(), 200, 3)]
     justified = []
     for model, samples, seed in cases:
@@ -594,22 +596,114 @@ def test_check_cc_batches_its_probes(ququart, monkeypatch):
         justified.append(sum(contains_state(model.atom_projector(atom), psi, model.eps)
                              for atom in model.atom_map for psi in probes))
     assert justified[1] > 2   # more justified probes than counterexamples
-    for name in ("justify", "random_state", "contains_state"):
+    for name in ("sigma", "justify", "random_state", "contains_state",
+                 "classify_property", "born_probability"):
         for module in (evaluation, hilbert):
             monkeypatch.setattr(module, name, None, raising=False)
-    calls = {}
-    for name in ("_random_states", "_contains_states", "sigma"):
+    calls, found = {}, []
+    for name in ("_random_states", "_contains_states"):
         original = getattr(evaluation, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
             calls[_name] += 1
-            return _original(*args, **kwargs)
+            result = _original(*args, **kwargs)
+            if _name == "_contains_states":
+                found.append((result.shape, int(result.sum())))
+            return result
         monkeypatch.setattr(evaluation, name, counted)
     for (model, samples, seed), expected in zip(cases, justified):
-        calls.update(dict.fromkeys(("_random_states", "_contains_states", "sigma"), 0))
+        calls.update(dict.fromkeys(("_random_states", "_contains_states"), 0))
+        found.clear()
         check_cc(model, samples=samples, seed=seed)
-        assert calls == {"_random_states": 1, "_contains_states": len(model.atom_map),
-                         "sigma": expected}
+        assert calls == {"_random_states": 1, "_contains_states": 1}
+        pairs = (len(model.atom_map), len(model.states) + samples)
+        assert found == [(pairs, expected)]
+
+
+def looped_check_cc(model, samples, seed):
+    """The reference findings for ``check_cc``, one probe at a time:
+    ``contains_state``, then ``sigma`` of the atom, for each atom and probe."""
+    rng = np.random.default_rng(seed)
+    probes = list(model.states.items())
+    probes += [(f"sample-{i}", random_state(model.dim, rng)) for i in range(samples)]
+    return tuple(
+        Finding("error", "cc-counterexample",
+                f"atom {atom!r} is justified but not true in state {label}")
+        for atom in model.atom_map for label, psi in probes
+        if contains_state(model.atom_projector(atom), psi, model.eps)
+        and sigma(model, StateVector(model.dim, psi.amplitudes), Atom(atom)) is not TRUE)
+
+
+def stretched(model):
+    """The model with a copy of each declared state stretched to norm
+    1 + eps / 2, which ``validate_model`` accepts: in an atom's range its
+    probability is above 1 + eps until it is clamped."""
+    scale = 1 + model.eps / 2
+    states = {**model.states, **{f"{name}-long": StateVector(model.dim, scale * s.amplitudes)
+                                 for name, s in model.states.items()}}
+    return Model(dim=model.dim, states=states, properties=dict(model.properties),
+                 atom_map=dict(model.atom_map), eps=model.eps)
+
+
+def block_sum_model(seed, eps=0.3):
+    """dim 8: four 2-dimensional blocks behind a Haar-random unitary, each
+    of three atoms zero, the block or a seeded line in each block; declared
+    states are a range vector of each nonzero atom and two Haar states."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    properties, states = {}, {}
+    for j in range(3):
+        span = []
+        for b in range(4):
+            kind, t = int(rng.integers(3)), rng.uniform(0, np.pi)
+            span += [[u[:, 2 * b], u[:, 2 * b + 1]], [],
+                     [np.cos(t) * u[:, 2 * b] + np.sin(t) * u[:, 2 * b + 1]]][kind]
+        properties[f"P{j}"] = make_projector(span, dim=8, eps=eps)
+        if span:
+            states[f"in{j}"] = make_state(span[0])
+    for name in ("h0", "h1"):
+        states[name] = random_state(8, rng)
+    return Model(dim=8, states=states, properties=properties,
+                 atom_map={f"a{j}": f"P{j}" for j in range(3)}, eps=eps)
+
+
+def edge_model():
+    """dim 5, eps 0.5: every probe sits on a bound.  ``edge`` and ``half``
+    are within exactly eps of both atoms' ranges, ``half`` has probability
+    exactly 1 - eps in ``b``'s, and ``long`` (norm 1.25) has probability
+    1.5625 in both ranges before it is clamped."""
+    return Model(
+        dim=5,
+        states={"edge": StateVector(5, [0, 0.5, 0.5, 0.5, 0.5]),
+                "half": StateVector(5, [0.5, 0.5, 0.5, 0.5, 0]),
+                "long": StateVector(5, [1.25, 0, 0, 0, 0])},
+        properties={"P": make_projector(np.diag([1, 0, 0, 0, 0]).astype(complex)),
+                    "Q": make_projector(np.diag([1, 1, 0, 0, 0]).astype(complex))},
+        atom_map={"a": "P", "b": "Q"}, eps=0.5)
+
+
+def test_check_cc_matches_the_per_probe_loop():
+    no_atoms = Model(dim=2, states={"up": make_state([1, 0])}, properties={}, atom_map={})
+    models = [tilted_model(), block_sum_model(7), edge_model(), no_atoms]
+    for name in ("qubit-zx", "qutrit-lines", "ququart-planes"):
+        for eps in (1e-9, 0.3, 0.6):
+            doc = bundled_model_document(name)
+            doc["eps"] = eps
+            models.append(load_model(doc))
+            if eps > 1e-9:
+                models.append(stretched(models[-1]))
+    found = 0
+    for model in models:
+        assert validate_model(model).ok
+        for samples, seed in ((0, 0), (100, 0), (100, 1), (200, 3)):
+            report = check_cc(model, samples=samples, seed=seed)
+            assert report.findings == looped_check_cc(model, samples, seed)
+            found += len(report.findings)
+    assert found > 100
+    # the loop shares the containment and TRUE tests; their bounds are pinned here
+    assert [f.message for f in check_cc(edge_model(), samples=0).findings] == [
+        f"atom {atom!r} is justified but not true in state {label}"
+        for atom, label in (("a", "edge"), ("a", "half"), ("b", "edge"))]
 
 
 def test_check_cc_deterministic(qubit):

@@ -110,6 +110,15 @@ def test_projector_input_near_the_float_limit_is_not_a_projector(diagonal):
     assert exc.value.code == "not-idempotent"
 
 
+@pytest.mark.parametrize("amplitudes", [[1e155, 0], [1e200, 0], [0, 1e200j], [1e308, 1e308]])
+def test_state_norm_beyond_the_float_limit_is_not_a_unit_norm(amplitudes):
+    # the squared norm overflows to inf, with no RuntimeWarning: a non-unit state
+    with pytest.raises(ProjectorError) as exc:
+        make_state(amplitudes)
+    assert exc.value.code == "non-unit-state"
+    assert "state norm inf" in str(exc.value)
+
+
 def test_state_normalization_and_rejection():
     s = make_state([0.707107, 0.707107])  # hand-typed decimals are fine
     assert abs(np.linalg.norm(s.amplitudes) - 1) < 1e-12

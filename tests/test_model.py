@@ -281,6 +281,18 @@ def test_validate_flags_nan_state_and_projector(qubit):
         assert [f.code for f in check_cc(model, samples=10).errors()][-1] == "model-invalid"
 
 
+def test_validate_reports_a_state_norm_beyond_the_float_limit(qubit):
+    # validate_model never raises: the norm overflows to inf, with no
+    # RuntimeWarning, and that is a non-unit state
+    huge = StateVector(2, np.array([1e200, 0]))
+    model = Model(dim=2, states={**qubit.states, "z+": huge},
+                  properties=dict(qubit.properties), atom_map=dict(qubit.atom_map))
+    assert [(f.code, f.message) for f in validate_model(model).errors()] == [
+        ("non-unit-state", "state 'z+' has norm inf")]
+    assert [f.code for f in check_cc(model, samples=10).errors()] == [
+        "non-unit-state", "model-invalid"]
+
+
 def test_validate_warns_on_degenerate_tolerance(qubit):
     model = Model(dim=2, states=dict(qubit.states),
                   properties=dict(qubit.properties),
