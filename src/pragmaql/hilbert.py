@@ -528,8 +528,11 @@ def _random_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray
     the stream, and all ``count`` draws are read at once.  A draw whose norm
     is <= 1e-6 is discarded and the rows still missing are drawn after the
     kept ones, so the rows are the draws of ``count`` ``random_state``
-    calls.  When every draw is kept, the normalized draw is the result.
+    calls.  When every draw is kept, the normalized draw is the result.  A
+    ``dim`` below 1 is a ``ValueError``: no draw of it has a nonzero norm.
     """
+    if dim < 1:
+        raise ValueError(f"a random state needs dim >= 1, got {dim}")
     x = rng.standard_normal((count, 2 * dim))
     z = x[:, :dim] + 1j * x[:, dim:]
     norms = np.linalg.norm(z, axis=1)

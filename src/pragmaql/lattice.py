@@ -132,70 +132,14 @@ _BATCH_ENTRIES = 2**14
 def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
     """Build the quotient lattice generated by ``atoms`` up to ``depth``.
 
-    One loop of rounds, starting from the elementary assertions, applies
-    N to every class and K/AQ to each unordered pair of classes once: a
-    round combines only the pairs that include a class found in the round
-    before (semi-naive evaluation), since every other pair was already
-    combined with the same operands.  K and AQ commute and are idempotent,
-    so meets and joins run for i < j only: (j, i) takes the class of (i, j)
-    and (i, i) is class i, and while enumerating their formulas still join
-    that class's members.  Each result's class index goes into the
-    negation/meet/join tables as it is found, so the tables are total when
-    a round finds no new class (saturation).
-
-    Classes live in one store: arrays of the projector matrices, their
-    frames, the ranks and a crowded flag, which grow together.  The
-    lattice's ``Projector`` objects are built from them once, when it is
-    assembled.
-
-    A round combines only classes that existed when it began, and begins
-    with one batched full SVD of the classes new since the round before:
-    its unitaries are their frames, whose first r_i columns span the range
-    and the rest the complement.  Its i < j pairs first get their span
-    dimension s_ij (``_pair_span_dims``): r_i + r_j or dim for a pair with
-    a rank-0 or rank-dim class, and for the others r_i plus the count of
-    principal-angle sines between the two ranges above the rank cutoff,
-    restated on sines (see ``pragmaql.hilbert._span_dims``), one
-    values-only ``(k, dim, dim)`` SVD per chunk of ``_BATCH_ENTRIES //
-    dim**2`` pairs.  By Grassmann's identity, dim(U meet W) + dim(U join
-    W) = dim U + dim W, that count names most entries with no vectors at
-    all: s_ij = r_i puts j below i, so the join is i and the meet j, and
-    s_ij = r_j the other way round; s_ij = r_i + r_j makes the meet the
-    zero matrix and s_ij = dim the join the identity.  A named entry must be the
-    class the kernel's result, off the exact one by rounding at the cutoff,
-    would find, so the kernel still decides an operand that is crowded (an
-    earlier class lies within ``class_tol`` plus the cutoff of it) and a
-    bound whose first class differs between ``class_tol`` minus and plus
-    the cutoff.  Past a cutoff of ``class_tol`` (dim > 100) the kernel
-    decides every entry and no frame or span SVD runs.
-
-    The other entries go through ``pragmaql.hilbert._pair_spans``, one
-    connective at a time, in chunks of ``_BATCH_ENTRIES // (2 dim**2)``
-    pairs, in row-major order: one stacked SVD of the pairs' projectors,
-    whose ranks are those of ``meet``/``join`` and whose matrices differ from
-    theirs by rounding only; a pair's result does not depend on its chunk.
-    Each result's first class within ``class_tol`` among the classes made so
-    far comes from one batched distance, at most ``_BATCH_ENTRIES`` entries
-    per temporary.  The pairs are then recorded in order: a result with no
-    hit, and a bound named before its class exists, is compared with the
-    classes made since, and becomes a new class if it matches none.
-    Indices, members and tables therefore come out as a pair-by-pair loop
-    of the kernel would make them.
-
-    ``depth`` counts connective nesting.  Rounds 1 to ``depth`` enumerate:
-    operands are each class's first-found formula, and every result joins
-    its class's members.  Each (connective, operand pair) is combined once,
-    so no member repeats; a repeated atom is ignored.  Later rounds close
-    the set: operands are the canonical representatives (the
-    shortlex-least member), and only a result with a new projector creates
-    a class.  Class i is ``synthesized`` exactly when i is at least the
-    class count when enumeration ended.
-
-    Three or more generic subspaces can generate an infinite lattice, so
-    generation stops with ``ModelError(code="not-saturated")`` when it
-    finds a class past ``MAX_CLASSES``.  An ``eps`` so coarse that
-    ``class_tol`` merges the zero or the identity projector into another
-    class leaves no bottom or top: ``ModelError(code="coarse-tolerance")``.
+    Rounds apply N to each class and K and AQ to each pair of classes until
+    one finds no new class (``_closure``).  Rounds 1 to ``depth`` enumerate:
+    every result joins its class's members (``_members``), and a repeated
+    atom is ignored.  Later rounds only close the set, and a class they make
+    is ``synthesized``.  Past ``MAX_CLASSES`` classes generation raises
+    ``ModelError(code="not-saturated")``; a ``class_tol`` that merges the
+    zero or the identity projector into another class leaves no bottom or
+    top: ``ModelError(code="coarse-tolerance")``.
     """
     if isinstance(atoms, str):
         raise TypeError("atoms must be a sequence of atom names, not one string")
@@ -207,8 +151,40 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
     if not atoms:
         raise ValueError("need at least one atom")
     initial = [model.atom_projector(a) for a in atoms]
-
     d, eps = model.dim, model.eps
+    stack, ranks, neg, meet_table, join_table, atom_class = _closure(initial, d, eps, depth)
+    members, operands, enumerated = _members(atoms, atom_class, neg, meet_table, join_table,
+                                             depth)
+    n = len(ranks)
+    elements = [LatticeElement(i, operands[i], Projector(d, stack[i], ranks[i]),
+                               tuple(members[i]), i >= enumerated) for i in range(n)]
+    return QuotientLattice(elements=elements, order=meet_table == np.arange(n)[:, None],
+                           neg_table=neg, meet_table=meet_table, join_table=join_table,
+                           bottom=ranks.index(0), top=ranks.index(d), eps=eps,
+                           class_tol=_class_tol(eps))
+
+
+def _closure(initial: list[Projector], d: int, eps: float, depth: int):
+    """``(matrices, ranks, neg, meet, join, atom_class)``: the classes that
+    ``initial`` generates, their symmetric tables and the class of each of
+    ``initial``, with no formulas.
+
+    A result's class is the first within ``class_tol``, made if none is, so
+    indices follow the order of the results.  A round takes N of each class
+    new in the round before, then the meets and joins of the pairs i < j
+    with j new, row-major (semi-naive): rounds 1 to ``depth`` all meets
+    before all joins, later rounds each pair's meet, then its join.  It
+    begins with one full SVD of its new classes for their frames.  Each
+    pair's span dimension s_ij (``_pair_span_dims``) names most entries by
+    Grassmann's identity: s_ij = r_i makes the join i and the meet j, s_ij
+    = r_j the reverse, r_i + r_j the meet the zero matrix and dim the join
+    the identity.  The kernel (``pragmaql.hilbert._pair_spans``, chunks of
+    ``_BATCH_ENTRIES // (2 dim**2)`` pairs) takes the other entries and
+    those whose class rounding at the cutoff could move (``named``); past a
+    cutoff of ``class_tol`` (dim > 100) it takes all.  Its results are found
+    among the classes made before their chunk by ``_first_hits``, and among
+    the later ones as they are recorded, as a pair-by-pair loop would.
+    """
     tol, cutoff = _class_tol(eps), _rank_cutoff(eps, d)
     chunk = max(1, _BATCH_ENTRIES // (2 * d * d))
     # the class store: projector matrices, frames, ranks and crowded flags
@@ -216,37 +192,23 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
     frames = np.empty_like(stack)
     ranks = np.empty(len(stack), dtype=int)
     crowded = np.empty(len(stack), dtype=bool)
-    members: list[list[AssertiveFormula]] = []
-    operands: list[AssertiveFormula] = []   # first members, then representatives
-    neg: list[int] = []
-    meets: dict[tuple[int, int], int] = {}   # i < j only
-    joins: dict[tuple[int, int], int] = {}
-    steps = [(True, K, meets), (False, AQ, joins)]
+    size, neg, meets, joins = 0, [], {}, {}   # meets and joins at i < j
+    steps = [(True, meets), (False, joins)]
     # the meet's bottom and the join's top as the rank count names them, and
     # each one's first class if it is the same at tol -/+ cutoff: -1 while no
     # class is within tol + cutoff, -2 where rounding could move it
     bounds = np.stack([np.zeros((d, d)), np.eye(d)]).astype(np.complex128)
     settled = np.full(2, -1)
-    # the class count when enumeration ended; no class index reaches it before
-    enumerated = MAX_CLASSES + 1
 
-    def record(matrix: np.ndarray, rank: int, hit: int, searched: int,
-               formula) -> int:
-        """Index of the first class within ``tol`` of ``matrix``, made if none is.
-
-        ``hit`` is the first such class among the first ``searched`` classes,
-        or -1; the classes made since are searched here.  ``formula`` is
-        called only when the class joins it or is new.  The class store
-        doubles its capacity when full.
-        """
-        nonlocal stack, frames, ranks, crowded
-        n = len(members)
+    def record(matrix: np.ndarray, rank: int, hit: int, searched: int) -> int:
+        """The first class within ``tol`` of ``matrix``, made if none is;
+        ``hit`` is the first among the first ``searched`` classes, or -1."""
+        nonlocal stack, frames, ranks, crowded, size
+        n = size
         if hit < 0:
             later = np.flatnonzero(_deviation(stack[searched:n], matrix) <= tol)
             hit = searched + int(later[0]) if later.size else -1
         if hit >= 0:
-            if n < enumerated:
-                members[hit].append(formula())
             return hit
         if n == MAX_CLASSES:
             raise ModelError(f"generation did not saturate: round {rounds} found class "
@@ -262,47 +224,33 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
         near = _deviation(bounds, matrix)
         first = (settled == -1) & (near <= tol + cutoff)
         settled[first] = np.where(near[first] <= tol - cutoff, n, -2)
-        members.append([formula()])
-        operands.append(members[n][0])
+        size = n + 1
         return n
 
-    def named(meet: bool, i: np.ndarray, j: np.ndarray,
-              span: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(decided, hit) for each pair's meet (``meet`` true) or join:
-        whether the pair's span dimension ``span`` names the entry, and its
-        class where it does.
-
-        Span r_i names the join i and the meet j, span r_j the other way
-        round, unless the named class is crowded.  Where r_i = r_j (one
-        range, two classes) the later one is crowded, so both name the
-        earlier, which the kernel's result lies within cutoff / sqrt 2 of.
-        Span r_i + r_j names the meet, span dim the join, as the bound
-        ``settled`` holds: its class, -1 for one not made yet, or -2 (not
-        named) where rounding at the cutoff could move it.
-        """
+    def named(meet: bool, i: np.ndarray, j: np.ndarray, span: np.ndarray):
+        """(decided, hit): whether each pair's span dimension names its meet
+        or join, and the class it names.  r_i and r_j name an operand unless
+        it is crowded; of two classes with one range the later is crowded,
+        and the kernel's result lies within cutoff / sqrt 2 of the earlier.
+        r_i + r_j and dim name the bound ``settled`` holds unless it is -2."""
         ri, rj = ranks[i], ranks[j]
         bound = settled[0 if meet else 1]
         decided = (span == (ri + rj if meet else d)) & (bound > -2)
         hit = np.full(len(i), bound)
-        for r, upper, lower in ((ri, i, j), (rj, j, i)):
-            operand = lower if meet else upper
+        for r, operand in ((ri, j if meet else i), (rj, i if meet else j)):
             rule = (span == r) & ~crowded[operand]
             hit = np.where(rule, operand, hit)
             decided |= rule
         return decided, hit
 
     def results(batch, i: np.ndarray, j: np.ndarray, span: np.ndarray):
-        """For each pair (i_k, j_k) in turn, one (matrix, rank, hit, searched)
-        per step of ``batch``, ``chunk`` pairs at a time.  An entry that the
-        span dimension ``span`` names takes its class, and the exact zero or
-        identity matrix for a bound.  The others go through the step's
-        kernel; ``hit`` is each result's first class within ``tol`` among
-        the ``searched`` classes made by then, or -1."""
+        """For each pair in turn, ``record``'s arguments for each step of
+        ``batch``, computed ``chunk`` pairs at a time."""
         for at in range(0, len(i), chunk):
             k = slice(at, at + chunk)
-            ic, jc, n = i[k], j[k], len(members)
+            ic, jc, n = i[k], j[k], size
             found = []
-            for meet, _, _ in batch:
+            for meet, _ in batch:
                 decided, hits = named(meet, ic, jc, span[k])
                 bound = (bounds[0], 0) if meet else (bounds[1], d)
                 outcome = [(*bound, h, n) for h in hits.tolist()]
@@ -315,89 +263,93 @@ def generate_quotient(model: Model, atoms, depth: int) -> QuotientLattice:
                 found.append(outcome)
             yield from zip(*found)
 
-    # shortlex: plain lexicographic order would favor longer members, since
-    # "(" sorts below every other formula character.  Members share their
-    # operands, which one printer prints once
-    printed = _Printer()
-
-    def shortlex(f: AssertiveFormula):
-        text = printed(f)
-        return (len(text), text)
-
-    rounds = 0
-    for a, p in zip(atoms, initial):
-        record(p.matrix, p.rank, -1, 0, lambda: Assert(Atom(a)))
-
-    seen = 0   # classes [0, seen) were already combined with each other
+    rounds, seen = 0, 0   # classes [0, seen) were already combined with each other
+    atom_class = [record(p.matrix, p.rank, -1, 0) for p in initial]
     for rounds in itertools.count(1):
-        count = len(members)
-        enumerating = count < enumerated
-        if enumerating and (rounds > depth or seen == count):
-            # members are final once enumeration ends
-            enumerated, enumerating = count, False
-            operands[:] = [min(m, key=shortlex) for m in members]
+        count = size
         if seen == count:
             break
         for i in range(seen, count):
-            neg.append(record(np.eye(d) - stack[i], d - int(ranks[i]), -1, 0,
-                              lambda: N(operands[i])))
-        # the pairs i < j that include a class new in the last round, row-major
+            neg.append(record(np.eye(d) - stack[i], d - int(ranks[i]), -1, 0))
         pi, pj = np.triu_indices(count, 1)
         pi, pj = pi[pj >= seen], pj[pj >= seen]
-        # each pair's span dimension, from the frames of the classes new in
-        # the last round and those of earlier rounds, or -1, which names no
-        # entry.  Past a cutoff of tol (dim > 100) the kernel's copy of a
-        # class may lie beyond tol of it, so no entry is named by rank there
+        # -1 names no entry: past a cutoff of tol the kernel's copy of a
+        # class may lie beyond tol of it
+        span = np.full(len(pi), -1)
         if cutoff <= tol:
             frames[seen:count] = np.linalg.svd(stack[seen:count])[0]
             span = _pair_span_dims(frames, ranks, pi, pj, eps)
-        else:
-            span = np.full(len(pi), -1)
-        # the order fixes class indices and member order: enumeration
-        # applies one connective to all pairs before the next, closure
-        # applies both to each pair in turn.  While enumerating, the pairs
-        # (i, j) with i >= j add members too: (j, i) is filled earlier in
-        # row-major order, and (i, i) is class i
-        passes = [[step] for step in steps] if enumerating else [steps]
-        for batch in passes:
-            found = results(batch, pi, pj, span)
-            for i in range(count):
-                start = (seen if i < seen else 0) if enumerating else max(i + 1, seen)
-                for j in range(start, count):
-                    if i < j:
-                        outcome = next(found)
-                    for s, (_, connective, table) in enumerate(batch):
-                        formula = lambda: connective(operands[i], operands[j])
-                        if i < j:
-                            table[i, j] = record(*outcome[s], formula)
-                        else:
-                            members[table[j, i] if i > j else i].append(formula())
+        for batch in ([step] for step in steps) if rounds <= depth else [steps]:
+            for i, j, outcome in zip(pi.tolist(), pj.tolist(), results(batch, pi, pj, span)):
+                for (_, table), found in zip(batch, outcome):
+                    table[i, j] = record(*found)
         seen = count
 
-    n = len(members)
-    ranks = ranks[:n].tolist()
+    ranks = ranks[:size].tolist()
     for bound, rank in (("zero", 0), ("identity", d)):
         if rank not in ranks:
             raise ModelError(f"no class has rank {rank}: class_tol {tol:.3g} merged the "
                              f"{bound} projector into another class", code="coarse-tolerance")
-    iu = np.triu_indices(n, 1)
-    meet_table, join_table = (_symmetric_table(n, iu, table) for table in (meets, joins))
-    elements = [
-        LatticeElement(i, operands[i], Projector(d, stack[i], ranks[i]), tuple(members[i]),
-                       i >= enumerated)
-        for i in range(n)
-    ]
-    return QuotientLattice(
-        elements=elements,
-        order=meet_table == np.arange(n)[:, None],
-        neg_table=np.array(neg, dtype=int),
-        meet_table=meet_table,
-        join_table=join_table,
-        bottom=ranks.index(0),
-        top=ranks.index(d),
-        eps=eps,
-        class_tol=tol,
-    )
+    iu = np.triu_indices(size, 1)
+    meet_table, join_table = (_symmetric_table(size, iu, table) for table in (meets, joins))
+    return stack[:size], ranks, np.array(neg, dtype=int), meet_table, join_table, atom_class
+
+
+def _members(atoms: list[str], atom_class: list[int], neg: np.ndarray, meet: np.ndarray,
+             join: np.ndarray, depth: int):
+    """``(members, operands, enumerated)``: each class's member formulas and
+    operand, and the class count when enumeration ended.
+
+    ``_closure``'s rounds are replayed on its tables alone, in its order:
+    the atoms' |- a, then per round N of each new class and K and AQ of each
+    pair with one, so a table entry equal to the class count is a new class,
+    whose first member is its operand.  Rounds 1 to ``depth`` enumerate:
+    each ordered pair (i, j) with a new class, (i, i) included, is combined
+    once, and every result joins its class.  When they end, or a round finds
+    no class, each operand becomes its class's shortlex-least member, and
+    later rounds add only the formulas of new classes.
+    """
+    neg, meet, join = neg.tolist(), meet.tolist(), join.tolist()
+    members: list[list[AssertiveFormula]] = []
+    operands: list[AssertiveFormula] = []   # first members, then representatives
+    enumerated = None
+
+    def add(c: int, formula: AssertiveFormula) -> None:
+        if c < len(members):
+            members[c].append(formula)
+        else:
+            members.append([formula])
+            operands.append(formula)
+
+    # shortlex: plain lexicographic order would favor longer members, since
+    # "(" sorts below every other formula character.  Members share their
+    # operands, which one printer prints once
+    printed = _Printer()
+    shortlex = lambda f: (len(printed(f)), printed(f))
+    for a, c in zip(atoms, atom_class):
+        add(c, Assert(Atom(a)))
+    seen = 0
+    for rounds in itertools.count(1):
+        count = len(members)
+        if enumerated is None and (rounds > depth or seen == count):
+            enumerated = count
+            operands[:] = [min(m, key=shortlex) for m in members]
+        if seen == count:
+            break
+        # past enumeration only a new class takes a formula, and no (j, i)
+        # or (i, i) entry is new
+        enumerating = rounds <= depth
+        for i in range(seen, count):
+            if enumerating or neg[i] == len(members):
+                add(neg[i], N(operands[i]))
+        for steps in ([(K, meet)], [(AQ, join)]) if enumerating else [[(K, meet), (AQ, join)]]:
+            for i in range(count):
+                for j in range(seen if i < seen else 0, count):
+                    for connective, table in steps:
+                        if enumerating or table[i][j] == len(members):
+                            add(table[i][j], connective(operands[i], operands[j]))
+        seen = count
+    return members, operands, enumerated
 
 
 def _pair_span_dims(frames: np.ndarray, ranks: np.ndarray, i, j, eps: float) -> np.ndarray:

@@ -212,9 +212,10 @@ def validate_model(model: Model) -> ValidationReport:
 
     This is the one place that decides whether a model is valid:
     ``load_model`` raises its first error, and ``check_cc`` refuses a model
-    with any.  Findings come in order: tolerance, states (dimension, unit
-    norm), properties (dimension, projector defects), then per atom its
-    name and target, then the bijection onto the declared properties.  An
+    with any.  Findings come in order: ``dim`` (1 to ``MAX_DIM``, as
+    ``load_model`` checks it), tolerance, states (dimension, unit norm),
+    properties (dimension, projector defects), then per atom its name and
+    target, then the bijection onto the declared properties.  An
     eps that is no tolerance (see ``pragmaql.hilbert``) is reported, and
     replaced by a 1e-12 floor for the numeric checks themselves.
 
@@ -230,6 +231,9 @@ def validate_model(model: Model) -> ValidationReport:
 
 def _validate(model: Model) -> ValidationReport:
     findings: list[Finding] = []
+    if not 1 <= model.dim <= MAX_DIM:   # a hand-built model; load_model checks it first
+        findings.append(Finding(
+            "error", "schema", f"dim must be an integer from 1 to {MAX_DIM}, got {model.dim}"))
     eff = model.eps
     if not _is_tolerance(eff):
         eff, finite = 1e-12, -math.inf < model.eps <= 0

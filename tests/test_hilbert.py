@@ -401,6 +401,14 @@ def test_batched_states_redraw_tiny_rows_like_the_loop(tiny):
         assert batch_rng.used == loop_rng.used == 2 * dim * (50 + len(tiny))
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_random_states_refuse_a_dim_below_one(dim):
+    # no draw of dim 0 has a nonzero norm, so redrawing would never end
+    for draw in (lambda rng: _random_states(dim, 2, rng), lambda rng: random_state(dim, rng)):
+        with pytest.raises(ValueError, match="dim >= 1"):
+            draw(np.random.default_rng(0))
+
+
 def test_random_projector_is_valid():
     rng = np.random.default_rng(59)
     for dim in (2, 3, 4):

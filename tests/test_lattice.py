@@ -11,6 +11,11 @@ import pytest
 import pragmaql.hilbert
 import pragmaql.lattice
 from pragmaql import (
+    AQ,
+    K,
+    N,
+    Assert,
+    Atom,
     LatticeElement,
     LawReport,
     ModelError,
@@ -28,6 +33,7 @@ from pragmaql import (
     justify,
     ortho,
     parse_assertive,
+    print_formula,
     projector_from_span,
     projectors_close,
     random_state,
@@ -362,6 +368,41 @@ EXPORT_DIGESTS = {
     ("ququart-planes", ("bl", "bd", "bc"), 2): "385e5b35169cb87486a512001b160c79bab5149f20fecbe590262f49a342bff5",
     ("ququart-planes", ("bl", "bd", "bc"), 3): "6f0a4e204d76c0c74e64217981b779ee9d7148276a1cfcd65bb665f2ae9f35e6",
     ("qubit-zx", ("az",), 1): "26b1b161a739f84e784c5c5481bddd4148b880d38894fcf90426f4a10322d10d",
+    # every other order of the atoms, recorded before members were replayed
+    # from the tables
+    ("qubit-zx", ("ax", "az"), 1): "1cf95763c475685de3ce6c9bdb4c2661577250521b92075de65948d396166c61",
+    ("qubit-zx", ("ax", "az"), 2): "ea53c4de23748878029e147449525bb31e03e24538c7739cb30b4ec0989a0d39",
+    ("qubit-zx", ("ax", "az"), 3): "ea53c4de23748878029e147449525bb31e03e24538c7739cb30b4ec0989a0d39",
+    ("qutrit-lines", ("aa", "ap", "ab"), 1): "7598cfb75a5a2e1c7bef90f573a1c355937b4c5115cbe02241a5b12157db133f",
+    ("qutrit-lines", ("aa", "ap", "ab"), 2): "e0802a3dfffefba6360b6514fc0cae09ae11f2c3dfa352da32c88efde3788f36",
+    ("qutrit-lines", ("aa", "ap", "ab"), 3): "3004ad2d73c3b7164064edd317aa98986312556667fd745b39b723268460fa32",
+    ("qutrit-lines", ("ab", "aa", "ap"), 1): "e72a1a8b6c5433dbc85be92364ce15328d8a199cd882a421af0b82196dd8c3ae",
+    ("qutrit-lines", ("ab", "aa", "ap"), 2): "105416bcf35aa7648dd61e12efad5f25f1dd7fe934ed1e7263e9cb2b7029f9a8",
+    ("qutrit-lines", ("ab", "aa", "ap"), 3): "3b1736404fb1929f3ec81a0ac9002aefdca9d6625d6432cfc3d02117fc835d93",
+    ("qutrit-lines", ("ab", "ap", "aa"), 1): "68b324afa057915ae74666f346d641aafada308d8cfdd9662757b64156d78844",
+    ("qutrit-lines", ("ab", "ap", "aa"), 2): "0acee995395dcc1a39ca68fb9b229bfeace516d233c07ee033648231b9903487",
+    ("qutrit-lines", ("ab", "ap", "aa"), 3): "06b3b78e9527279af561ef0eae388181d431aa2c1f71bd6331479907c798cb32",
+    ("qutrit-lines", ("ap", "aa", "ab"), 1): "c3c3b8015882a7d1ea41e2d67e487702ada8f4c0ff79c276a09d09de0bd0aa91",
+    ("qutrit-lines", ("ap", "aa", "ab"), 2): "216c6fcb15b9da65495ec460924fa40f77084970d0d138972aecf4b3cbe08afb",
+    ("qutrit-lines", ("ap", "aa", "ab"), 3): "fbd486913ca5520706a9ec053de5695d5a4fe5d136781f2776efce3db3b291f0",
+    ("qutrit-lines", ("ap", "ab", "aa"), 1): "900841de86ff7e1ebc279734f6d4f9fac4dddce898082c270f77b47fecf8e62d",
+    ("qutrit-lines", ("ap", "ab", "aa"), 2): "0c2b5fb8254ff75397ec7c58dcc4b94cfcaf95c6d1d700363cca3c9d1203d9e6",
+    ("qutrit-lines", ("ap", "ab", "aa"), 3): "8a0f5f52406aec74b63c1ab8cc5d46e14ba5a45b421492e9b041dcd12672ed51",
+    ("ququart-planes", ("bl", "bc", "bd"), 1): "c488777f5a74ad0bd369b7302588b2eb70166070eeaa166ead436efaba4de035",
+    ("ququart-planes", ("bl", "bc", "bd"), 2): "36d44d1169171aac1bad733ba2084f3d48e3dcacb464d5b7c6fecf80777fb50e",
+    ("ququart-planes", ("bl", "bc", "bd"), 3): "75f7bd715da87feb200fb3d24cf4f989cf201f7e71ceefe3a617cbf4aa1dc965",
+    ("ququart-planes", ("bd", "bl", "bc"), 1): "84a51029192206c91bbfa072dc20ac730fd26418e4b04ae1a34afaaf86ab014b",
+    ("ququart-planes", ("bd", "bl", "bc"), 2): "2ae50866c09675ec504ad90d2b79eedd2eefe634c03c0c22bacf1813112f2b01",
+    ("ququart-planes", ("bd", "bl", "bc"), 3): "fa97659d002c0d0a03ea4a83abc9f7f91f73667378c35355305084203ad98fc6",
+    ("ququart-planes", ("bd", "bc", "bl"), 1): "2c9cf0afa682beafdcd1bbef395b8438af7af244c73966b4af213a4f0d202a18",
+    ("ququart-planes", ("bd", "bc", "bl"), 2): "3c721aee8f5ea39f2d0b8886a90b993aa20c5c2d64bc662bc507c9805a366cf1",
+    ("ququart-planes", ("bd", "bc", "bl"), 3): "c2a3e64a07c581b04e0cc82366ba04bafc4f7591d1b3ebf19417f2d7fb30389c",
+    ("ququart-planes", ("bc", "bl", "bd"), 1): "00c59b6a6d30bda38baae65668ce15357e97c5011dfc58a0cc1eeee78ce11abd",
+    ("ququart-planes", ("bc", "bl", "bd"), 2): "d1c19793168bfdd4425410881152bdc139bfc43faa7789757c5f517fb648169d",
+    ("ququart-planes", ("bc", "bl", "bd"), 3): "943c204aaf0717bfee59d529440d011038c0d658369941c029418dba1ebb8ebb",
+    ("ququart-planes", ("bc", "bd", "bl"), 1): "797dd64d140fe5e8930b4b74b0759196b631d29da4f3a1246683787ad6c8ae3e",
+    ("ququart-planes", ("bc", "bd", "bl"), 2): "4624aba40e07db7cccd455730a70d94e62ef5211a57e2fb6e1f0679ddcc2491a",
+    ("ququart-planes", ("bc", "bd", "bl"), 3): "1c755217740c400ad1868a0b36b3a22403a773020b8864355180bb322a13e8f9",
 }
 
 
@@ -451,6 +492,57 @@ def test_block_sum_lattices_match_their_symbolic_lattice(dim):
         for table, op in ((lat.meet_table, blocksum.meet), (lat.join_table, blocksum.join)):
             assert table.tolist() == [[index[op(element[a], element[b])] for b in range(n)]
                                       for a in range(n)]
+
+
+def assert_members_follow_the_tables(model, atoms, lat):
+    """Each member lies where the tables put it, whatever way the members
+    were built: |- a in the first class within class_tol of a's projector,
+    N(f) in neg[class f], K(f, g) and AQ(f, g) in meet and join[class f,
+    class g].  Every operand is itself a member.  A class's formula is its
+    shortlex-least member, or its only one if it is synthesized."""
+    where = {}
+    for e in lat.elements:
+        for m in e.members:
+            assert where.setdefault(print_formula(m), e.index) == e.index
+    cls = lambda f: where[print_formula(f)]
+    stack = np.stack([lat.projector(c).matrix for c in range(len(lat))])
+    for a in atoms:
+        close = np.abs(stack - model.atom_projector(a).matrix).max(axis=(1, 2)) <= lat.class_tol
+        assert cls(Assert(Atom(a))) == int(np.argmax(close)) and close.any()
+    for e in lat.elements:
+        for m in e.members:
+            if isinstance(m, N):
+                assert e.index == lat.neg_table[cls(m.operand)], print_formula(m)
+            elif isinstance(m, (K, AQ)):
+                table = lat.meet_table if isinstance(m, K) else lat.join_table
+                assert e.index == table[cls(m.left), cls(m.right)], print_formula(m)
+            else:
+                assert isinstance(m, Assert) and m.radical.name in atoms
+        if e.synthesized:
+            assert e.members == (e.formula,)
+        else:
+            text = print_formula(e.formula)
+            assert min((len(t), t) for t in map(print_formula, e.members)) == (len(text), text)
+
+
+@pytest.mark.parametrize("name", ["qubit-zx", "qutrit-lines", "ququart-planes"])
+def test_members_follow_the_tables_in_every_atom_order(all_models, name):
+    model = all_models[name]
+    for atoms in itertools.permutations(sorted(model.atom_map)):
+        for depth in (1, 2, 3):
+            lat = generate_quotient(model, list(atoms), depth)
+            assert_members_follow_the_tables(model, atoms, lat)
+
+
+@pytest.mark.parametrize("dim", [4, 9, 16])
+def test_members_follow_the_tables_of_block_sum_lattices(dim):
+    for k in range(2):
+        bs, _ = blocksum.draw(np.random.default_rng([dim, k]),
+                              np.random.default_rng([dim, k, 1]), dim, 2 + k, (4, 32))
+        model = pragmaql.load_model(blocksum.document(bs))
+        for depth in (1, 2):
+            lat = generate_quotient(model, list(model.atom_map), depth)
+            assert_members_follow_the_tables(model, list(model.atom_map), lat)
 
 
 def span_model(dim, *spans, eps=1e-9):

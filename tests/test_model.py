@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,8 @@ from pragmaql import (
     load_model,
     validate_model,
 )
+
+from helpers import child_env
 
 
 def minimal_document():
@@ -279,6 +284,29 @@ def test_validate_flags_nan_state_and_projector(qubit):
                       atom_map=dict(qubit.atom_map), eps=qubit.eps)
         assert code in [f.code for f in validate_model(model).errors()]
         assert [f.code for f in check_cc(model, samples=10).errors()][-1] == "model-invalid"
+
+
+@pytest.mark.parametrize("dim", [0, -3, 4097])
+def test_validate_reports_a_built_dim_outside_the_range_as_load_model_does(dim):
+    model = Model(dim=dim, states={}, properties={}, atom_map={})
+    with pytest.raises(ModelError) as exc:
+        load_model({"dim": dim, "states": {}, "properties": {}, "atoms": {}})
+    assert [(f.code, f.message) for f in validate_model(model).errors()] == [
+        (exc.value.code, str(exc.value))]
+
+
+def test_check_cc_refuses_a_built_dim_zero_model_without_drawing():
+    # in a child interpreter with a timeout: a dim-0 probe draw never has a
+    # nonzero norm, so a check that drew one would redraw without end
+    script = """
+from pragmaql import Model, check_cc
+model = Model(dim=0, states={}, properties={}, atom_map={})
+print([f.code for f in check_cc(model, samples=2).errors()])
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=child_env(),
+                          capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "['schema', 'model-invalid']\n"
 
 
 def test_validate_reports_a_state_norm_beyond_the_float_limit(qubit):
