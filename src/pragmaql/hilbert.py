@@ -32,7 +32,14 @@ these rules, written once, here (``eps``: the model tolerance, default 1e-9).
   cutoff cannot move it: no earlier class within ``10 * eps`` plus the
   cutoff of a named operand, the same first class of the zero or identity
   matrix at ``10 * eps`` minus and plus the cutoff, and a cutoff of at most
-  ``10 * eps``.
+  ``10 * eps``.  It names any other meet or join by the order the counts
+  give (the one earlier class of the counted rank below or above both
+  operands) only where the Davis-Kahan bound sqrt(alpha_ci² + alpha_cj²)
+  / sqrt(1 - cos theta_min) is at most the cutoff: alpha the largest sine
+  at or below the sine cutoff of each operand with that class, theta_min
+  the operands' smallest angle whose sine is above it.  Verification
+  checks an entry past that bound against the batched meet or join within
+  ``10 * eps``.  Neither rule changes a tolerance or a cutoff.
 - In ``evaluation``: TRUE at probability |p - 1| <= eps, FALSE at p <= eps.
 
 Each test is written so that a NaN deviation fails it, and a projector
@@ -458,10 +465,11 @@ def _pair_spans(a: np.ndarray, b: np.ndarray, eps: float,
 
 
 def _span_dims(fa: np.ndarray, ra: np.ndarray, fb: np.ndarray, rb: np.ndarray,
-               eps: float) -> np.ndarray:
-    """The dimension of the span of the ranges A_k and B_k for each k, from
-    their frames ``fa[k]`` and ``fb[k]`` (unitaries whose first ``ra[k]``,
-    ``rb[k]`` columns span the range, the rest its complement).
+               eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(span, alpha, gap)``: the dimension of the span of the ranges A_k
+    and B_k for each k, from their frames ``fa[k]`` and ``fb[k]`` (unitaries
+    whose first ``ra[k]``, ``rb[k]`` columns span the range, the rest its
+    complement), and the two margins of that count.
 
     The span is A_k plus the part of B_k outside A_k, so it is r_a plus the
     count of singular values above the cutoff of the block of F_aᴴ F_b
@@ -473,7 +481,13 @@ def _span_dims(fa: np.ndarray, ra: np.ndarray, fb: np.ndarray, rb: np.ndarray,
     there, so its rank cutoff c is the sine cutoff c sqrt(2 - c²), and the
     counts are the same in exact arithmetic.  A cutoff of 1 or more, which
     no projector's own singular values exceed, keeps a sine cutoff of 1.
-    Lattice generation and verification count by it."""
+    Lattice generation and verification count by it.
+
+    From the same singular values: ``alpha`` is the largest sine at or below
+    the sine cutoff (0 for none), how far the count treats a turned
+    direction as shared, and ``gap`` is sqrt(1 - cos theta_min) of the
+    smallest angle whose sine is above it (1, at 90 degrees, for none): the
+    smallest of the kernel's singular values that the count keeps apart."""
     d = fa.shape[-1]
     c = min(_rank_cutoff(eps, d), 1.0)
     at = np.arange(d)
@@ -481,7 +495,13 @@ def _span_dims(fa: np.ndarray, ra: np.ndarray, fb: np.ndarray, rb: np.ndarray,
     block = (at[:, None] >= ra[:, None, None]) & (at < rb[:, None, None])
     m = np.where(block, fa.conj().swapaxes(1, 2) @ fb, 0)
     s = np.linalg.svd(m, compute_uv=False)
-    return ra + np.count_nonzero(s > c * np.sqrt(2 - c * c), axis=1)
+    above = s > c * np.sqrt(2 - c * c)
+    alpha = np.where(above, 0.0, s).max(axis=1, initial=0.0)
+    # the smallest sine above the cutoff, clipped to 1 against rounding;
+    # sqrt(1 - cos) as sin / sqrt(1 + cos) loses no digits at small angles
+    sin = np.where(above, np.minimum(s, 1.0), 1.0).min(axis=1, initial=1.0)
+    gap = sin / np.sqrt(1.0 + np.sqrt(1.0 - sin * sin))
+    return ra + np.count_nonzero(above, axis=1), alpha, gap
 
 
 def leq(p: Projector, q: Projector, eps: float = DEFAULT_EPS) -> bool:

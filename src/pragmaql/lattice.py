@@ -10,7 +10,9 @@ dimension count (Grassmann's identity), from the span counts that
 generation names entries by: each class has a frame, the unitary of a full
 SVD of its matrix, and a pair of classes that are neither bottom nor top
 spans r_i plus the principal-angle sines between them above the cutoff,
-one values-only SVD per chunk of pairs.  ``export_lattice`` and
+one values-only SVD per chunk of pairs.  Where that count is
+ill-conditioned, by the same bound generation names entries under, an
+entry is checked against the kernel's result.  ``export_lattice`` and
 ``import_lattice`` write and read it.  Tolerances follow the policy in
 ``pragmaql.hilbert``.
 """
@@ -178,20 +180,33 @@ def _closure(initial: list[Projector], d: int, eps: float, depth: int):
     pair's span dimension s_ij (``_pair_span_dims``) names most entries by
     Grassmann's identity: s_ij = r_i makes the join i and the meet j, s_ij
     = r_j the reverse, r_i + r_j the meet the zero matrix and dim the join
-    the identity.  The kernel (``pragmaql.hilbert._pair_spans``, chunks of
-    ``_BATCH_ENTRIES // (2 dim**2)`` pairs) takes the other entries and
-    those whose class rounding at the cutoff could move (``named``); past a
-    cutoff of ``class_tol`` (dim > 100) it takes all.  Its results are found
-    among the classes made before their chunk by ``_first_hits``, and among
-    the later ones as they are recorded, as a pair-by-pair loop would.
+    the identity.  The counts also order the classes: c is below i when
+    s_ci = r_i, and the order grows with the class store, with one margin
+    per pair.  Of the other entries, the order names the meet of i and j
+    as the one class made before the round of rank r_i + r_j - s_ij below
+    both, and the join as the one of rank s_ij above both, where a
+    Davis-Kahan bound puts the kernel's result within the cutoff of it
+    (``ordered``).  The kernel (``pragmaql.hilbert._pair_spans``, chunks of
+    ``_BATCH_ENTRIES // (2 dim**2)`` pairs) takes the entries neither names
+    and those whose class rounding at the cutoff could move (``named``);
+    past a cutoff of ``class_tol`` (dim > 100) it takes all.  So every new
+    class is the kernel's matrix, and every entry the first class of the
+    kernel's result.  Its results are found among the classes made before
+    their chunk by ``_first_hits``, and among the later ones as they are
+    recorded, as a pair-by-pair loop would.  Tolerances and cutoffs are
+    those of ``pragmaql.hilbert``.
     """
     tol, cutoff = _class_tol(eps), _rank_cutoff(eps, d)
     chunk = max(1, _BATCH_ENTRIES // (2 * d * d))
-    # the class store: projector matrices, frames, ranks and crowded flags
+    # the class store: projector matrices, frames, ranks and crowded flags,
+    # and the span-count order of the classes: below[a, b] when a's range
+    # is in b's by count, and each pair's margin (``_pair_span_dims``)
     stack = np.empty((16, d, d), dtype=np.complex128)
     frames = np.empty_like(stack)
     ranks = np.empty(len(stack), dtype=int)
     crowded = np.empty(len(stack), dtype=bool)
+    below = np.zeros((len(stack),) * 2, dtype=bool)
+    margin = np.zeros((len(stack),) * 2)
     size, neg, meets, joins = 0, [], {}, {}   # meets and joins at i < j
     steps = [(True, meets), (False, joins)]
     # the meet's bottom and the join's top as the rank count names them, and
@@ -203,7 +218,7 @@ def _closure(initial: list[Projector], d: int, eps: float, depth: int):
     def record(matrix: np.ndarray, rank: int, hit: int, searched: int) -> int:
         """The first class within ``tol`` of ``matrix``, made if none is;
         ``hit`` is the first among the first ``searched`` classes, or -1."""
-        nonlocal stack, frames, ranks, crowded, size
+        nonlocal stack, frames, ranks, crowded, below, margin, size
         n = size
         if hit < 0:
             later = np.flatnonzero(_deviation(stack[searched:n], matrix) <= tol)
@@ -217,6 +232,7 @@ def _closure(initial: list[Projector], d: int, eps: float, depth: int):
         if n == len(stack):
             stack, frames, ranks, crowded = (np.concatenate([a, np.empty_like(a)])
                                              for a in (stack, frames, ranks, crowded))
+            below, margin = (np.pad(a, (0, n)) for a in (below, margin))
         stack[n], ranks[n] = matrix, rank
         # the kernel's copy of a class is off it by up to the cutoff, so it
         # may lie within tol of an earlier class when this one is crowded
@@ -243,7 +259,38 @@ def _closure(initial: list[Projector], d: int, eps: float, depth: int):
             decided |= rule
         return decided, hit
 
-    def results(batch, i: np.ndarray, j: np.ndarray, span: np.ndarray):
+    def ordered(meet: bool, i: np.ndarray, j: np.ndarray, span: np.ndarray, count: int):
+        """(decided, hit): whether the span-count order of the first
+        ``count`` classes names each pair's meet or join, and the class c it
+        names: of rank r_i + r_j - s_ij below i and j for a meet, of rank
+        s_ij above both for a join.  Neither an inclusion (the operand
+        rules') nor a bottom or top entry (``settled``'s) is named, nor one
+        that more than one class fits or that a crowded class fits.  The
+        kernel's result lies within about sqrt(alpha_ci² + alpha_cj²) /
+        sqrt(1 - cos theta_min) of c (Davis and Kahan, 1970: the sines that
+        the count dropped over the smallest angle that it kept), and c is
+        taken only where that is at most the cutoff."""
+        ri, rj = ranks[i], ranks[j]
+        target = ri + rj - span if meet else span
+        decided = (span >= 0) & (span != ri) & (span != rj) & (target > 0) & (target < d)
+        hit = np.zeros(len(i), dtype=int)
+        rows = np.flatnonzero(decided)
+        step = max(1, _BATCH_ENTRIES // count)
+        for at in range(0, len(rows), step):
+            k = rows[at:at + step]
+            # (pair, class): the classes of the target rank on the right side of both
+            if meet:
+                fits = below[:count, i[k]].T & below[:count, j[k]].T
+            else:
+                fits = below[i[k], :count] & below[j[k], :count]
+            fits &= ranks[:count] == target[k, None]
+            hit[k] = fits.argmax(axis=1)
+            decided[k] = fits.sum(axis=1) == 1
+        decided &= ~crowded[hit] & (np.hypot(margin[hit, i], margin[hit, j])
+                                    <= cutoff * margin[i, j])
+        return decided, hit
+
+    def results(batch, i: np.ndarray, j: np.ndarray, span: np.ndarray, count: int):
         """For each pair in turn, ``record``'s arguments for each step of
         ``batch``, computed ``chunk`` pairs at a time."""
         for at in range(0, len(i), chunk):
@@ -252,9 +299,12 @@ def _closure(initial: list[Projector], d: int, eps: float, depth: int):
             found = []
             for meet, _ in batch:
                 decided, hits = named(meet, ic, jc, span[k])
+                rest = np.flatnonzero(~decided)
+                rule, c = ordered(meet, ic[rest], jc[rest], span[k][rest], count)
+                hits[rest[rule]] = c[rule]
+                rest = rest[~rule]
                 bound = (bounds[0], 0) if meet else (bounds[1], d)
                 outcome = [(*bound, h, n) for h in hits.tolist()]
-                rest = np.flatnonzero(~decided)
                 if rest.size:
                     mats, rks = _pair_spans(stack[ic[rest]], stack[jc[rest]], eps, meet)
                     for r, m, rk, h in zip(rest.tolist(), mats, rks.tolist(),
@@ -278,9 +328,14 @@ def _closure(initial: list[Projector], d: int, eps: float, depth: int):
         span = np.full(len(pi), -1)
         if cutoff <= tol:
             frames[seen:count] = np.linalg.svd(stack[seen:count])[0]
-            span = _pair_span_dims(frames, ranks, pi, pj, eps)
+            span, alpha, gap = _pair_span_dims(frames, ranks, pi, pj, eps)
+            # the margin of an inclusion is alpha, of any other pair the gap
+            up, down = span == ranks[pj], span == ranks[pi]
+            below[pi, pj], below[pj, pi] = up, down
+            margin[pi, pj] = margin[pj, pi] = np.where(up | down, alpha, gap)
         for batch in ([step] for step in steps) if rounds <= depth else [steps]:
-            for i, j, outcome in zip(pi.tolist(), pj.tolist(), results(batch, pi, pj, span)):
+            for i, j, outcome in zip(pi.tolist(), pj.tolist(),
+                                     results(batch, pi, pj, span, count)):
                 for (_, table), found in zip(batch, outcome):
                     table[i, j] = record(*found)
         seen = count
@@ -352,20 +407,23 @@ def _members(atoms: list[str], atom_class: list[int], neg: np.ndarray, meet: np.
     return members, operands, enumerated
 
 
-def _pair_span_dims(frames: np.ndarray, ranks: np.ndarray, i, j, eps: float) -> np.ndarray:
-    """The span dimension of the ranges of classes i_k and j_k for each k,
-    from their frames and ranks (see ``_span_dims``).  A pair with a rank-0
-    or rank-dim class spans r_i + r_j or dim and takes no row; the others go
-    through ``_span_dims`` in chunks of ``_BATCH_ENTRIES // dim**2`` pairs."""
+def _pair_span_dims(frames: np.ndarray, ranks: np.ndarray, i, j, eps: float):
+    """``(span, alpha, gap)``: the span dimension of the ranges of classes
+    i_k and j_k for each k, from their frames and ranks, and its margins
+    (see ``_span_dims``).  A pair with a rank-0 or rank-dim class spans
+    r_i + r_j or dim, with alpha 0 and gap 1, and takes no row; the others
+    go through ``_span_dims`` in chunks of ``_BATCH_ENTRIES // dim**2``
+    pairs."""
     d = frames.shape[-1]
     ri, rj = ranks[i], ranks[j]
     span = np.where((ri == d) | (rj == d), d, ri + rj)
+    alpha, gap = np.zeros(len(span)), np.ones(len(span))
     rows = np.flatnonzero((ri > 0) & (ri < d) & (rj > 0) & (rj < d))
     chunk = max(1, _BATCH_ENTRIES // (d * d))
     for at in range(0, len(rows), chunk):
         k = rows[at:at + chunk]
-        span[k] = _span_dims(frames[i[k]], ri[k], frames[j[k]], rj[k], eps)
-    return span
+        span[k], alpha[k], gap[k] = _span_dims(frames[i[k]], ri[k], frames[j[k]], rj[k], eps)
+    return span, alpha, gap
 
 
 def _first_hits(stack: np.ndarray, mats: np.ndarray, tol: float) -> np.ndarray:
@@ -474,7 +532,12 @@ def verify_isomorphism(lat: QuotientLattice) -> LawReport:
     or from generation; s_ij from generation's count (``_pair_span_dims``)
     on those frames: r_i + r_j or dim for a pair with the bottom or top
     class, and one row of a values-only SVD for every other unordered
-    pair, which checks both table[i, j] and table[j, i].  The
+    pair, which checks both table[i, j] and table[j, i].  The count is
+    trusted as far as generation's order rule trusts it: an entry that is
+    neither operand nor of rank 0 or dim passes by count only where
+    sqrt(alpha_Mi² + alpha_Mj²) / sqrt(1 - cos theta_min) is at most the
+    cutoff (see ``_span_dims``); any other is compared with the kernel's
+    result (``_pair_spans``) within ``class_tol``.  The
     counterexample names the first failed aspect (injective, order,
     negation, then meet before join at each pair), row-major within it.
     At a rank cutoff of 1 or more no singular value of a projector exceeds
@@ -498,11 +561,13 @@ def verify_isomorphism(lat: QuotientLattice) -> LawReport:
         if found is not None:
             return fail(aspect, *found)
     # the order check passed, so ``below`` is the class order
+    cutoff = _rank_cutoff(lat.eps, d)
     frames, s, _ = np.linalg.svd(stack)
-    ranks = np.count_nonzero(s > _rank_cutoff(lat.eps, d), axis=1)
+    ranks = np.count_nonzero(s > cutoff, axis=1)
     i, j = np.triu_indices(n, 1)
-    span = np.diag(ranks)
-    span[i, j] = span[j, i] = _pair_span_dims(frames, ranks, i, j, lat.eps)
+    span, alpha, gap = np.diag(ranks), np.zeros((n, n)), np.ones((n, n))
+    for table, values in zip((span, alpha, gap), _pair_span_dims(frames, ranks, i, j, lat.eps)):
+        table[i, j] = table[j, i] = values
     x = np.arange(n)
     row, col = x[:, None], x[None, :]
     mt, jt = lat.meet_table, lat.join_table
@@ -510,6 +575,20 @@ def verify_isomorphism(lat: QuotientLattice) -> LawReport:
         ~below[mt, row] | ~below[mt, col] | (ranks[mt] != ranks[row] + ranks[col] - span),
         ~below[row, jt] | ~below[col, jt] | (ranks[jt] != span),
     ], axis=-1)   # (i, j, 0 meet / 1 join)
+    # an entry that names neither operand nor a bottom or top class is
+    # decided by count only within generation's order-rule bound; past it,
+    # by its distance from the kernel's result
+    for k, table in enumerate((mt, jt)):
+        rank = ranks[table]
+        loose = (table != row) & (table != col) & (rank > 0) & (rank < d) & (
+            np.hypot(alpha[table, row], alpha[table, col]) > cutoff * gap)
+        a, b = np.nonzero(loose)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        chunk = max(1, _BATCH_ENTRIES // (2 * d * d))
+        for at in range(0, len(a), chunk):
+            e = slice(at, at + chunk)
+            mats, _ = _pair_spans(stack[lo[e]], stack[hi[e]], lat.eps, k == 0)
+            bad[a[e], b[e], k] = _deviation(mats, stack[table[a[e], b[e]]]) > lat.class_tol
     found = _first(bad)
     if found is not None:
         return fail(("meet", "join")[found[2]], found[0], found[1])
@@ -592,10 +671,11 @@ def import_lattice(document) -> QuotientLattice:
     ``ProjectorError``'s code (``schema`` for formula text).
 
     Each distinct formula text of the document is parsed once.  The element
-    projectors are checked in one batched pass per dimension before the
-    elements are read; each element's error, from its formula, its
-    projector, then its members, is raised at its turn, as a check element
-    by element would, and no element after the first bad one is parsed.  A document whose
+    projectors are decoded by one call when all are well formed, and
+    checked in one batched pass per dimension, before the elements are
+    read; each element's error, from its formula, its projector, then its
+    members, is raised at its turn, as a check element by element would,
+    and no element after the first bad one is parsed.  A document whose
     rank cutoff is 1 or more, at which every projector has rank 0, is a
     ``ModelError(code="coarse-tolerance")``.
     """
@@ -631,15 +711,10 @@ def import_lattice(document) -> QuotientLattice:
 
     # every projector is decoded and checked before any formula is read, and
     # its error waits for its element's turn, so the first bad element is named
-    matrices, errors = {}, {}
-    for i, raw in enumerate(raw_elements):
-        if isinstance(raw, dict) and raw.get("projector") is not None:
-            try:
-                matrices[i] = _square_matrix(decode_array(raw["projector"], 2))
-            except ProjectorError as exc:
-                errors[i] = exc
-    projectors, defects = _element_projectors(matrices, eps)
-    errors.update(defects)
+    keys = [i for i, raw in enumerate(raw_elements)
+            if isinstance(raw, dict) and raw.get("projector") is not None]
+    projectors, errors = _element_projectors(
+        keys, [raw_elements[i]["projector"] for i in keys], eps)
 
     parse = functools.cache(parse_assertive)   # texts repeat within a document
     elements = []
@@ -691,17 +766,35 @@ def import_lattice(document) -> QuotientLattice:
     )
 
 
-def _element_projectors(matrices: dict, eps: float) -> tuple[dict, dict]:
-    """The ``make_projector`` result of each of ``matrices``, square and
-    finite, by key, and the ``ProjectorError`` of each that is not a
-    projector.  The matrices of each dimension are checked in one batched
-    pass."""
-    by_dim: dict[int, list] = {}
-    for i, m in matrices.items():
-        by_dim.setdefault(len(m), []).append(i)
-    projectors, errors = {}, {}
-    for keys in by_dim.values():
-        made, bad = _projectors(np.stack([matrices[i] for i in keys]), eps)
-        projectors.update(zip(keys, made))
-        errors.update((keys[k], exc) for k, exc in bad.items())
+def _element_projectors(keys: list, entries: list, eps: float) -> tuple[dict, dict]:
+    """The ``make_projector`` result of the matrix each of ``entries``
+    encodes, by its key, and the ``ProjectorError`` of each that is no
+    square, finite projector.
+
+    One ``decode_array`` call decodes them all when they are finite square
+    matrices of one dimension.  Otherwise each is decoded on its own, so
+    that each bad one keeps its own error.  The matrices of each dimension
+    are checked in one batched pass."""
+    try:
+        stack = decode_array(entries, 3)
+    except ProjectorError:
+        stack = None
+    errors = {}
+    if stack is not None and stack.shape[1] == stack.shape[2] and np.isfinite(stack).all():
+        groups = [(keys, stack)]
+    else:
+        by_dim: dict[int, list] = {}   # (key, matrix) pairs
+        for i, entry in zip(keys, entries):
+            try:
+                m = _square_matrix(decode_array(entry, 2))
+                by_dim.setdefault(len(m), []).append((i, m))
+            except ProjectorError as exc:
+                errors[i] = exc
+        groups = [([i for i, _ in pairs], np.stack([m for _, m in pairs]))
+                  for pairs in by_dim.values()]
+    projectors = {}
+    for group, matrices in groups:
+        made, bad = _projectors(matrices, eps)
+        projectors.update(zip(group, made))
+        errors.update((group[k], exc) for k, exc in bad.items())
     return projectors, errors

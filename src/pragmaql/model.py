@@ -122,12 +122,27 @@ def _require(document: dict, key: str, kind, code: str = "schema"):
     if key not in document:
         raise ModelError(f"model document is missing {key!r}", code=code)
     value = document[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ModelError(
-            f"model document key {key!r} must be {kind}, got {type(value).__name__}",
-            code=code,
-        )
+    problem = _type_problem(key, value, kind)
+    if problem:
+        raise ModelError(problem, code=code)
     return value
+
+
+def _type_problem(key: str, value, kind) -> str | None:
+    """The message for a ``value`` of ``key`` that is no ``kind`` (a bool is
+    none), or None."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        return f"model document key {key!r} must be {kind}, got {type(value).__name__}"
+    return None
+
+
+def _dim_problem(dim) -> str | None:
+    """``load_model``'s message for a ``dim`` that is no int from 1 to
+    ``MAX_DIM``, or None."""
+    problem = _type_problem("dim", dim, int)
+    if problem is None and not 1 <= dim <= MAX_DIM:
+        problem = f"dim must be an integer from 1 to {MAX_DIM}, got {dim}"
+    return problem
 
 
 def load_model(document) -> Model:
@@ -144,9 +159,9 @@ def load_model(document) -> Model:
     if not isinstance(document, dict):
         raise ModelError("model document must be a mapping", code="schema")
     dim = _require(document, "dim", int)
-    if not 1 <= dim <= MAX_DIM:
-        raise ModelError(f"dim must be an integer from 1 to {MAX_DIM}, got {dim}",
-                         code="schema")
+    problem = _dim_problem(dim)
+    if problem:
+        raise ModelError(problem, code="schema")
     eps = document.get("eps", DEFAULT_EPS)
     if not _is_tolerance(eps):
         raise ModelError(f"eps must be a finite positive number, got {eps!r}",
@@ -212,10 +227,11 @@ def validate_model(model: Model) -> ValidationReport:
 
     This is the one place that decides whether a model is valid:
     ``load_model`` raises its first error, and ``check_cc`` refuses a model
-    with any.  Findings come in order: ``dim`` (1 to ``MAX_DIM``, as
-    ``load_model`` checks it), tolerance, states (dimension, unit norm),
-    properties (dimension, projector defects), then per atom its name and
-    target, then the bijection onto the declared properties.  An
+    with any.  Findings come in order: ``dim`` (an int, not a bool, from 1
+    to ``MAX_DIM``, with ``load_model``'s message), tolerance, states
+    (dimension, unit norm), properties (dimension, projector defects), then
+    per atom its name and target, then the bijection onto the declared
+    properties.  An
     eps that is no tolerance (see ``pragmaql.hilbert``) is reported, and
     replaced by a 1e-12 floor for the numeric checks themselves.
 
@@ -231,9 +247,9 @@ def validate_model(model: Model) -> ValidationReport:
 
 def _validate(model: Model) -> ValidationReport:
     findings: list[Finding] = []
-    if not 1 <= model.dim <= MAX_DIM:   # a hand-built model; load_model checks it first
-        findings.append(Finding(
-            "error", "schema", f"dim must be an integer from 1 to {MAX_DIM}, got {model.dim}"))
+    problem = _dim_problem(model.dim)   # a hand-built model; load_model checks it first
+    if problem:
+        findings.append(Finding("error", "schema", problem))
     eff = model.eps
     if not _is_tolerance(eff):
         eff, finite = 1e-12, -math.inf < model.eps <= 0

@@ -688,7 +688,7 @@ def test_span_count_is_the_rank_of_join(dim):
         (fa, ra), (fb, rb) = (
             (np.linalg.svd(np.stack([pair[k].matrix for pair in pairs]))[0],
              np.array([pair[k].rank for pair in pairs])) for k in (0, 1))
-        span = _span_dims(fa, ra, fb, rb, DEFAULT_EPS).tolist()
+        span = _span_dims(fa, ra, fb, rb, DEFAULT_EPS)[0].tolist()
         assert span == [join(p, q, DEFAULT_EPS).rank for p, q in pairs]
     # the near pairs, counted last, fall on both sides of the cutoff at every rank
     outcomes = set(zip((p.rank for p, _ in near), span))
@@ -701,7 +701,10 @@ def test_span_count_turns_at_the_sine_cutoff(dim):
     # on the sines of the principal angles: a rank-r range with one vector
     # turned out of it by a sine 1% above that spans r + 1 with the range,
     # and by a sine 1% below it r.  The frames are exact: the unitary u,
-    # and u with the turned column and the one it turns toward rotated
+    # and u with the turned column and the one it turns toward rotated.
+    # The margins follow the turned sine: below the cutoff it is alpha and
+    # no angle is kept (gap 1, at 90 degrees); above it alpha is rounding
+    # and the gap is sqrt(1 - cos theta)
     c = DEFAULT_EPS * np.sqrt(dim)
     cases = []
     for rank in range(1, dim):
@@ -711,9 +714,31 @@ def test_span_count_turns_at_the_sine_cutoff(dim):
             v = u.copy()
             v[:, :rank] = turned
             v[:, rank] = np.cos(theta) * u[:, rank] - np.sin(theta) * u[:, rank - 1]
-            cases += [(u, v, rank, span), (v, u, rank, span)]
-    fa, fb, ranks, expected = (np.array(side) for side in zip(*cases))
-    assert (_span_dims(fa, ranks, fb, ranks, DEFAULT_EPS) == expected).all()
+            # sqrt(1 - cos theta), which rounds to 0 as written at these angles
+            alpha, gap = (0.0, np.sqrt(2) * np.sin(theta / 2)) if factor > 1 else (np.sin(theta), 1.0)
+            cases += [(u, v, rank, span, alpha, gap), (v, u, rank, span, alpha, gap)]
+    fa, fb, ranks, expected, alpha, gap = (np.array(side) for side in zip(*cases))
+    found = _span_dims(fa, ranks, fb, ranks, DEFAULT_EPS)
+    assert (found[0] == expected).all()
+    np.testing.assert_allclose(found[1], alpha, rtol=1e-6, atol=1e-15)
+    np.testing.assert_allclose(found[2], gap, rtol=1e-6)
+
+
+def test_span_margins_of_exact_pairs():
+    # lines of C^3 at a right angle, at 60 degrees and one line twice: no
+    # sine is dropped, so alpha is 0, and the gap is sqrt(1 - cos theta) of
+    # the smallest kept angle, 1 where none is kept
+    e = np.eye(3)
+    turned = e[:, [1, 0, 2]].copy()
+    turned[:, 0] = (e[:, 0] + np.sqrt(3) * e[:, 1]) / 2
+    turned[:, 1] = (np.sqrt(3) * e[:, 0] - e[:, 1]) / 2
+    fa = np.stack([e, e, e]).astype(complex)
+    fb = np.stack([e[:, [1, 0, 2]], turned, e]).astype(complex)
+    one = np.ones(3, dtype=int)
+    span, alpha, gap = _span_dims(fa, one, fb, one, DEFAULT_EPS)
+    assert span.tolist() == [2, 2, 1]
+    assert alpha.tolist() == [0.0, 0.0, 0.0]
+    np.testing.assert_allclose(gap, [1.0, np.sqrt(0.5), 1.0], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -179,37 +179,82 @@ BUNDLED_LATTICES = [
 ]
 
 
+def order_named_entries(lat, margins, made):
+    """For each i < j, whether the order rule of generation names the meet
+    and the join: the one class c among the ``made[j]`` classes made before
+    the pair's round with rank r_i + r_j - s_ij below i and j (a meet), or
+    with rank s_ij above both (a join), where s_ij is neither r_i nor r_j,
+    c is no bottom or top, and sqrt(alpha_ci² + alpha_cj²) is at most the
+    cutoff times the gap of (i, j).  ``margins[i, j]`` holds the (span,
+    alpha, gap) that ``_span_dims`` gave the pair; a pair with bottom or top
+    took no row.  No class of the lattices checked here is crowded."""
+    n, d = len(lat), lat.projector(0).dim
+    r = np.array([lat.projector(c).rank for c in range(n)])
+    span, alpha, gap = np.diag(r), np.zeros((n, n)), np.ones((n, n))
+    for i, j in itertools.combinations(range(n), 2):
+        bounded = r[i] in (0, d) or r[j] in (0, d)
+        found = (d if d in (r[i], r[j]) else r[i] + r[j], 0.0, 1.0) if bounded else margins[i, j]
+        for table, value in zip((span, alpha, gap), found):
+            table[i, j] = table[j, i] = value
+    below = span == r[None, :]   # below[a, b]: a's range in b's, by count
+    cutoff = lat.eps * np.sqrt(d)
+    named = np.zeros((2, n, n), dtype=bool)
+    for i, j in itertools.combinations(range(n), 2):
+        s = span[i, j]
+        for k, target in enumerate((r[i] + r[j] - s, s)):
+            if s in (r[i], r[j]) or not 0 < target < d:
+                continue
+            fits = [c for c in range(made[j]) if r[c] == target and (
+                below[c, i] and below[c, j] if k == 0 else below[i, c] and below[j, c])]
+            named[k, i, j] = len(fits) == 1 and \
+                np.hypot(alpha[fits[0], i], alpha[fits[0], j]) <= cutoff * gap[i, j]
+    iu = np.triu_indices(n, 1)
+    return named[0][iu], named[1][iu]
+
+
 @pytest.mark.parametrize("name, atoms, depth", BUNDLED_LATTICES)
 def test_generation_takes_one_rank_row_per_pair_and_kernel_rows_for_the_rest(
         all_models, monkeypatch, name, atoms, depth):
     # each unordered pair i < j of classes other than bottom and top is one
     # row of the values-only rank SVD; the kernel then takes exactly the
-    # entries that the rank count names no class for
-    calls = {"rank": 0, "meet": 0, "join": 0}
-    span_dims, pair_spans = pragmaql.lattice._span_dims, pragmaql.lattice._pair_spans
-
-    def counted_ranks(fa, ra, fb, rb, eps):
-        calls["rank"] += len(fa)
-        return span_dims(fa, ra, fb, rb, eps)
+    # entries that neither the rank count nor the order of the classes by
+    # count names a class for
+    calls = record_svds(monkeypatch)
+    kernel = {"meet": 0, "join": 0}
+    pair_spans = pragmaql.lattice._pair_spans
 
     def counted_kernel(a, b, eps, meet):
-        calls["meet" if meet else "join"] += len(a)
+        kernel["meet" if meet else "join"] += len(a)
         return pair_spans(a, b, eps, meet)
 
-    monkeypatch.setattr(pragmaql.lattice, "_span_dims", counted_ranks)
     monkeypatch.setattr(pragmaql.lattice, "_pair_spans", counted_kernel)
     lat = generate_quotient(all_models[name], atoms, depth)
     assert_no_class_near_a_threshold(lat)
+    n, d = len(lat), lat.projector(0).dim
+    ranks = np.array([lat.projector(c).rank for c in range(n)])
+    rows, pairs, made, seen = [], [], [], 0   # made[j]: the class count before j's round
+    for calls_of_round in generation_rounds(calls, d):
+        count = seen + calls_of_round[0][0][0]
+        rows += [row for call in calls_of_round if call[0] == "rows" for row in zip(*call[3])]
+        i, j = inner_pair_indices(ranks, d, seen, count)
+        pairs += zip(i.tolist(), j.tolist())
+        made += [count] * (count - seen)
+        seen = count
+    assert len(rows) == len(pairs) == n * (n - 1) // 2 - (2 * n - 3)
     meet_named, join_named = named_entries(lat)
-    n = len(lat)
-    assert calls == {"rank": n * (n - 1) // 2 - (2 * n - 3), "meet": int((~meet_named).sum()),
-                     "join": int((~join_named).sum())}
+    meet_ordered, join_ordered = order_named_entries(lat, dict(zip(pairs, rows)), made)
+    assert not (meet_named & meet_ordered).any() and not (join_named & join_ordered).any()
+    # in MO2 every entry is an operand, bottom or top
+    assert meet_ordered.any() and join_ordered.any() or name == "qubit-zx"
+    assert kernel == {"meet": int((~meet_named & ~meet_ordered).sum()),
+                      "join": int((~join_named & ~join_ordered).sum())}
 
 
 def record_svds(monkeypatch):
     """A list that each later ``np.linalg.svd`` call appends its
     ``(shape, compute_uv, full_matrices)`` to, and each call of the
-    lattice module's ``_span_dims`` ``("rows", ranks a, ranks b)``."""
+    lattice module's ``_span_dims`` ``("rows", ranks a, ranks b, (span,
+    alpha, gap))``."""
     calls = []
     svd, span_dims = np.linalg.svd, pragmaql.lattice._span_dims
 
@@ -218,8 +263,9 @@ def record_svds(monkeypatch):
         return svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
 
     def counted_rows(fa, ra, fb, rb, eps):
-        calls.append(("rows", ra.tolist(), rb.tolist()))
-        return span_dims(fa, ra, fb, rb, eps)
+        found = span_dims(fa, ra, fb, rb, eps)
+        calls.append(("rows", ra.tolist(), rb.tolist(), found))
+        return found
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(pragmaql.lattice, "_span_dims", counted_rows)
@@ -237,13 +283,19 @@ def generation_rounds(calls, d):
     return rounds
 
 
-def inner_pairs(ranks, d, seen, count):
-    """The rank pairs (r_i, r_j) of the pairs i < j with seen <= j < count,
-    row-major, whose classes are neither bottom (rank 0) nor top (rank d)."""
+def inner_pair_indices(ranks, d, seen, count):
+    """The pairs i < j with seen <= j < count, row-major, whose classes are
+    neither bottom (rank 0) nor top (rank d), as index arrays i and j."""
     i, j = np.triu_indices(count, 1)
     inner = (ranks > 0) & (ranks < d)
     keep = (j >= seen) & inner[i] & inner[j]
-    return list(zip(ranks[i[keep]].tolist(), ranks[j[keep]].tolist()))
+    return i[keep], j[keep]
+
+
+def inner_pairs(ranks, d, seen, count):
+    """The rank pairs (r_i, r_j) of ``inner_pair_indices``."""
+    i, j = inner_pair_indices(ranks, d, seen, count)
+    return list(zip(ranks[i].tolist(), ranks[j].tolist()))
 
 
 @pytest.mark.parametrize("name, atoms, depth", BUNDLED_LATTICES)
@@ -894,21 +946,27 @@ def test_isomorphism_catches_a_generator_that_drops_rank_one_meets(ququart, monk
     # recomputing meets independently of the generator can expose it
     span_dims, pair_spans = pragmaql.lattice._span_dims, pragmaql.lattice._pair_spans
 
+    dropped = []
+
     def undecided(fa, ra, fb, rb, eps):
-        # a span count that matches no rank rule sends the pair to the kernel
-        span = span_dims(fa, ra, fb, rb, eps)
-        return np.where(ra + rb - span == 1, -1, span)
+        # a span count that matches neither a rank rule nor the order rule
+        # sends the pair to the kernel
+        span, alpha, gap = span_dims(fa, ra, fb, rb, eps)
+        return np.where(ra + rb - span == 1, -1, span), alpha, gap
 
     def lossy(a, b, eps, meet):
         mats, ranks = pair_spans(a, b, eps, meet)
         if meet:
             line = ranks == 1
             mats[line], ranks[line] = 0, 0   # the zero projector
+            dropped.append(int(line.sum()))
         return mats, ranks
 
     monkeypatch.setattr(pragmaql.lattice, "_span_dims", undecided)
     monkeypatch.setattr(pragmaql.lattice, "_pair_spans", lossy)
     lat = generate_quotient(ququart, ["bl", "bd", "bc"], 1)
+    # the order rule named none of the lines the kernel would drop
+    assert sum(dropped) > 0
     # verification counts spans with ``_span_dims`` too, unpatched
     monkeypatch.undo()
     # the order is read off the meet table, so it is wrong too: the line bc
@@ -918,6 +976,53 @@ def test_isomorphism_catches_a_generator_that_drops_rank_one_meets(ququart, monk
     inclusion = np.array([[leq(p, q, lat.eps) for q in projs] for p in projs])
     report = verify_isomorphism(dataclasses.replace(lat, order=inclusion))
     assert report == LawReport("order-isomorphism", False, ("meet", 0, 2))
+
+
+def planes_and_line(theta, phi):
+    """Two planes of C^3 that share e1 at the angle ``theta``, and the line
+    (1, phi, 0) in the first.  At phi theta <= 1e-9 the line lies in both
+    planes by count, the one rank-1 class below both, yet the planes meet
+    in e1, about phi from it: the count is ill-conditioned at angle theta."""
+    return span_model(3, [(1, 0, 0), (0, 1, 0)],
+                      [(1, 0, 0), (0, np.cos(theta), np.sin(theta))], [(1, phi, 0)])
+
+
+def unbounded_span_dims(monkeypatch):
+    """Patch the lattice module's ``_span_dims`` to report no dropped sine
+    and no small angle, which turns the order rule's bound off."""
+    span_dims = pragmaql.lattice._span_dims
+
+    def unbounded(fa, ra, fb, rb, eps):
+        span, alpha, gap = span_dims(fa, ra, fb, rb, eps)
+        return span, np.zeros_like(alpha), np.ones_like(gap)
+
+    monkeypatch.setattr(pragmaql.lattice, "_span_dims", unbounded)
+
+
+@pytest.mark.parametrize("theta, phi", [(1e-6, 1e-3), (1e-4, 1e-5)])
+def test_an_ill_conditioned_meet_is_left_to_the_kernel(theta, phi):
+    # the bound refuses the line as the planes' meet, so the kernel's meet
+    # makes new classes, round after round, as it did before the order rule
+    with pytest.raises(ModelError) as exc:
+        generate_quotient(planes_and_line(theta, phi), ["a0", "a1", "a2"], 1)
+    assert exc.value.code == "not-saturated"
+
+
+def test_isomorphism_bounds_the_entries_it_decides_by_count(monkeypatch):
+    # generated with the bound off, the line is the planes' meet and the
+    # lattice closes at 12 classes.  Every law holds, and so does the count
+    # check; with the bound, verification compares that entry with the
+    # kernel's meet, e1, which lies 1e-3 from the line
+    model = planes_and_line(1e-6, 1e-3)
+    unbounded_span_dims(monkeypatch)
+    lat = generate_quotient(model, ["a0", "a1", "a2"], 1)
+    assert (len(lat), lat.meet_table[0, 1]) == (12, 2)
+    assert verify_isomorphism(lat).holds
+    monkeypatch.undo()
+    assert all(r.holds for r in verify_ortholattice(lat) + [verify_orthomodular(lat)])
+    p = [lat.projector(c) for c in range(3)]
+    assert float(np.abs(meet(p[0], p[1], lat.eps).matrix - p[2].matrix).max()) > 1e-4
+    assert verify_isomorphism(lat) == LawReport("order-isomorphism", False, ("meet", 0, 1))
 
 
 @pytest.mark.parametrize("key, j, i", [
@@ -1277,6 +1382,27 @@ def test_import_parses_each_distinct_text_once(mo2, monkeypatch):
                         lambda text, *args: parsed.append(text) or parse(text, *args))
     import_lattice(doc)
     assert sorted(parsed) == sorted(set(texts)) and len(set(texts)) < len(texts)
+
+
+def test_import_decodes_the_projectors_of_a_well_formed_document_in_one_call(
+        planes, monkeypatch):
+    # a matrix that decodes but is no projector is found by the batched
+    # check; one of another dimension makes the stacked decode fail, and
+    # each element is then decoded on its own, so that it is still named
+    calls = []
+    decode = pragmaql.lattice.decode_array
+    monkeypatch.setattr(pragmaql.lattice, "decode_array",
+                        lambda entries, ndim: calls.append(ndim) or decode(entries, ndim))
+    doc = json.loads(json.dumps(export_lattice(planes, "structured")))
+    assert export_lattice(import_lattice(doc), "structured") == doc
+    assert calls == [3]
+    for fault, decodes in ((bad_projector, [3]), (half_1x1, [3] + [2] * len(planes))):
+        calls.clear()
+        bad = json.loads(json.dumps(doc))
+        fault(bad["elements"][7])
+        with pytest.raises(ModelError, match="^lattice element 7: "):
+            import_lattice(bad)
+        assert calls == decodes
 
 
 def bad_projector(element):

@@ -286,13 +286,24 @@ def test_validate_flags_nan_state_and_projector(qubit):
         assert [f.code for f in check_cc(model, samples=10).errors()][-1] == "model-invalid"
 
 
-@pytest.mark.parametrize("dim", [0, -3, 4097])
+@pytest.mark.parametrize("dim", [0, -3, 4097, 2.5, True, "3"])
 def test_validate_reports_a_built_dim_outside_the_range_as_load_model_does(dim):
     model = Model(dim=dim, states={}, properties={}, atom_map={})
     with pytest.raises(ModelError) as exc:
         load_model({"dim": dim, "states": {}, "properties": {}, "atoms": {}})
     assert [(f.code, f.message) for f in validate_model(model).errors()] == [
         (exc.value.code, str(exc.value))]
+
+
+@pytest.mark.parametrize("dim", [2.5, True])
+def test_check_cc_refuses_a_built_dim_that_is_no_int(dim):
+    # before any probe is drawn, which a float dim would break with a bare
+    # TypeError; True is no int either, as load_model reads it
+    model = Model(dim=dim, states={}, properties={}, atom_map={})
+    report = check_cc(model, samples=2)
+    assert [(f.code, f.message) for f in report.errors()] == [
+        ("schema", f"model document key 'dim' must be {int}, got {type(dim).__name__}"),
+        ("model-invalid", "correctness check not run on an invalid model")]
 
 
 def test_check_cc_refuses_a_built_dim_zero_model_without_drawing():
