@@ -464,19 +464,31 @@ def _pair_spans(a: np.ndarray, b: np.ndarray, eps: float,
     return m, np.count_nonzero(kept, axis=1)
 
 
-def _span_dims(fa: np.ndarray, ra: np.ndarray, fb: np.ndarray, rb: np.ndarray,
+def _span_factors(frames: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(complements, ranges)``: the premasked factors of ``_span_dims`` for
+    the frames ``frames[k]`` (unitaries whose first ``ranks[k]`` columns span
+    a range, the rest its complement).  ``complements[k]`` is the conjugate
+    transpose of the frame with its range rows zeroed, ``ranges[k]`` the
+    frame with its complement columns zeroed."""
+    at, ranks = np.arange(frames.shape[-1]), ranks[:, None, None]
+    return (np.where(at[:, None] >= ranks, frames.conj().swapaxes(1, 2), 0),
+            np.where(at < ranks, frames, 0))
+
+
+def _span_dims(complements: np.ndarray, ra: np.ndarray, ranges: np.ndarray,
                eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(span, alpha, gap)``: the dimension of the span of the ranges A_k
-    and B_k for each k, from their frames ``fa[k]`` and ``fb[k]`` (unitaries
-    whose first ``ra[k]``, ``rb[k]`` columns span the range, the rest its
-    complement), and the two margins of that count.
+    and B_k for each k, and the two margins of that count, from the rank
+    ``ra[k]`` of A_k and the premasked factors of ``_span_factors``:
+    ``complements[k]`` of A_k's frame F_a, ``ranges[k]`` of B_k's F_b.
 
     The span is A_k plus the part of B_k outside A_k, so it is r_a plus the
     count of singular values above the cutoff of the block of F_aᴴ F_b
     whose rows are A's complement and whose columns are B's range: the
-    sines of the principal angles between A and B (Björck and Golub, 1973),
-    one values-only SVD of the ``(k, dim, dim)`` product with every other
-    entry zeroed.  The stacked
+    sines of the principal angles between A and B (Björck and Golub, 1973).
+    The product of the two factors is that block with every other entry
+    zero, and one values-only SVD of the ``(k, dim, dim)`` products counts
+    them all.  The stacked
     [A; B] of ``_pair_spans``'s join has singular values sqrt(1 - cos theta)
     there, so its rank cutoff c is the sine cutoff c sqrt(2 - c²), and the
     counts are the same in exact arithmetic.  A cutoff of 1 or more, which
@@ -488,13 +500,8 @@ def _span_dims(fa: np.ndarray, ra: np.ndarray, fb: np.ndarray, rb: np.ndarray,
     direction as shared, and ``gap`` is sqrt(1 - cos theta_min) of the
     smallest angle whose sine is above it (1, at 90 degrees, for none): the
     smallest of the kernel's singular values that the count keeps apart."""
-    d = fa.shape[-1]
-    c = min(_rank_cutoff(eps, d), 1.0)
-    at = np.arange(d)
-    # rows of A's complement, columns of B's range
-    block = (at[:, None] >= ra[:, None, None]) & (at < rb[:, None, None])
-    m = np.where(block, fa.conj().swapaxes(1, 2) @ fb, 0)
-    s = np.linalg.svd(m, compute_uv=False)
+    c = min(_rank_cutoff(eps, complements.shape[-1]), 1.0)
+    s = np.linalg.svd(complements @ ranges, compute_uv=False)
     above = s > c * np.sqrt(2 - c * c)
     alpha = np.where(above, 0.0, s).max(axis=1, initial=0.0)
     # the smallest sine above the cutoff, clipped to 1 against rounding;
@@ -520,8 +527,9 @@ def contains_state(p: Projector, state: StateVector,
                    eps: float = DEFAULT_EPS) -> bool:
     """Ray membership: P psi = psi within eps (max-entry)."""
     _check_same_dim(p, state)
-    psis = state.amplitudes[None, :]
-    return bool(_contains_states(p.matrix @ psis.T, psis, eps)[0])
+    # the (dim, 1) column of the batched path, so the product rounds alike
+    col = state.amplitudes[None, :].T
+    return bool(np.abs(p.matrix @ col - col).max(initial=0.0) <= eps)
 
 
 def _contains_states(images: np.ndarray, psis: np.ndarray, eps: float) -> np.ndarray:
@@ -537,8 +545,19 @@ def _contains_states(images: np.ndarray, psis: np.ndarray, eps: float) -> np.nda
 
 
 def random_state(dim: int, rng: np.random.Generator) -> StateVector:
-    """Haar-uniform ray: normalized standard complex Gaussian components."""
-    return StateVector(dim, _random_states(dim, 1, rng)[0])
+    """Haar-uniform ray: normalized standard complex Gaussian components.
+
+    The draw is one row of ``_random_states``, bit for bit: ``dim`` real
+    normals, then ``dim`` imaginary ones, a draw of norm <= 1e-6 discarded,
+    and the norm that ``np.linalg.norm`` takes along a row."""
+    if dim < 1:
+        raise ValueError(f"a random state needs dim >= 1, got {dim}")
+    while True:
+        x = rng.standard_normal(2 * dim)
+        z = x[:dim] + 1j * x[dim:]
+        norm = np.sqrt(np.add.reduce((z.conj() * z).real))
+        if norm > 1e-6:
+            return StateVector(dim, z / norm)
 
 
 def _random_states(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:

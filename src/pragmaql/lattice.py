@@ -45,7 +45,7 @@ from .hilbert import (
 )
 from .hilbert import (
     _class_tol, _deviation, _is_tolerance, _nested, _pair_spans, _projectors,
-    _rank_cutoff, _span_dims, _square_matrix,
+    _rank_cutoff, _span_dims, _span_factors, _square_matrix,
 )
 from .model import Model
 
@@ -176,7 +176,8 @@ def _closure(initial: list[Projector], d: int, eps: float, depth: int):
     new in the round before, then the meets and joins of the pairs i < j
     with j new, row-major (semi-naive): rounds 1 to ``depth`` all meets
     before all joins, later rounds each pair's meet, then its join.  It
-    begins with one full SVD of its new classes for their frames.  Each
+    begins with one full SVD of its new classes for their frames, kept as
+    the premasked factors of ``pragmaql.hilbert._span_factors``.  Each
     pair's span dimension s_ij (``_pair_span_dims``) names most entries by
     Grassmann's identity: s_ij = r_i makes the join i and the meet j, s_ij
     = r_j the reverse, r_i + r_j the meet the zero matrix and dim the join
@@ -190,56 +191,69 @@ def _closure(initial: list[Projector], d: int, eps: float, depth: int):
     ``_BATCH_ENTRIES // (2 dim**2)`` pairs) takes the entries neither names
     and those whose class rounding at the cutoff could move (``named``);
     past a cutoff of ``class_tol`` (dim > 100) it takes all.  So every new
-    class is the kernel's matrix, and every entry the first class of the
-    kernel's result.  Its results are found among the classes made before
-    their chunk by ``_first_hits``, and among the later ones as they are
-    recorded, as a pair-by-pair loop would.  Tolerances and cutoffs are
-    those of ``pragmaql.hilbert``.
+    class is the kernel's matrix or the exact zero or identity, and every
+    entry the first class of the kernel's result.
+
+    The N of a round's new classes are looked up in one ``_first_hits``
+    batch, and only its misses go through ``record``, in class order.  In
+    each chunk, the entries of each step whose class is known when the
+    chunk begins (named by count or by the order, a settled bound, or a
+    kernel result that ``_first_hits`` finds among the classes made before
+    the chunk) are written in one assignment.  The rest go through
+    ``record`` pair by pair, the meet before the join: kernel results near
+    no earlier class, and bottom and top entries while ``settled`` is -1.
+    Each is looked up among the classes made since the chunk began, as a
+    pair-by-pair loop would.  Tolerances and cutoffs are those of
+    ``pragmaql.hilbert``.
     """
     tol, cutoff = _class_tol(eps), _rank_cutoff(eps, d)
     chunk = max(1, _BATCH_ENTRIES // (2 * d * d))
-    # the class store: projector matrices, frames, ranks and crowded flags,
-    # and the span-count order of the classes: below[a, b] when a's range
-    # is in b's by count, and each pair's margin (``_pair_span_dims``)
+    # the class store: projector matrices, the premasked frame factors of
+    # ``_span_dims``, ranks and crowded flags, the span-count order of the
+    # classes: below[a, b] when a's range is in b's by count, and each pair's
+    # margin (``_pair_span_dims``), and the meet (0) and join (1) tables at
+    # i < j, all grown together
     stack = np.empty((16, d, d), dtype=np.complex128)
-    frames = np.empty_like(stack)
+    complements, ranges = np.empty_like(stack), np.empty_like(stack)
     ranks = np.empty(len(stack), dtype=int)
     crowded = np.empty(len(stack), dtype=bool)
     below = np.zeros((len(stack),) * 2, dtype=bool)
     margin = np.zeros((len(stack),) * 2)
-    size, neg, meets, joins = 0, [], {}, {}   # meets and joins at i < j
-    steps = [(True, meets), (False, joins)]
+    tables = np.zeros((2,) + (len(stack),) * 2, dtype=int)
+    size, neg = 0, []
     # the meet's bottom and the join's top as the rank count names them, and
     # each one's first class if it is the same at tol -/+ cutoff: -1 while no
     # class is within tol + cutoff, -2 where rounding could move it
     bounds = np.stack([np.zeros((d, d)), np.eye(d)]).astype(np.complex128)
     settled = np.full(2, -1)
 
-    def record(matrix: np.ndarray, rank: int, hit: int, searched: int) -> int:
+    def record(matrix: np.ndarray, rank: int, searched: int) -> int:
         """The first class within ``tol`` of ``matrix``, made if none is;
-        ``hit`` is the first among the first ``searched`` classes, or -1."""
-        nonlocal stack, frames, ranks, crowded, below, margin, size
+        none of the first ``searched`` classes is."""
+        nonlocal stack, complements, ranges, ranks, crowded, below, margin, tables, size
         n = size
-        if hit < 0:
-            later = np.flatnonzero(_deviation(stack[searched:n], matrix) <= tol)
-            hit = searched + int(later[0]) if later.size else -1
-        if hit >= 0:
-            return hit
+        off = _deviation(stack[:n], matrix)   # one deviation for the search and the flag
+        later = np.flatnonzero(off[searched:] <= tol)
+        if later.size:
+            return searched + int(later[0])
         if n == MAX_CLASSES:
             raise ModelError(f"generation did not saturate: round {rounds} found class "
                              f"{n + 1}, past the budget of {MAX_CLASSES}",
                              code="not-saturated")
         if n == len(stack):
-            stack, frames, ranks, crowded = (np.concatenate([a, np.empty_like(a)])
-                                             for a in (stack, frames, ranks, crowded))
+            stack, complements, ranges, ranks, crowded = (
+                np.concatenate([a, np.empty_like(a)])
+                for a in (stack, complements, ranges, ranks, crowded))
             below, margin = (np.pad(a, (0, n)) for a in (below, margin))
+            tables = np.pad(tables, ((0, 0), (0, n), (0, n)))
         stack[n], ranks[n] = matrix, rank
         # the kernel's copy of a class is off it by up to the cutoff, so it
         # may lie within tol of an earlier class when this one is crowded
-        crowded[n] = bool((_deviation(stack[:n], matrix) <= tol + cutoff).any())
-        near = _deviation(bounds, matrix)
-        first = (settled == -1) & (near <= tol + cutoff)
-        settled[first] = np.where(near[first] <= tol - cutoff, n, -2)
+        crowded[n] = bool((off <= tol + cutoff).any())
+        if (settled == -1).any():
+            near = _deviation(bounds, matrix)
+            first = (settled == -1) & (near <= tol + cutoff)
+            settled[first] = np.where(near[first] <= tol - cutoff, n, -2)
         size = n + 1
         return n
 
@@ -290,54 +304,62 @@ def _closure(initial: list[Projector], d: int, eps: float, depth: int):
                                     <= cutoff * margin[i, j])
         return decided, hit
 
-    def results(batch, i: np.ndarray, j: np.ndarray, span: np.ndarray, count: int):
-        """For each pair in turn, ``record``'s arguments for each step of
-        ``batch``, computed ``chunk`` pairs at a time."""
-        for at in range(0, len(i), chunk):
-            k = slice(at, at + chunk)
-            ic, jc, n = i[k], j[k], size
-            found = []
-            for meet, _ in batch:
-                decided, hits = named(meet, ic, jc, span[k])
-                rest = np.flatnonzero(~decided)
-                rule, c = ordered(meet, ic[rest], jc[rest], span[k][rest], count)
-                hits[rest[rule]] = c[rule]
-                rest = rest[~rule]
-                bound = (bounds[0], 0) if meet else (bounds[1], d)
-                outcome = [(*bound, h, n) for h in hits.tolist()]
-                if rest.size:
-                    mats, rks = _pair_spans(stack[ic[rest]], stack[jc[rest]], eps, meet)
-                    for r, m, rk, h in zip(rest.tolist(), mats, rks.tolist(),
-                                           _first_hits(stack[:n], mats, tol).tolist()):
-                        outcome[r] = (m, rk, h, n)
-                found.append(outcome)
-            yield from zip(*found)
+    def fill(steps, i: np.ndarray, j: np.ndarray, span: np.ndarray, count: int) -> None:
+        """Write the table entries of ``steps`` (0 meet, 1 join) for the
+        pairs (i_k, j_k) of one chunk.  An entry whose class is already
+        known is written with the others of its step in one assignment; the
+        rest go through ``record``, pair by pair and meet before join."""
+        n = size
+        pending = []   # (pair, step, matrix, rank)
+        for step in steps:
+            meet = step == 0
+            decided, hits = named(meet, i, j, span)
+            rest = np.flatnonzero(~decided)
+            rule, c = ordered(meet, i[rest], j[rest], span[rest], count)
+            hits[rest[rule]] = c[rule]
+            rest = rest[~rule]
+            missed = {}   # the kernel's results that no class of the first n is near
+            if rest.size:
+                mats, rks = _pair_spans(stack[i[rest]], stack[j[rest]], eps, meet)
+                hits[rest] = found = _first_hits(stack[:n], mats, tol)
+                missed = {int(rest[k]): (mats[k], int(rks[k]))
+                          for k in np.flatnonzero(found < 0)}
+            known = hits >= 0
+            tables[step, i[known], j[known]] = hits[known]
+            bound = (bounds[step], step * d)
+            pending += [(k, step, *missed.get(k, bound)) for k in np.flatnonzero(~known).tolist()]
+        pending.sort(key=lambda entry: entry[:2])
+        for k, step, matrix, rank in pending:
+            tables[step, i[k], j[k]] = record(matrix, rank, n)
 
     rounds, seen = 0, 0   # classes [0, seen) were already combined with each other
-    atom_class = [record(p.matrix, p.rank, -1, 0) for p in initial]
+    atom_class = [record(p.matrix, p.rank, 0) for p in initial]
     for rounds in itertools.count(1):
         count = size
         if seen == count:
             break
-        for i in range(seen, count):
-            neg.append(record(np.eye(d) - stack[i], d - int(ranks[i]), -1, 0))
+        comp = np.eye(d) - stack[seen:count]
+        found = _first_hits(stack[:count], comp, tol)
+        for k in np.flatnonzero(found < 0).tolist():
+            found[k] = record(comp[k], d - int(ranks[seen + k]), count)
+        neg += found.tolist()
         pi, pj = np.triu_indices(count, 1)
         pi, pj = pi[pj >= seen], pj[pj >= seen]
         # -1 names no entry: past a cutoff of tol the kernel's copy of a
         # class may lie beyond tol of it
         span = np.full(len(pi), -1)
         if cutoff <= tol:
-            frames[seen:count] = np.linalg.svd(stack[seen:count])[0]
-            span, alpha, gap = _pair_span_dims(frames, ranks, pi, pj, eps)
+            complements[seen:count], ranges[seen:count] = _span_factors(
+                np.linalg.svd(stack[seen:count])[0], ranks[seen:count])
+            span, alpha, gap = _pair_span_dims(complements, ranges, ranks, pi, pj, eps)
             # the margin of an inclusion is alpha, of any other pair the gap
             up, down = span == ranks[pj], span == ranks[pi]
             below[pi, pj], below[pj, pi] = up, down
             margin[pi, pj] = margin[pj, pi] = np.where(up | down, alpha, gap)
-        for batch in ([step] for step in steps) if rounds <= depth else [steps]:
-            for i, j, outcome in zip(pi.tolist(), pj.tolist(),
-                                     results(batch, pi, pj, span, count)):
-                for (_, table), found in zip(batch, outcome):
-                    table[i, j] = record(*found)
+        for steps in ([0], [1]) if rounds <= depth else [[0, 1]]:
+            for at in range(0, len(pi), chunk):
+                k = slice(at, at + chunk)
+                fill(steps, pi[k], pj[k], span[k], count)
         seen = count
 
     ranks = ranks[:size].tolist()
@@ -345,8 +367,7 @@ def _closure(initial: list[Projector], d: int, eps: float, depth: int):
         if rank not in ranks:
             raise ModelError(f"no class has rank {rank}: class_tol {tol:.3g} merged the "
                              f"{bound} projector into another class", code="coarse-tolerance")
-    iu = np.triu_indices(size, 1)
-    meet_table, join_table = (_symmetric_table(size, iu, table) for table in (meets, joins))
+    meet_table, join_table = (_symmetric_table(t[:size, :size]) for t in tables)
     return stack[:size], ranks, np.array(neg, dtype=int), meet_table, join_table, atom_class
 
 
@@ -407,14 +428,16 @@ def _members(atoms: list[str], atom_class: list[int], neg: np.ndarray, meet: np.
     return members, operands, enumerated
 
 
-def _pair_span_dims(frames: np.ndarray, ranks: np.ndarray, i, j, eps: float):
+def _pair_span_dims(complements: np.ndarray, ranges: np.ndarray, ranks: np.ndarray, i, j,
+                    eps: float):
     """``(span, alpha, gap)``: the span dimension of the ranges of classes
-    i_k and j_k for each k, from their frames and ranks, and its margins
-    (see ``_span_dims``).  A pair with a rank-0 or rank-dim class spans
-    r_i + r_j or dim, with alpha 0 and gap 1, and takes no row; the others
-    go through ``_span_dims`` in chunks of ``_BATCH_ENTRIES // dim**2``
-    pairs."""
-    d = frames.shape[-1]
+    i_k and j_k for each k, from their ranks and the premasked factors of
+    their frames (``pragmaql.hilbert._span_factors``), and its margins (see
+    ``_span_dims``).  A pair with a rank-0 or rank-dim class spans r_i + r_j
+    or dim, with alpha 0 and gap 1, and takes no row; the others go through
+    ``_span_dims``, the complement factor of i_k times the range factor of
+    j_k, in chunks of ``_BATCH_ENTRIES // dim**2`` pairs."""
+    d = complements.shape[-1]
     ri, rj = ranks[i], ranks[j]
     span = np.where((ri == d) | (rj == d), d, ri + rj)
     alpha, gap = np.zeros(len(span)), np.ones(len(span))
@@ -422,7 +445,7 @@ def _pair_span_dims(frames: np.ndarray, ranks: np.ndarray, i, j, eps: float):
     chunk = max(1, _BATCH_ENTRIES // (d * d))
     for at in range(0, len(rows), chunk):
         k = rows[at:at + chunk]
-        span[k], alpha[k], gap[k] = _span_dims(frames[i[k]], ri[k], frames[j[k]], rj[k], eps)
+        span[k], alpha[k], gap[k] = _span_dims(complements[i[k]], ri[k], ranges[j[k]], eps)
     return span, alpha, gap
 
 
@@ -458,11 +481,11 @@ def _first_hits(stack: np.ndarray, mats: np.ndarray, tol: float) -> np.ndarray:
     return hits
 
 
-def _symmetric_table(n: int, iu, upper: dict) -> np.ndarray:
+def _symmetric_table(upper: np.ndarray) -> np.ndarray:
     """The table with ``upper[i, j]`` at (i, j) and (j, i) for i < j, and i at (i, i)."""
-    table = np.diag(np.arange(n))
-    table[iu] = [upper[k] for k in zip(*iu)]
-    table.T[iu] = table[iu]
+    table = np.triu(upper, 1)
+    table += table.T
+    np.fill_diagonal(table, np.arange(len(table)))
     return table
 
 
@@ -552,9 +575,13 @@ def verify_isomorphism(lat: QuotientLattice) -> LawReport:
     comp = np.eye(d) - stack
     fail = lambda *at: LawReport("order-isomorphism", False, at)
 
-    # row by row: an (n, n, dim, dim) batch would hold n times the memory
-    clash = np.array([_deviation(stack, p) <= lat.eps for p in stack])
-    below = np.array([_deviation(stack @ p, p) <= lat.eps for p in stack])
+    # in chunks of rows, each (rows, n, dim, dim) temporary within the budget
+    clash, below = np.empty((2, n, n), dtype=bool)
+    step = max(1, _BATCH_ENTRIES // (n * d * d))
+    for at in range(0, n, step):
+        p = stack[at:at + step, None]
+        clash[at:at + step] = _deviation(stack, p) <= lat.eps
+        below[at:at + step] = _deviation(stack @ p, p) <= lat.eps
     for aspect, bad in (("injective", np.triu(clash, 1)), ("order", lat.order != below),
                         ("negation", _deviation(stack[lat.neg_table], comp) > lat.class_tol)):
         found = _first(bad)
@@ -566,7 +593,8 @@ def verify_isomorphism(lat: QuotientLattice) -> LawReport:
     ranks = np.count_nonzero(s > cutoff, axis=1)
     i, j = np.triu_indices(n, 1)
     span, alpha, gap = np.diag(ranks), np.zeros((n, n)), np.ones((n, n))
-    for table, values in zip((span, alpha, gap), _pair_span_dims(frames, ranks, i, j, lat.eps)):
+    counts = _pair_span_dims(*_span_factors(frames, ranks), ranks, i, j, lat.eps)
+    for table, values in zip((span, alpha, gap), counts):
         table[i, j] = table[j, i] = values
     x = np.arange(n)
     row, col = x[:, None], x[None, :]

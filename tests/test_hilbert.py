@@ -31,9 +31,12 @@ from pragmaql import (
 from pragmaql.hilbert import (
     DEFAULT_EPS,
     _class_tol,
+    _contains_states,
+    _deviation,
     _pair_spans,
     _random_states,
     _span_dims,
+    _span_factors,
     decode_array,
     encode_array,
 )
@@ -401,6 +404,44 @@ def test_batched_states_redraw_tiny_rows_like_the_loop(tiny):
         assert batch_rng.used == loop_rng.used == 2 * dim * (50 + len(tiny))
 
 
+@pytest.mark.parametrize("tiny", [(), (0, 7)])
+def test_random_state_is_a_row_of_the_batch_bit_for_bit(tiny):
+    # random_state draws one state without the batch's bookkeeping, but
+    # reads the stream, redraws and normalizes as _random_states does
+    for dim in range(1, 17):
+        for batch_rng, rng in ((np.random.default_rng([dim, 5]), np.random.default_rng([dim, 5])),
+                               (StubNormals(dim, tiny), StubNormals(dim, tiny))):
+            batch = _random_states(dim, 40, batch_rng)
+            single = np.stack([random_state(dim, rng).amplitudes for _ in range(40)])
+            assert single.tobytes() == batch.tobytes()
+        assert batch_rng.used == rng.used == 2 * dim * (40 + len(tiny))
+
+
+def test_contains_state_is_the_batch_test_bit_for_bit():
+    # contains_state tests one state without the batch's bookkeeping; at an
+    # eps equal to the batch's own deviation, and one ulp below it, both
+    # must decide alike, so the deviations agree to the last bit
+    rng = np.random.default_rng(61)
+    for dim in range(1, 17):
+        projs = [random_projector(dim, r, rng) for r in range(dim + 1)]
+        for p in projs:
+            basis = p.basis()
+            states = [random_state(dim, rng) for _ in range(3)]
+            if basis.shape[1]:   # states in the range, off P psi = psi by rounding
+                coords = rng.standard_normal(basis.shape[1]) + 1j * rng.standard_normal(basis.shape[1])
+                vec = basis @ coords
+                states.append(make_state(vec / np.linalg.norm(vec)))
+            for psi in states:
+                psis = psi.amplitudes[None, :]
+                images = p.matrix @ psis.T
+                dev = float(_deviation(images.swapaxes(-1, -2), psis, axes=1)[0])
+                for eps in (DEFAULT_EPS, dev, np.nextafter(dev, 0.0)):
+                    expected = bool(_contains_states(images, psis, eps)[0])
+                    assert contains_state(p, psi, eps) is expected
+                assert contains_state(p, psi, dev)
+                assert not contains_state(p, psi, np.nextafter(dev, 0.0)) or dev == 0.0
+
+
 @pytest.mark.parametrize("dim", [0, -1])
 def test_random_states_refuse_a_dim_below_one(dim):
     # no draw of dim 0 has a nonzero norm, so redrawing would never end
@@ -675,6 +716,12 @@ def _near_span_pairs(dim, count):
             for rank in range(1, dim) for _ in range(count)]
 
 
+def span_dims(fa, ra, fb, rb):
+    """``_span_dims`` of the frames ``fa`` and ``fb`` of ranks ``ra`` and
+    ``rb``, through the premasked factors that generation keeps per class."""
+    return _span_dims(_span_factors(fa, ra)[0], ra, _span_factors(fb, rb)[1], DEFAULT_EPS)
+
+
 @pytest.mark.parametrize("dim", range(2, 17))
 def test_span_count_is_the_rank_of_join(dim):
     # generation and verification count a pair's span dimension from the
@@ -688,7 +735,7 @@ def test_span_count_is_the_rank_of_join(dim):
         (fa, ra), (fb, rb) = (
             (np.linalg.svd(np.stack([pair[k].matrix for pair in pairs]))[0],
              np.array([pair[k].rank for pair in pairs])) for k in (0, 1))
-        span = _span_dims(fa, ra, fb, rb, DEFAULT_EPS)[0].tolist()
+        span = span_dims(fa, ra, fb, rb)[0].tolist()
         assert span == [join(p, q, DEFAULT_EPS).rank for p, q in pairs]
     # the near pairs, counted last, fall on both sides of the cutoff at every rank
     outcomes = set(zip((p.rank for p, _ in near), span))
@@ -718,7 +765,7 @@ def test_span_count_turns_at_the_sine_cutoff(dim):
             alpha, gap = (0.0, np.sqrt(2) * np.sin(theta / 2)) if factor > 1 else (np.sin(theta), 1.0)
             cases += [(u, v, rank, span, alpha, gap), (v, u, rank, span, alpha, gap)]
     fa, fb, ranks, expected, alpha, gap = (np.array(side) for side in zip(*cases))
-    found = _span_dims(fa, ranks, fb, ranks, DEFAULT_EPS)
+    found = span_dims(fa, ranks, fb, ranks)
     assert (found[0] == expected).all()
     np.testing.assert_allclose(found[1], alpha, rtol=1e-6, atol=1e-15)
     np.testing.assert_allclose(found[2], gap, rtol=1e-6)
@@ -735,7 +782,7 @@ def test_span_margins_of_exact_pairs():
     fa = np.stack([e, e, e]).astype(complex)
     fb = np.stack([e[:, [1, 0, 2]], turned, e]).astype(complex)
     one = np.ones(3, dtype=int)
-    span, alpha, gap = _span_dims(fa, one, fb, one, DEFAULT_EPS)
+    span, alpha, gap = span_dims(fa, one, fb, one)
     assert span.tolist() == [2, 2, 1]
     assert alpha.tolist() == [0.0, 0.0, 0.0]
     np.testing.assert_allclose(gap, [1.0, np.sqrt(0.5), 1.0], rtol=1e-12)

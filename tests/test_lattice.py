@@ -250,11 +250,19 @@ def test_generation_takes_one_rank_row_per_pair_and_kernel_rows_for_the_rest(
                       "join": int((~join_named & ~join_ordered).sum())}
 
 
+def factor_ranks(ranges):
+    """The ranks of the frames whose premasked range factors (``_span_dims``'s
+    third argument) are ``ranges``: the count of their nonzero columns, as a
+    frame's range columns are unit vectors and its others are zeroed."""
+    return np.count_nonzero((ranges != 0).any(axis=1), axis=1)
+
+
 def record_svds(monkeypatch):
     """A list that each later ``np.linalg.svd`` call appends its
     ``(shape, compute_uv, full_matrices)`` to, and each call of the
-    lattice module's ``_span_dims`` ``("rows", ranks a, ranks b, (span,
-    alpha, gap))``."""
+    lattice module's ``_span_dims``, which generation and verification
+    both call through ``_pair_span_dims``, ``("rows", ranks a, ranks b,
+    (span, alpha, gap))``."""
     calls = []
     svd, span_dims = np.linalg.svd, pragmaql.lattice._span_dims
 
@@ -262,9 +270,9 @@ def record_svds(monkeypatch):
         calls.append((np.shape(a), compute_uv, full_matrices))
         return svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
 
-    def counted_rows(fa, ra, fb, rb, eps):
-        found = span_dims(fa, ra, fb, rb, eps)
-        calls.append(("rows", ra.tolist(), rb.tolist(), found))
+    def counted_rows(complements, ra, ranges, eps):
+        found = span_dims(complements, ra, ranges, eps)
+        calls.append(("rows", ra.tolist(), factor_ranks(ranges).tolist(), found))
         return found
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
@@ -497,12 +505,20 @@ def test_batch_budget_does_not_change_the_lattice(all_models, monkeypatch, cap):
     # at a cap this small every chunk and every verification batch holds
     # one pair, so each result is looked up in batch among all the classes
     # made by then, where the default cap finds some of them in the search
-    # over the classes made since their chunk began
+    # over the classes made since their chunk began, and the entries that a
+    # chunk sends to ``record`` come one pair at a time.  The bundled models
+    # are checked, and the block-sum and near-threshold families of the
+    # differential test below
     def outputs():
         for name, model in all_models.items():
             for depth in (1, 2, 3):
                 lat = generate_quotient(model, sorted(model.atom_map), depth)
                 yield json.dumps(export_lattice(lat, "structured")), verify_isomorphism(lat)
+        for family in ("block-sum", "crowded", "one-range", "coarse", "wide-cutoff"):
+            # the wide-cutoff family patches the rank cutoff for its own lattice only
+            with pytest.MonkeyPatch.context() as patch:
+                for lat in differential_lattices(family, patch):
+                    yield json.dumps(export_lattice(lat, "structured")), verify_isomorphism(lat)
 
     default = list(outputs())
     monkeypatch.setattr(pragmaql.lattice, "_BATCH_ENTRIES", cap)
@@ -662,6 +678,83 @@ def test_every_table_entry_is_the_first_class_of_the_kernel_result(monkeypatch, 
                               for p in stack], axis=1)
             assert close.any(axis=1).all()
             assert table[i, j].tolist() == close.argmax(axis=1).tolist(), (family, meet)
+
+
+def pair_by_pair_tables(model, atoms, depth):
+    """``(matrices, neg, meet, join)`` of a reference closure that takes one
+    entry at a time: generation's rounds and order (N of each new class,
+    then the pairs i < j with j new, row-major; rounds 1 to ``depth`` all
+    meets before all joins, later rounds each pair's meet, then its join),
+    with every entry the first class within class_tol of the kernel's
+    result for its pair alone, among the classes made before it, made if
+    none is.  It names no entry by count."""
+    eps, d = model.eps, model.dim
+    tol = 10 * eps
+    stack = np.empty((0, d, d), dtype=complex)
+    neg, tables = {}, ({}, {})
+
+    def record(matrix):
+        nonlocal stack
+        near = np.flatnonzero(np.abs(stack - matrix).max(axis=(1, 2), initial=0.0) <= tol)
+        if near.size:
+            return int(near[0])
+        stack = np.concatenate([stack, matrix[None]])
+        return len(stack) - 1
+
+    for a in dict.fromkeys(atoms):
+        record(model.atom_projector(a).matrix)
+    seen = 0
+    for rounds in itertools.count(1):
+        count = len(stack)
+        if seen == count:
+            break
+        for i in range(seen, count):
+            neg[i] = record(np.eye(d) - stack[i])
+        pairs = [(i, j) for i in range(count) for j in range(max(i + 1, seen), count)]
+        for steps in ([0], [1]) if rounds <= depth else [[0, 1]]:
+            for i, j in pairs:
+                for step in steps:
+                    mats, _ = _pair_spans(stack[i][None], stack[j][None], eps, step == 0)
+                    tables[step][i, j] = record(mats[0])
+        seen = count
+    n = len(stack)
+    meet_table, join_table = (np.array([[i if i == j else table[min(i, j), max(i, j)]
+                                         for j in range(n)] for i in range(n)])
+                              for table in tables)
+    return stack, [neg[i] for i in range(n)], meet_table, join_table
+
+
+def plane_line_model():
+    """C^3 with the plane a0 = (e1, e2), the line a1 = e3 and the planes
+    a2 = (e1, e2 + e3) and a3 = (e1, e2 + 2 e3).  Round 1's one meet chunk,
+    pair by pair: a0 and a1 meet in the zero matrix by count while no class
+    is near it, so the chunk makes the zero class 6 (after the atoms and
+    the lines normal to a2 and a3); a0 and a2 meet in e1, below no class
+    made before the round, so the kernel's result makes class 7; the
+    kernel's meet of a0 and a3 then lands on class 7, made in this chunk."""
+    return span_model(3, [(1, 0, 0), (0, 1, 0)], [(0, 0, 1)], [(1, 0, 0), (0, 1, 1)],
+                      [(1, 0, 0), (0, 1, 2)])
+
+
+def test_the_records_of_one_chunk_keep_the_pair_order():
+    model = plane_line_model()
+    lat = generate_quotient(model, ["a0", "a1", "a2", "a3"], 1)
+    e1 = np.diag([1.0, 0.0, 0.0])
+    assert (lat.bottom, lat.meet_table[0, 2], lat.meet_table[0, 3]) == (6, 7, 7)
+    assert np.abs(lat.projector(7).matrix - e1).max() <= 1e-12
+    lattices = [(model, ["a0", "a1", "a2", "a3"], depth) for depth in (1, 2)]
+    lattices += [(bundled_model(name), sorted(bundled_model(name).atom_map), depth)
+                 for name in ("qubit-zx", "qutrit-lines", "ququart-planes") for depth in (1, 2)]
+    for model, atoms, depth in lattices:
+        lat = generate_quotient(model, atoms, depth)
+        stack, neg, meet_table, join_table = pair_by_pair_tables(model, atoms, depth)
+        assert len(lat) == len(stack), (atoms, depth)
+        assert lat.neg_table.tolist() == neg
+        assert lat.meet_table.tolist() == meet_table.tolist(), (atoms, depth)
+        assert lat.join_table.tolist() == join_table.tolist(), (atoms, depth)
+        mats = np.stack([lat.projector(c).matrix for c in range(len(lat))])
+        # a bound class is the exact zero or identity matrix, the kernel's within rounding
+        assert np.abs(mats - stack).max() <= 1e-12
 
 
 def test_order_is_a_partial_order(mo2):
@@ -948,11 +1041,11 @@ def test_isomorphism_catches_a_generator_that_drops_rank_one_meets(ququart, monk
 
     dropped = []
 
-    def undecided(fa, ra, fb, rb, eps):
+    def undecided(complements, ra, ranges, eps):
         # a span count that matches neither a rank rule nor the order rule
         # sends the pair to the kernel
-        span, alpha, gap = span_dims(fa, ra, fb, rb, eps)
-        return np.where(ra + rb - span == 1, -1, span), alpha, gap
+        span, alpha, gap = span_dims(complements, ra, ranges, eps)
+        return np.where(ra + factor_ranks(ranges) - span == 1, -1, span), alpha, gap
 
     def lossy(a, b, eps, meet):
         mats, ranks = pair_spans(a, b, eps, meet)
@@ -992,8 +1085,8 @@ def unbounded_span_dims(monkeypatch):
     and no small angle, which turns the order rule's bound off."""
     span_dims = pragmaql.lattice._span_dims
 
-    def unbounded(fa, ra, fb, rb, eps):
-        span, alpha, gap = span_dims(fa, ra, fb, rb, eps)
+    def unbounded(complements, ra, ranges, eps):
+        span, alpha, gap = span_dims(complements, ra, ranges, eps)
         return span, np.zeros_like(alpha), np.ones_like(gap)
 
     monkeypatch.setattr(pragmaql.lattice, "_span_dims", unbounded)
