@@ -424,6 +424,100 @@ class _Printer:
         return text
 
 
+class _Reader:
+    """``parse_assertive`` over the texts of one document, most of which are
+    built from other texts of the same document: each text is read once, and
+    a canonical one (``print_formula``'s form) from the texts it is built
+    of, with no tokenizing.
+
+    ``N(x)`` is N of ``x``, and ``(l K r)`` or ``(l AQ r)`` the connective
+    of the first split whose two sides are canonical; ``(|- ...)`` goes to
+    the parser, so atom names are checked as it checks them, and counts as
+    canonical when it prints back to itself.  A text built of canonical
+    texts so is the print of the formula built, and the parser reads a print
+    back to its formula, so each formula is the parser's.  A side is never
+    taken through the parser: a hand-written side such as ``|- az AQ |- ax``
+    would bind by where the split falls, not by precedence.  Every other
+    text, and any that nests past the recursion limit, goes whole to the
+    parser, so a bad one raises the parser's own error; its formula is then
+    replaced by the equal one its print resolves to.  So equal formulas of
+    one reader are one object, and so are their equal subformulas.
+    """
+
+    def __init__(self) -> None:
+        # canonical text -> its formula; any other text tried -> False
+        self._canonical: dict[str, AssertiveFormula | bool] = {}
+        self._parsed: dict[str, AssertiveFormula] = {}   # the parser's texts
+
+    def __call__(self, text: str) -> AssertiveFormula:
+        try:
+            f = self._resolve(text)
+        except RecursionError:
+            f = None
+        if f is None:
+            f = self._parsed.get(text)
+            if f is None:
+                f = parse_assertive(text)
+            try:
+                f = self._resolve(print_formula(f)) or f
+            except RecursionError:
+                pass
+            self._parsed[text] = f
+        return f
+
+    def _resolve(self, text: str) -> AssertiveFormula | None:
+        """The formula ``text`` is the canonical print of, or None."""
+        known = self._canonical
+        f = known.get(text)
+        if f is not None:
+            return f or None
+        # N(...) layers are peeled in a loop: a chain of them nests deeper
+        # than the other forms
+        layers = []
+        while text.startswith("N(") and text.endswith(")"):
+            layers.append(text)
+            text = text[2:-1]
+            f = known.get(text)
+            if f is not None:
+                break
+        if f is None:
+            f = known[text] = self._core(text) or False
+        for layer in reversed(layers):
+            if f:
+                operand, f = f, _new(N)
+                _set(f, "operand", operand)
+            known[layer] = f
+        return f or None
+
+    def _core(self, text: str) -> AssertiveFormula | None:
+        """``_resolve`` of a text that is not ``N(...)``."""
+        if text.startswith("(|- "):
+            try:
+                f = self._parsed[text] = parse_assertive(text)
+            except ParseError:
+                return None
+            return f if print_formula(f) == text else None
+        if not (text.startswith("(") and text.endswith(")")):
+            return None
+        known = self._canonical
+        for op, node in ((" K ", K), (" AQ ", AQ)):
+            at = text.find(op)
+            while at > 0:
+                side = text[1:at]
+                left = known.get(side)
+                # a canonical text's parentheses balance
+                if left is None and side.count("(") == side.count(")"):
+                    left = self._resolve(side)
+                right = left and self._resolve(text[at + len(op):-1])
+                if right:
+                    f = _new(node)
+                    _set(f, "left", left)
+                    _set(f, "right", right)
+                    return f
+                at = text.find(op, at + 1)
+        return None
+
+
 # ---------------------------------------------------------------------------
 # quantum fragment
 

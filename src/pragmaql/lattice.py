@@ -19,7 +19,6 @@ entry is checked against the kernel's result.  ``export_lattice`` and
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -33,10 +32,9 @@ from .formula import (
     Atom,
     K,
     N,
-    parse_assertive,
     print_formula,
 )
-from .formula import _Printer
+from .formula import _Printer, _Reader
 from .hilbert import (
     DEFAULT_EPS,
     Projector,
@@ -566,8 +564,13 @@ def verify_isomorphism(lat: QuotientLattice) -> LawReport:
     At a rank cutoff of 1 or more no singular value of a projector exceeds
     it, so every class would read as rank 0 and the meet and join checks
     could not fail: the report then fails with ``("coarse-tolerance",)``.
+    A class with no projector, which an imported document may leave, fails
+    it with ``("no-projector", i)`` for the first such class i.
     """
     n = len(lat)
+    missing = [e.index for e in lat.elements if e.projector is None]
+    if missing:
+        return LawReport("order-isomorphism", False, ("no-projector", missing[0]))
     stack = np.stack([lat.projector(i).matrix for i in range(n)])
     d = stack.shape[1]
     if _rank_cutoff(lat.eps, d) >= 1:
@@ -698,14 +701,21 @@ def import_lattice(document) -> QuotientLattice:
     one is a ``ModelError``, which names the first bad element and keeps its
     ``ProjectorError``'s code (``schema`` for formula text).
 
-    Each distinct formula text of the document is parsed once.  The element
-    projectors are decoded by one call when all are well formed, and
-    checked in one batched pass per dimension, before the elements are
-    read; each element's error, from its formula, its projector, then its
-    members, is raised at its turn, as a check element by element would,
-    and no element after the first bad one is parsed.  A document whose
-    rank cutoff is 1 or more, at which every projector has rank 0, is a
-    ``ModelError(code="coarse-tolerance")``.
+    Formula texts are read by one ``formula._Reader`` per document: each
+    distinct text once, and a canonical one from the texts of its operands,
+    which the document holds, so a generated document sends only its atom
+    texts to the parser; every formula is ``parse_assertive``'s, and a text
+    that does not parse raises the parser's error.  The element projectors
+    are decoded by one call when all are well formed, and checked in one
+    batched pass per dimension, before the elements are read; each
+    element's error, from its formula, its projector, then its members, is
+    raised at its turn, as a check element by element would, and no element
+    after the first bad one is read.  A document whose rank cutoff is 1 or
+    more, at which every projector has rank 0, is a
+    ``ModelError(code="coarse-tolerance")``.  Last, the formulas are checked
+    against the classes and tables (``_check_formulas``): a member that its
+    class and the tables contradict is a ``ModelError(code="schema")`` that
+    names the first such element and member.
     """
     if not isinstance(document, dict):
         raise ModelError("lattice document must be a mapping", code="schema")
@@ -744,7 +754,7 @@ def import_lattice(document) -> QuotientLattice:
     projectors, errors = _element_projectors(
         keys, [raw_elements[i]["projector"] for i in keys], eps)
 
-    parse = functools.cache(parse_assertive)   # texts repeat within a document
+    parse = _Reader()   # members name their operands by other texts of the document
     elements = []
     for i, raw in enumerate(raw_elements):
         if not isinstance(raw, dict):
@@ -781,6 +791,7 @@ def import_lattice(document) -> QuotientLattice:
     if cutoff >= 1:
         raise ModelError(f"rank cutoff {cutoff:.3g} (eps {eps:.3g} at dim {dims[0]}) is 1 "
                          "or more: every projector reads as rank 0", code="coarse-tolerance")
+    _check_formulas(elements, raw_elements, neg_table, meet_table, join_table)
     return QuotientLattice(
         elements=elements,
         order=order,
@@ -826,3 +837,50 @@ def _element_projectors(keys: list, entries: list, eps: float) -> tuple[dict, di
         projectors.update(zip(group, made))
         errors.update((group[k], exc) for k, exc in bad.items())
     return projectors, errors
+
+
+def _check_formulas(elements: list[LatticeElement], raw_elements: list, neg: np.ndarray,
+                    meet: np.ndarray, join: np.ndarray) -> None:
+    """Raise ``ModelError(code="schema")`` at the first element, member by
+    member and then its formula, that its class and the tables contradict.
+
+    A member is ``(|- a)`` for an atom a, or N, K or AQ of members of some
+    class, and lies in no other class; ``N(x)`` lies in the negation of x's
+    class, ``(x K y)`` in the meet entry of x's and y's classes and ``(x AQ
+    y)`` in the join entry.  The formula is one of the members.  Elements
+    with no formula are skipped.  Formulas equal to a member are the
+    member's node, as ``formula._Reader`` returns them, so each is found by
+    its identity.
+    """
+    checked = [e for e in elements if e.formula is not None]
+    # id(member) -> the first class to list it
+    classes = {id(m): e.index for e in reversed(checked) for m in reversed(e.members)}
+    owner = classes.get
+    neg, meet, join = neg.tolist(), meet.tolist(), join.tolist()
+    for e in checked:
+        c = e.index
+        for k, m in enumerate(e.members):
+            kind, fault = type(m), None
+            if classes[id(m)] != c:
+                fault = f"is a member of class {classes[id(m)]} too"
+            elif kind is N:
+                x = owner(id(m.operand))
+                if x is None:
+                    fault = "has an operand that no class lists as a member"
+                elif neg[x] != c:
+                    fault = f"lies in class {neg[x]}, the negation of class {x}"
+            elif kind is K or kind is AQ:
+                x, y = owner(id(m.left)), owner(id(m.right))
+                table, entry = (meet, "meet") if kind is K else (join, "join")
+                if x is None or y is None:
+                    fault = "has an operand that no class lists as a member"
+                elif table[x][y] != c:
+                    fault = f"lies in class {table[x][y]}, the {entry} of classes {x} and {y}"
+            elif kind is not Assert or type(m.radical) is not Atom:
+                fault = "is outside the quantum fragment"
+            if fault is not None:
+                text = raw_elements[c]["members"][k]
+                raise ModelError(f"lattice element {c}: member {text!r} {fault}", code="schema")
+        if owner(id(e.formula)) != c:
+            raise ModelError(f"lattice element {c}: formula {raw_elements[c]['formula']!r} is "
+                             "not one of its members", code="schema")

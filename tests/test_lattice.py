@@ -1242,8 +1242,8 @@ def test_isomorphism_matches_loop_reference_on_lines_a_few_eps_apart(multiple, e
 
 
 def test_fixture_without_projectors_rejected_by_isomorphism():
-    with pytest.raises(ValueError):
-        verify_isomorphism(o6_fixture())
+    assert verify_isomorphism(o6_fixture()) == \
+        LawReport("order-isomorphism", False, ("no-projector", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -1466,15 +1466,209 @@ def test_respaced_document_imports_to_the_same_asts_and_exports_canonically(mo2)
     assert json.dumps(export_lattice(back, "structured")) == json.dumps(canonical)
 
 
-def test_import_parses_each_distinct_text_once(mo2, monkeypatch):
+def test_import_sends_only_the_atom_texts_of_a_canonical_document_to_the_parser(
+        mo2, monkeypatch):
+    # every other member is read from the texts of its operands
     doc = mo2_document(mo2)
     texts = [t for e in doc["elements"] for t in [e["formula"], *e["members"]]]
     parsed = []
     parse = pragmaql.formula._parse
     monkeypatch.setattr(pragmaql.formula, "_parse",
                         lambda text, *args: parsed.append(text) or parse(text, *args))
-    import_lattice(doc)
-    assert sorted(parsed) == sorted(set(texts)) and len(set(texts)) < len(texts)
+    back = import_lattice(doc)
+    assert sorted(parsed) == ["(|- ax)", "(|- az)"]
+    assert len(set(texts)) > 40
+    for e, raw in zip(back.elements, doc["elements"]):
+        assert e.formula == parse(raw["formula"], True)
+        assert e.members == tuple(parse(t, True) for t in raw["members"])
+
+
+@pytest.mark.parametrize("name, atoms, depth", list(EXPORT_DIGESTS))
+def test_import_reads_the_parsers_formulas_from_every_pinned_document(
+        all_models, name, atoms, depth):
+    doc = json.loads(json.dumps(export_lattice(
+        generate_quotient(all_models[name], list(atoms), depth), "structured")))
+    respaced_doc = json.loads(json.dumps(doc))
+    rng = np.random.default_rng([len(name), len(atoms), depth])
+    for e in respaced_doc["elements"]:
+        e["formula"] = respaced(e["formula"], int(rng.integers(6)))
+        e["members"] = [respaced(m, int(rng.integers(6))) for m in e["members"]]
+    for document in (doc, respaced_doc):
+        for e, raw in zip(import_lattice(document).elements, document["elements"]):
+            assert e.formula == parse_assertive(raw["formula"])
+            assert e.members == tuple(map(parse_assertive, raw["members"]))
+
+
+@pytest.mark.parametrize("text", [
+    # read by precedence, not by where a split falls: sides that are not
+    # canonical texts are never taken
+    "(|- az AQ |- ax K |- az)",
+    "((|- az AQ |- ax) K (|- az))",
+    "(|- az K |- ax)",
+    "(|- az) K (|- ax)",
+    "N(|- az) K (|- ax)",
+    "N((|- az)) K (|- ax)",
+    "N((|- az)) AQ N((|- ax)) K (|- az)",
+    "(N((|- az)) AQ N((|- ax)) K (|- az))",
+    "((|- az) K (|- ax) AQ (|- az))",
+    "N((|- az) K (|- ax))",
+    "(|- (az & ax))",
+    "(|- ~az)",
+    # errors are the parser's
+    "|- (|- az)",
+    "N((|- az)",
+    "((|- az) K (|- ax)",
+    "((|- az) K )",
+    "((|- az) A (|- ax)) K",
+    "(|- Az)",
+    "",
+])
+def test_reader_gives_the_parsers_formula_or_error(text):
+    reader = pragmaql.formula._Reader()
+    # the canonical texts of every side the text could be split into
+    for known in ("(|- az)", "(|- ax)", "N((|- az))", "N((|- ax))",
+                  "((|- az) K (|- ax))", "((|- ax) K (|- az))", "((|- az) AQ (|- ax))",
+                  "(N((|- az)) AQ N((|- ax)))"):
+        assert reader(known) == parse_assertive(known)
+    try:
+        expected = parse_assertive(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            reader(text)
+        assert (str(info.value), info.value.position, info.value.expected) == \
+            (str(exc), exc.position, exc.expected)
+    else:
+        assert reader(text) == expected
+        assert reader(print_formula(expected)) is reader(text)
+
+
+def n_chain(depth):
+    """The canonical texts of N^k (|- az) for k = 0 .. depth, and the formula
+    of the last, built without recursion."""
+    texts, f = ["(|- az)"], Assert(Atom("az"))
+    for _ in range(depth):
+        texts.append(f"N({texts[-1]})")
+        f = N(f)
+    return texts, f
+
+
+def test_import_reads_an_n_chain_deeper_than_the_parser_can(mo2):
+    texts, deepest = n_chain(900)
+    with pytest.raises(RecursionError):
+        parse_assertive(texts[-1])
+    doc = mo2_document(mo2)
+    az = next(e["index"] for e in doc["elements"] if e["formula"] == "(|- az)")
+    for k, text in enumerate(texts[1:], 1):
+        element = doc["elements"][doc["neg"][az] if k % 2 else az]
+        if text not in element["members"]:
+            element["members"].append(text)
+    back = import_lattice(doc)
+    assert back.elements[az].members[-1] == deepest
+    assert back.elements[doc["neg"][az]].members[-1] == N(deepest.operand.operand)
+    # a shorter chain, which the parser reads too, gives its formula
+    texts, f = n_chain(200)
+    assert pragmaql.formula._Reader()(texts[-1]) == parse_assertive(texts[-1]) == f
+
+
+def qutrit_lines_document(qutrit):
+    return json.loads(json.dumps(export_lattice(
+        generate_quotient(qutrit, ["aa", "ab", "ap"], 1), "structured")))
+
+
+def test_import_refuses_swapped_formulas(qutrit):
+    # the law checks, verify_isomorphism included, all pass on this
+    # document: only its formulas tie class 0 to the extension of |- aa
+    doc = qutrit_lines_document(qutrit)
+    first, fourth = doc["elements"][0], doc["elements"][3]
+    assert (first["formula"], fourth["formula"]) == ("(|- aa)", "N((|- aa))")
+    for key in ("formula", "members"):
+        first[key], fourth[key] = fourth[key], first[key]
+    with pytest.raises(ModelError) as info:
+        import_lattice(doc)
+    assert info.value.code == "schema"
+    # N-members agree with a class swapped with its negation; a join does not
+    assert str(info.value) == ("lattice element 2: member '((|- aa) AQ (|- ab))' lies in "
+                               "class 7, the join of classes 3 and 1")
+
+
+def test_import_refuses_a_formula_its_class_does_not_list(mo2):
+    doc = mo2_document(mo2)
+    doc["elements"][2]["formula"] = doc["elements"][3]["formula"]
+    with pytest.raises(ModelError, match="^lattice element 2: formula .* is not one of its "
+                                         "members$") as info:
+        import_lattice(doc)
+    assert info.value.code == "schema"
+
+
+def test_import_refuses_an_atom_in_two_classes(qutrit):
+    doc = qutrit_lines_document(qutrit)
+    doc["elements"][5]["members"].append("( |- aa )")
+    with pytest.raises(ModelError) as info:
+        import_lattice(doc)
+    assert info.value.code == "schema"
+    assert str(info.value) == "lattice element 5: member '( |- aa )' is a member of class 0 too"
+
+
+@pytest.mark.parametrize("member", ["(|- (aa & ab))", "((|- aa) A (|- ab))", "N((|- zz))"])
+def test_import_refuses_members_outside_the_fragment_or_the_classes(qutrit, member):
+    doc = qutrit_lines_document(qutrit)
+    doc["elements"][1]["members"].append(member)
+    with pytest.raises(ModelError, match="^lattice element 1: member ") as info:
+        import_lattice(doc)
+    assert info.value.code == "schema"
+
+
+def test_import_refuses_seeded_edits_of_members_and_tables(qutrit, ququart):
+    rng = np.random.default_rng(7)
+    docs = [qutrit_lines_document(qutrit), json.loads(json.dumps(export_lattice(
+        generate_quotient(ququart, ["bl", "bd", "bc"], 2), "structured")))]
+    for doc in docs:
+        n, lat = len(doc["elements"]), import_lattice(doc)
+        for _ in range(15):
+            # a member moved to another class
+            moved = json.loads(json.dumps(doc))
+            c = int(rng.integers(n))
+            k = int(rng.integers(len(moved["elements"][c]["members"])))
+            text = moved["elements"][c]["members"].pop(k)
+            moved["elements"][(c + 1 + int(rng.integers(n - 1))) % n]["members"].append(text)
+            # a meet or join entry changed under a member of that connective
+            changed = json.loads(json.dumps(doc))
+            c, member = next(
+                (c, m) for c in rng.permutation(n).tolist()
+                for m in rng.permutation(doc["elements"][c]["members"]).tolist()
+                if m.startswith("(") and not m.startswith("(|- "))
+            f = lat.elements[c].members[doc["elements"][c]["members"].index(member)]
+            x, y = (next(e.index for e in lat.elements if g in e.members)
+                    for g in (f.left, f.right))
+            table = changed["meet" if isinstance(f, K) else "join"]
+            assert table[x][y] == c
+            table[x][y] = table[y][x] = (c + 1 + int(rng.integers(n - 1))) % n
+            for bad in (moved, changed):
+                with pytest.raises(ModelError, match="^lattice element [0-9]+: (member|formula) ") \
+                        as info:
+                    import_lattice(bad)
+                assert info.value.code == "schema"
+
+
+def test_import_skips_elements_with_no_formula(mo2):
+    # their members are neither checked nor members for the others' check
+    doc = mo2_document(mo2)
+    for e in doc["elements"]:
+        e["formula"] = None
+    doc["elements"][2]["members"].append("(|- zz)")
+    assert all(e.formula is None for e in import_lattice(doc).elements)
+    doc["elements"][0]["formula"] = mo2_document(mo2)["elements"][0]["formula"]
+    with pytest.raises(ModelError, match="^lattice element 0: member .* has an operand that "
+                                         "no class lists as a member$"):
+        import_lattice(doc)
+
+
+def test_isomorphism_report_names_a_class_with_no_projector(mo2):
+    doc = mo2_document(mo2)
+    doc["elements"][3].update(projector=None, rank=None)
+    lat = import_lattice(doc)
+    assert verify_isomorphism(lat) == LawReport("order-isomorphism", False, ("no-projector", 3))
+    assert all(r.holds for r in verify_ortholattice(lat))
 
 
 def test_import_decodes_the_projectors_of_a_well_formed_document_in_one_call(
