@@ -289,7 +289,9 @@ def _parsed_atom(name: str) -> Atom:
 
 
 def _parse(text: str, assertive: bool):
-    """Parse all of ``text`` with the assertive or the radical grammar."""
+    """Parse all of ``text`` with the assertive or the radical grammar.
+    Input that nests past the recursion limit is a ``ParseError`` at the
+    token where the stack ran out."""
     tokens = _tokenize(text)
     i = 0  # index of the next token
 
@@ -360,10 +362,16 @@ def _parse(text: str, assertive: bool):
             return closed(climb(_ASSERTIVE_BINARY, n, 1))
         fail({"N", "|-", "("})
 
-    if assertive:
-        f = climb(_ASSERTIVE_BINARY, n, 1)
-    else:
-        f = climb(_RADICAL_BINARY, unary, 1)
+    try:
+        if assertive:
+            f = climb(_ASSERTIVE_BINARY, n, 1)
+        else:
+            f = climb(_RADICAL_BINARY, unary, 1)
+    except RecursionError:
+        # each level of nesting takes one to three frames; the token that
+        # found the stack full is where the input nests too deeply
+        pos = _position(text, i)
+        raise ParseError(f"formula nested too deeply at position {pos}", position=pos) from None
     if tokens[i]:
         fail({"end of input"})
     return f

@@ -10,7 +10,8 @@ dimension count (Grassmann's identity), from the span counts that
 generation names entries by: each class has a frame, the unitary of a full
 SVD of its matrix, and a pair of classes that are neither bottom nor top
 spans r_i plus the principal-angle sines between them above the cutoff,
-one values-only SVD per chunk of pairs.  Where that count is
+one values-only SVD per chunk of pairs, or r_i + r_j - tr(P_i P_j) with no
+SVD where the two matrices commute.  Where that count is
 ill-conditioned, by the same bound generation names entries under, an
 entry is checked against the kernel's result.  ``export_lattice`` and
 ``import_lattice`` write and read it.  Tolerances follow the policy in
@@ -42,8 +43,8 @@ from .hilbert import (
     encode_array,
 )
 from .hilbert import (
-    _class_tol, _deviation, _is_tolerance, _nested, _pair_spans, _projectors,
-    _rank_cutoff, _span_dims, _span_factors, _square_matrix,
+    _class_tol, _compatible_span_dims, _deviation, _is_tolerance, _nested, _pair_spans,
+    _projectors, _rank_cutoff, _span_dims, _span_factors, _square_matrix,
 )
 from .model import Model
 
@@ -176,7 +177,9 @@ def _closure(initial: list[Projector], d: int, eps: float, depth: int):
     before all joins, later rounds each pair's meet, then its join.  It
     begins with one full SVD of its new classes for their frames, kept as
     the premasked factors of ``pragmaql.hilbert._span_factors``.  Each
-    pair's span dimension s_ij (``_pair_span_dims``) names most entries by
+    pair's span dimension s_ij (``_pair_span_dims``: a row of a values-only
+    SVD for a pair of classes that are neither bottom nor top and whose
+    matrices do not commute, none for any other) names most entries by
     Grassmann's identity: s_ij = r_i makes the join i and the meet j, s_ij
     = r_j the reverse, r_i + r_j the meet the zero matrix and dim the join
     the identity.  The counts also order the classes: c is below i when
@@ -349,7 +352,7 @@ def _closure(initial: list[Projector], d: int, eps: float, depth: int):
         if cutoff <= tol:
             complements[seen:count], ranges[seen:count] = _span_factors(
                 np.linalg.svd(stack[seen:count])[0], ranks[seen:count])
-            span, alpha, gap = _pair_span_dims(complements, ranges, ranks, pi, pj, eps)
+            span, alpha, gap = _pair_span_dims(stack, complements, ranges, ranks, pi, pj, eps)
             # the margin of an inclusion is alpha, of any other pair the gap
             up, down = span == ranks[pj], span == ranks[pi]
             below[pi, pj], below[pj, pi] = up, down
@@ -426,23 +429,35 @@ def _members(atoms: list[str], atom_class: list[int], neg: np.ndarray, meet: np.
     return members, operands, enumerated
 
 
-def _pair_span_dims(complements: np.ndarray, ranges: np.ndarray, ranks: np.ndarray, i, j,
-                    eps: float):
+def _pair_span_dims(stack: np.ndarray, complements: np.ndarray, ranges: np.ndarray,
+                    ranks: np.ndarray, i, j, eps: float):
     """``(span, alpha, gap)``: the span dimension of the ranges of classes
-    i_k and j_k for each k, from their ranks and the premasked factors of
-    their frames (``pragmaql.hilbert._span_factors``), and its margins (see
-    ``_span_dims``).  A pair with a rank-0 or rank-dim class spans r_i + r_j
-    or dim, with alpha 0 and gap 1, and takes no row; the others go through
-    ``_span_dims``, the complement factor of i_k times the range factor of
-    j_k, in chunks of ``_BATCH_ENTRIES // dim**2`` pairs."""
-    d = complements.shape[-1]
+    i_k and j_k for each k, from their matrices ``stack``, their ranks and
+    the premasked factors of their frames (``pragmaql.hilbert._span_factors``),
+    and its margins (see ``_span_dims``).  A pair with a rank-0 or rank-dim
+    class spans r_i + r_j or dim, with alpha 0 and gap 1, and takes no row.
+    Of the others, in chunks of ``_BATCH_ENTRIES // dim**2`` pairs, a pair
+    whose matrices commute within ``pragmaql.hilbert._compatible_tol`` is
+    counted from the trace of their product (``_compatible_span_dims``) and
+    takes no row either; only the rest take one row each of ``_span_dims``,
+    the complement factor of i_k times the range factor of j_k, in chunks of
+    the same size."""
+    d = stack.shape[-1]
     ri, rj = ranks[i], ranks[j]
     span = np.where((ri == d) | (rj == d), d, ri + rj)
     alpha, gap = np.zeros(len(span)), np.ones(len(span))
     rows = np.flatnonzero((ri > 0) & (ri < d) & (rj > 0) & (rj < d))
     chunk = max(1, _BATCH_ENTRIES // (d * d))
+    rest = [rows[:0]]   # the pairs that do not commute
     for at in range(0, len(rows), chunk):
         k = rows[at:at + chunk]
+        compatible, *counts = _compatible_span_dims(stack[i[k]], ri[k], stack[j[k]], rj[k], eps)
+        c = k[compatible]
+        span[c], alpha[c], gap[c] = counts
+        rest.append(k[~compatible])
+    rest = np.concatenate(rest)
+    for at in range(0, len(rest), chunk):
+        k = rest[at:at + chunk]
         span[k], alpha[k], gap[k] = _span_dims(complements[i[k]], ri[k], ranges[j[k]], eps)
     return span, alpha, gap
 
@@ -552,8 +567,9 @@ def verify_isomorphism(lat: QuotientLattice) -> LawReport:
     from one full SVD of the class matrices, not from their stored ranks
     or from generation; s_ij from generation's count (``_pair_span_dims``)
     on those frames: r_i + r_j or dim for a pair with the bottom or top
-    class, and one row of a values-only SVD for every other unordered
-    pair, which checks both table[i, j] and table[j, i].  The count is
+    class, r_i + r_j - tr(P_i P_j) for a pair whose matrices commute, and
+    one row of a values-only SVD for every other unordered pair, which
+    checks both table[i, j] and table[j, i].  The count is
     trusted as far as generation's order rule trusts it: an entry that is
     neither operand nor of rank 0 or dim passes by count only where
     sqrt(alpha_Mi² + alpha_Mj²) / sqrt(1 - cos theta_min) is at most the
@@ -596,7 +612,7 @@ def verify_isomorphism(lat: QuotientLattice) -> LawReport:
     ranks = np.count_nonzero(s > cutoff, axis=1)
     i, j = np.triu_indices(n, 1)
     span, alpha, gap = np.diag(ranks), np.zeros((n, n)), np.ones((n, n))
-    counts = _pair_span_dims(*_span_factors(frames, ranks), ranks, i, j, lat.eps)
+    counts = _pair_span_dims(stack, *_span_factors(frames, ranks), ranks, i, j, lat.eps)
     for table, values in zip((span, alpha, gap), counts):
         table[i, j] = table[j, i] = values
     x = np.arange(n)

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import pragmaql.cli
 from pragmaql import bundled_model_document
@@ -507,3 +511,84 @@ print(code, out.getvalue(), end="")
                           capture_output=True, text=True, timeout=30)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "0 True\n"
+
+
+def test_parse_of_a_chain_nested_past_the_recursion_limit_is_one_error_line(capsys):
+    # a well-formed N chain 900 deep: the parser reports where it ran out of
+    # stack as a syntax error, with no traceback
+    code, out, err = invoke(capsys, "parse", "-f", "N(" * 900 + "(|- az)" + ")" * 900)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: formula nested too deeply at position \d+\n", err)
+
+
+# ---------------------------------------------------------------------------
+# seeded malformed documents
+
+# values a fault puts in place of one node: extreme and non-finite numbers,
+# and every other JSON type
+ODD_VALUES = [1e308, -1e308, 5e-324, 0, -1, 2**70, float("inf"), float("nan"), 2.5, "x", "",
+              None, True, [], {}, [[1, 0]], {"span": []}]
+
+
+def mutated(document, rng):
+    """The JSON text of ``document`` with one seeded fault at a node drawn
+    from all of its nodes: the node replaced by an odd value, deleted, or
+    nested in lists, 3 or 40 deep (a value of the wrong shape) or 3,000 deep
+    (past what the JSON decoder reads)."""
+    doc = json.loads(json.dumps(document))
+    nodes = []   # (container, key) of every node but the root
+
+    def walk(node):
+        keys = node.keys() if isinstance(node, dict) else range(len(node))
+        for key in list(keys):
+            nodes.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                walk(node[key])
+
+    walk(doc)
+    container, key = nodes[int(rng.integers(len(nodes)))]
+    fault = int(rng.integers(3))
+    if fault == 0:
+        container[key] = ODD_VALUES[int(rng.integers(len(ODD_VALUES)))]
+    elif fault == 1:
+        del container[key]
+    else:
+        depth = (3, 40, 3000)[int(rng.integers(3))]
+        inner, container[key] = json.dumps(container[key]), "nested"
+        return json.dumps(doc).replace('"nested"', "[" * depth + inner + "]" * depth, 1)
+    return json.dumps(doc)
+
+
+def run_quietly(argv):
+    """``run(argv)`` with RuntimeWarning an error: (code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mutated_model_and_overlay_documents_give_one_error_line_at_most(tmp_path, seed):
+    # every command that reads a model, and check with an overlay, on
+    # seeded faults: exit 0 or 1, and nothing on stderr but one error line
+    rng = np.random.default_rng([seed, 10])
+    model = bundled_model_document("qubit-zx")
+    overlay = json.loads((FIXTURES / "overlay-consistent.json").read_text())
+    path = tmp_path / "document.json"
+    for k in range(24):
+        is_model = k % 3 != 2
+        path.write_text(mutated(model if is_model else overlay, rng))
+        if is_model:
+            commands = [["check", "-m", str(path), "--samples", "8", "--seed", "1"],
+                        ["lattice", "-m", str(path), "--atoms", "az,ax", "--depth", "1"],
+                        ["justify", "-m", str(path), "-s", "z+", "-f", "|- az"],
+                        ["eval", "-m", str(path), "-s", "x+", "-f", "az"],
+                        ["extension", "-m", str(path), "-f", "(|- az) K (|- ax)"]]
+        else:
+            commands = [["check", "-m", "qubit-zx", "--overlay", str(path), "--samples", "8"]]
+        for argv in commands:
+            code, _, err = run_quietly(argv)
+            assert code in (0, 1), (argv, path.read_text()[:200])
+            assert err == "" or re.fullmatch(r"error: [^\n]*\n", err), (argv, err)

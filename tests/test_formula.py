@@ -298,6 +298,30 @@ def test_deep_nesting_parses_at_default_recursion_limit(parse, text, node, depth
     assert unwrap(got, node) == (leaf, depth)
 
 
+@pytest.mark.parametrize("parse, text", [
+    (parse_assertive, "N(" * 400 + "(|- p)" + ")" * 400),
+    (parse_assertive, "N(" * 900 + "(|- p) K" + ")" * 900),
+    (parse_radical, "(" * 600 + "p" + ")" * 600),
+    (parse_assertive, "(" * 600 + "|- p" + ")" * 600),
+], ids=["n-chain-400", "n-chain-900-unfinished", "radical-parens", "assertive-parens"])
+def test_nesting_past_the_recursion_limit_is_a_parse_error(parse, text):
+    # a well-formed N chain 400 deep takes three frames a level; past the
+    # limit the parser reports where it ran out of stack, not a bare
+    # RecursionError, and not whatever else the text may hold
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        shallow = parse_assertive("N(" * 300 + "(|- p)" + ")" * 300)
+    finally:
+        sys.setrecursionlimit(limit)
+    position = info.value.position
+    assert str(info.value) == f"formula nested too deeply at position {position}"
+    assert 1 < position <= len(text) and text[position - 1] in "N("
+    assert unwrap(shallow, N) == (Assert(P), 300)
+
+
 def k_chain(depth, leaf):
     """``depth`` K nodes nested down the left, built without the parser."""
     f = Assert(leaf)

@@ -179,6 +179,31 @@ BUNDLED_LATTICES = [
 ]
 
 
+def span_margins(lat):
+    """``{(i, j): (span, alpha, gap)}`` that ``_span_dims`` gives each pair
+    i < j of classes other than bottom and top, every pair one row of it,
+    commuting or not, on frames from one full SVD of the class matrices."""
+    stack = np.stack([lat.projector(c).matrix for c in range(len(lat))])
+    d = stack.shape[1]
+    ranks = np.array([lat.projector(c).rank for c in range(len(lat))])
+    complements, ranges = pragmaql.hilbert._span_factors(np.linalg.svd(stack)[0], ranks)
+    i, j = inner_pair_indices(ranks, d, 0, len(lat))
+    found = pragmaql.hilbert._span_dims(complements[i], ranks[i], ranges[j], lat.eps)
+    return dict(zip(zip(i.tolist(), j.tolist()), zip(*found)))
+
+
+def commuting_pairs(lat):
+    """(n, n) bool: whether the matrices P and Q of classes i and j commute
+    within the compatibility tolerance tau, by max |P Q - Q P|.  No pair of
+    the lattices checked here has a commutator within a factor of 100 of
+    tau, so the rounding of either product cannot move a pair across it."""
+    stack = np.stack([lat.projector(c).matrix for c in range(len(lat))])
+    tau = pragmaql.hilbert._compatible_tol(lat.eps, stack.shape[1])
+    comm = np.abs(stack[:, None] @ stack[None] - stack[None] @ stack[:, None]).max(axis=(2, 3))
+    assert not ((comm > tau / 100) & (comm <= tau * 100)).any()
+    return comm <= tau
+
+
 def order_named_entries(lat, margins, made):
     """For each i < j, whether the order rule of generation names the meet
     and the join: the one class c among the ``made[j]`` classes made before
@@ -186,8 +211,8 @@ def order_named_entries(lat, margins, made):
     with rank s_ij above both (a join), where s_ij is neither r_i nor r_j,
     c is no bottom or top, and sqrt(alpha_ci² + alpha_cj²) is at most the
     cutoff times the gap of (i, j).  ``margins[i, j]`` holds the (span,
-    alpha, gap) that ``_span_dims`` gave the pair; a pair with bottom or top
-    took no row.  No class of the lattices checked here is crowded."""
+    alpha, gap) of ``span_margins``; a pair with bottom or top takes no
+    row.  No class of the lattices checked here is crowded."""
     n, d = len(lat), lat.projector(0).dim
     r = np.array([lat.projector(c).rank for c in range(n)])
     span, alpha, gap = np.diag(r), np.zeros((n, n)), np.ones((n, n))
@@ -213,12 +238,14 @@ def order_named_entries(lat, margins, made):
 
 
 @pytest.mark.parametrize("name, atoms, depth", BUNDLED_LATTICES)
-def test_generation_takes_one_rank_row_per_pair_and_kernel_rows_for_the_rest(
+def test_generation_takes_a_rank_row_per_pair_that_does_not_commute_and_kernel_rows_for_the_rest(
         all_models, monkeypatch, name, atoms, depth):
-    # each unordered pair i < j of classes other than bottom and top is one
-    # row of the values-only rank SVD; the kernel then takes exactly the
-    # entries that neither the rank count nor the order of the classes by
-    # count names a class for
+    # each unordered pair i < j of classes other than bottom and top whose
+    # matrices do not commute is one row of the values-only rank SVD, with
+    # the count and margins that row gives on its own; a commuting pair is
+    # counted from the trace and takes none.  The kernel then takes exactly
+    # the entries that neither the rank count nor the order of the classes
+    # by count names a class for, with the margins of a row for every pair
     calls = record_svds(monkeypatch)
     kernel = {"meet": 0, "join": 0}
     pair_spans = pragmaql.lattice._pair_spans
@@ -229,20 +256,24 @@ def test_generation_takes_one_rank_row_per_pair_and_kernel_rows_for_the_rest(
 
     monkeypatch.setattr(pragmaql.lattice, "_pair_spans", counted_kernel)
     lat = generate_quotient(all_models[name], atoms, depth)
+    monkeypatch.undo()
     assert_no_class_near_a_threshold(lat)
     n, d = len(lat), lat.projector(0).dim
     ranks = np.array([lat.projector(c).rank for c in range(n)])
+    apart, margins = ~commuting_pairs(lat), span_margins(lat)
     rows, pairs, made, seen = [], [], [], 0   # made[j]: the class count before j's round
     for calls_of_round in generation_rounds(calls, d):
         count = seen + calls_of_round[0][0][0]
         rows += [row for call in calls_of_round if call[0] == "rows" for row in zip(*call[3])]
-        i, j = inner_pair_indices(ranks, d, seen, count)
+        i, j = inner_pair_indices(ranks, d, seen, count, apart)
         pairs += zip(i.tolist(), j.tolist())
         made += [count] * (count - seen)
         seen = count
-    assert len(rows) == len(pairs) == n * (n - 1) // 2 - (2 * n - 3)
+    # a class and its negation commute, so some inner pairs take no row
+    assert len(pairs) < len(margins) == n * (n - 1) // 2 - (2 * n - 3)
+    assert rows == [margins[pair] for pair in pairs]
     meet_named, join_named = named_entries(lat)
-    meet_ordered, join_ordered = order_named_entries(lat, dict(zip(pairs, rows)), made)
+    meet_ordered, join_ordered = order_named_entries(lat, margins, made)
     assert not (meet_named & meet_ordered).any() and not (join_named & join_ordered).any()
     # in MO2 every entry is an operand, bottom or top
     assert meet_ordered.any() and join_ordered.any() or name == "qubit-zx"
@@ -291,45 +322,50 @@ def generation_rounds(calls, d):
     return rounds
 
 
-def inner_pair_indices(ranks, d, seen, count):
+def inner_pair_indices(ranks, d, seen, count, apart=None):
     """The pairs i < j with seen <= j < count, row-major, whose classes are
-    neither bottom (rank 0) nor top (rank d), as index arrays i and j."""
+    neither bottom (rank 0) nor top (rank d), and where ``apart`` is given
+    only those with ``apart[i, j]``, as index arrays i and j."""
     i, j = np.triu_indices(count, 1)
     inner = (ranks > 0) & (ranks < d)
     keep = (j >= seen) & inner[i] & inner[j]
+    if apart is not None:
+        keep &= apart[i, j]
     return i[keep], j[keep]
 
 
-def inner_pairs(ranks, d, seen, count):
+def inner_pairs(ranks, d, seen, count, apart=None):
     """The rank pairs (r_i, r_j) of ``inner_pair_indices``."""
-    i, j = inner_pair_indices(ranks, d, seen, count)
+    i, j = inner_pair_indices(ranks, d, seen, count, apart)
     return list(zip(ranks[i].tolist(), ranks[j].tolist()))
 
 
 @pytest.mark.parametrize("name, atoms, depth", BUNDLED_LATTICES)
 def test_span_rows_leave_out_the_bottom_and_top_classes(all_models, monkeypatch,
                                                        name, atoms, depth):
-    # a pair with the bottom or the top class spans r_i + r_j or dim, so
-    # neither side sends it to the rank SVD: each generation round sends its
-    # pairs of other classes, and verification the n(n-1)/2 - (2n-3) pairs
-    # of other classes
+    # a pair with the bottom or the top class spans r_i + r_j or dim, and a
+    # commuting pair r_i + r_j - tr(P_i P_j), so neither side sends either
+    # to the rank SVD: each generation round sends its other pairs, and
+    # verification those of all n(n-1)/2 - (2n-3) pairs without bottom or
+    # top whose matrices do not commute
     calls = record_svds(monkeypatch)
     lat = generate_quotient(all_models[name], atoms, depth)
     n, d = len(lat), lat.projector(0).dim
     ranks = np.array([lat.projector(c).rank for c in range(n)])
+    apart = ~commuting_pairs(lat)
     seen, total = 0, 0
     for calls_of_round in generation_rounds(calls, d):
         count = seen + calls_of_round[0][0][0]
         sent = [pair for call in calls_of_round if call[0] == "rows"
                 for pair in zip(call[1], call[2])]
-        assert sent == inner_pairs(ranks, d, seen, count)
+        assert sent == inner_pairs(ranks, d, seen, count, apart)
         seen, total = count, total + len(sent)
-    assert seen == n and total == n * (n - 1) // 2 - (2 * n - 3)
+    assert seen == n and 0 < total < n * (n - 1) // 2 - (2 * n - 3)
     calls.clear()
     assert verify_isomorphism(lat).holds
     sent = [pair for call in calls if call[0] == "rows" for pair in zip(call[1], call[2])]
-    assert sent == inner_pairs(ranks, d, 0, n)
-    assert len(sent) == n * (n - 1) // 2 - (2 * n - 3)
+    assert sent == inner_pairs(ranks, d, 0, n, apart)
+    assert len(sent) == total
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -382,9 +418,10 @@ def test_generation_svds_are_its_rank_chunks_and_its_kernel_calls(monkeypatch, n
     # a fresh model, so no projector arrives with its basis already cached
     # and any basis generation computed would be counted.  It keeps none:
     # each round takes one full SVD of its new classes for their frames,
-    # then one values-only (k, dim, dim) SVD per chunk of its pairs for
-    # their span counts, then one stacked (k, 2 dim, dim) SVD per call of
-    # the batched kernel, and nothing else makes one
+    # then one values-only (k, dim, dim) SVD per chunk of its pairs whose
+    # matrices do not commute, for their span counts, then one stacked
+    # (k, 2 dim, dim) SVD per call of the batched kernel, and nothing else
+    # makes one
     model = bundled_model(name)
     calls = record_svds(monkeypatch)
     pair_spans = pragmaql.lattice._pair_spans
@@ -395,14 +432,17 @@ def test_generation_svds_are_its_rank_chunks_and_its_kernel_calls(monkeypatch, n
 
     monkeypatch.setattr(pragmaql.lattice, "_pair_spans", counted_kernel)
     lat = generate_quotient(model, list(atoms), 1)
+    monkeypatch.undo()
     n, d = len(lat), model.dim
     ranks = np.array([lat.projector(c).rank for c in range(n)])
+    apart = ~commuting_pairs(lat)
     chunk = pragmaql.lattice._BATCH_ENTRIES // (d * d)
     calls = [call for call in calls if call[0] != "rows"]
-    seen, kernels = 0, 0
+    seen, kernels, total = 0, 0, 0
     for calls_of_round in generation_rounds(calls, d):
         count = seen + calls_of_round[0][0][0]
-        rows = len(inner_pairs(ranks, d, seen, count))
+        rows = len(inner_pairs(ranks, d, seen, count, apart))
+        total += rows
         head = [((count - seen, d, d), True, True)] + [
             ((min(chunk, rows - at), d, d), False, True) for at in range(0, rows, chunk)]
         assert calls_of_round[:len(head)] == head
@@ -411,7 +451,7 @@ def test_generation_svds_are_its_rank_chunks_and_its_kernel_calls(monkeypatch, n
         assert kernel == [call for k in sizes
                           for call in (("kernel", k), ((k, 2 * d, d), True, False))]
         seen, kernels = count, kernels + len(sizes)
-    assert seen == n and kernels > 0
+    assert seen == n and kernels > 0 and 0 < total < len(inner_pairs(ranks, d, 0, n))
 
 
 # sha256 of each export's float-free content, recorded before generation
@@ -678,6 +718,155 @@ def test_every_table_entry_is_the_first_class_of_the_kernel_result(monkeypatch, 
                               for p in stack], axis=1)
             assert close.any(axis=1).all()
             assert table[i, j].tolist() == close.argmax(axis=1).tolist(), (family, meet)
+
+
+def count_decisions(lat, span, alpha, gap):
+    """For each pair i < j that is no inclusion by the counts ``span`` (n x
+    n), and each class c below both or above both by them that is neither
+    i, j, bottom nor top, whether the bound of the order rule and of
+    verification trusts the count: sqrt(alpha_ci² + alpha_cj²) <= cutoff *
+    gap_ij, with alpha the margin of an inclusion and gap that of any other
+    pair.  The meet entries, then the join's."""
+    n, d = len(lat), lat.projector(0).dim
+    r = np.array([lat.projector(c).rank for c in range(n)])
+    below = span == r[None, :]
+    margin = np.where(below | below.T, alpha, gap)
+    c, i, j = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
+    fits = (i < j) & ~below[i, j] & ~below[j, i] & (c != i) & (c != j) & (r[c] > 0) & (r[c] < d)
+    trusted = np.hypot(margin[c, i], margin[c, j]) <= lat.eps * np.sqrt(d) * margin[i, j]
+    return [trusted[fits & below[c, i] & below[c, j]], trusted[fits & below[i, c] & below[j, c]]]
+
+
+@pytest.mark.parametrize("family", ["exports", "bundled", "block-sum", "crowded", "one-range",
+                                    "coarse", "wide-cutoff", "ill-conditioned"])
+def test_commuting_pairs_are_counted_as_their_rank_rows_count_them(all_models, monkeypatch,
+                                                                   family):
+    # on every pair, the span count of _pair_span_dims, which takes a
+    # commuting pair's from the trace of its product, equals the count of
+    # its own row of _span_dims; and every decision of the order rule's
+    # bound comes out the same on the margins of either.  The 12-class
+    # lattice that generation closes with the bound off has entries that
+    # the bound refuses
+    if family == "exports":
+        lattices = (generate_quotient(all_models[name], list(atoms), depth)
+                    for name, atoms, depth in EXPORT_DIGESTS)
+    elif family == "ill-conditioned":
+        unbounded_span_dims(monkeypatch)
+        lattices = [generate_quotient(planes_and_line(1e-6, 1e-3), ["a0", "a1", "a2"], 1)]
+        monkeypatch.undo()
+    else:
+        lattices = differential_lattices(family, monkeypatch)
+    compatible = rows = 0
+    for lat in lattices:
+        n = len(lat)
+        stack = np.stack([lat.projector(c).matrix for c in range(n)])
+        ranks = np.array([lat.projector(c).rank for c in range(n)])
+        d = stack.shape[1]
+        complements, ranges = pragmaql.hilbert._span_factors(np.linalg.svd(stack)[0], ranks)
+        i, j = np.triu_indices(n, 1)
+        counted = pragmaql.lattice._pair_span_dims(stack, complements, ranges, ranks, i, j,
+                                                   lat.eps)
+        inner = (ranks[i] > 0) & (ranks[i] < d) & (ranks[j] > 0) & (ranks[j] < d)
+        reference = [a.copy() for a in counted]
+        for table, values in zip(reference, pragmaql.hilbert._span_dims(
+                complements[i[inner]], ranks[i[inner]], ranges[j[inner]], lat.eps)):
+            table[inner] = values
+        full = []
+        for found in (counted, reference):
+            tables = [np.diag(ranks), np.zeros((n, n)), np.ones((n, n))]
+            for table, values in zip(tables, found):
+                table[i, j] = table[j, i] = values
+            full.append(tables)
+        assert np.array_equal(full[0][0], full[1][0]), family
+        for new, old in zip(count_decisions(lat, *full[0]), count_decisions(lat, *full[1])):
+            assert np.array_equal(new, old), family
+        took = pragmaql.hilbert._compatible_span_dims(stack[i[inner]], ranks[i[inner]],
+                                                      stack[j[inner]], ranks[j[inner]],
+                                                      lat.eps)[0]
+        compatible, rows = compatible + int(took.sum()), rows + int((~took).sum())
+    # every family has pairs of both kinds: a class and its negation commute
+    assert rows > 0 and compatible > 0
+
+
+def commutator_pair(d, t, turned):
+    """The projector matrices of e1 and of a line of C^d whose max-entry
+    commutator with it is exactly t: the line near e1 or, ``turned``, near
+    e2, at sine or cosine t from e1."""
+    p, q = np.zeros((2, d, d), dtype=complex)
+    p[0, 0] = 1.0
+    q[0, 1] = q[1, 0] = t
+    q[0, 0], q[1, 1] = (t * t, 1 - t * t) if turned else (1 - t * t, t * t)
+    return np.stack([p, q])
+
+
+def pair_span_rows(monkeypatch, stack, eps):
+    """``(span, alpha, gap)`` that ``_pair_span_dims`` gives the rank-1
+    classes of ``stack``, the number of ``_span_dims`` rows it took, and the
+    ``(span, alpha, gap)`` of one ``_span_dims`` row for the pair."""
+    ranks = np.array([1, 1])
+    complements, ranges = pragmaql.hilbert._span_factors(np.linalg.svd(stack)[0], ranks)
+    row = [v[0] for v in pragmaql.hilbert._span_dims(complements[:1], ranks[:1], ranges[1:],
+                                                     eps)]
+    taken, span_dims = [], pragmaql.lattice._span_dims
+
+    def counted(complements, ra, ranges, eps):
+        taken.append(len(ra))
+        return span_dims(complements, ra, ranges, eps)
+
+    monkeypatch.setattr(pragmaql.lattice, "_span_dims", counted)
+    found = pragmaql.lattice._pair_span_dims(stack, complements, ranges, ranks, np.array([0]),
+                                             np.array([1]), eps)
+    monkeypatch.undo()
+    return [v[0] for v in found], sum(taken), row
+
+
+@pytest.mark.parametrize("d", [2, 4, 16])
+@pytest.mark.parametrize("turned", [False, True])
+@pytest.mark.parametrize("factor", [0.1, 1.0, 10.0])
+def test_a_pair_commuting_within_tau_takes_no_rank_row(monkeypatch, d, turned, factor):
+    # at a commutator of 0.1 and 1 times tau the pair is counted from the
+    # trace, at 10 times tau by its row; the count is the row's either way.
+    # Within tau alpha and gap bound the exact sine t and sqrt(1 - cos)
+    # from the safe side.  The row's gap near 90 degrees reads cos as
+    # sqrt(1 - sin²), which rounding moves by about 1e-8
+    eps = 1e-9
+    t = factor * pragmaql.hilbert._compatible_tol(eps, d)
+    stack = commutator_pair(d, t, turned)
+    assert np.abs(stack[0] @ stack[1] - stack[1] @ stack[0]).max() == t
+    (span, alpha, gap), taken, row = pair_span_rows(monkeypatch, stack, eps)
+    assert taken == (factor > 1)
+    assert span == row[0] == 1 + turned
+    if factor > 1:
+        assert (alpha, gap) == (row[1], row[2])
+    else:
+        sine_cutoff = pragmaql.hilbert._sine_cutoff(eps, d)
+        assert max(row[1], 0 if turned else t) <= alpha <= 1.02 * d * t <= sine_cutoff / 98
+        assert (gap == 1) == (not turned) and abs(gap - row[2]) < 1e-7
+        assert np.sqrt(1 - t) >= gap >= np.sqrt(1 - 1.02 * d * t) if turned else gap == 1
+
+
+@pytest.mark.parametrize("theta", [1e-7, 1e-6, 1e-3])
+@pytest.mark.parametrize("turned", [False, True])
+def test_a_pair_turned_well_past_tau_is_counted_by_its_sines(monkeypatch, theta, turned):
+    # a sine of 1e-7 or more is above the sine cutoff, so the lines span a
+    # plane, which the trace of their product, cos² theta or sin² theta,
+    # rounded, would not show; a commutator that large takes a row
+    d, eps = 3, 1e-9
+    stack = commutator_pair(d, np.sin(theta) * np.cos(theta), turned)
+    (span, _, _), taken, row = pair_span_rows(monkeypatch, stack, eps)
+    assert (span, taken) == (2, 1) and row[0] == 2
+
+
+def test_tau_keeps_the_angles_of_a_commuting_pair_far_inside_the_cutoff():
+    # d tau is a hundredth of the sine cutoff at every dim up to MAX_DIM,
+    # and at the default eps tau is about 1e-11 at dim 2, 3.5e-12 at dim 16
+    dims = np.arange(1, pragmaql.model.MAX_DIM + 1)
+    for eps in (1e-12, 1e-9, 1e-6, 1e-3):
+        tau = np.array([pragmaql.hilbert._compatible_tol(eps, int(d)) for d in dims])
+        sine = np.array([pragmaql.hilbert._sine_cutoff(eps, int(d)) for d in dims])
+        assert (dims * tau <= sine / 100 * (1 + 1e-15)).all()
+    assert 9e-12 < pragmaql.hilbert._compatible_tol(1e-9, 2) < 1.1e-11
+    assert 3e-12 < pragmaql.hilbert._compatible_tol(1e-9, 16) < 4e-12
 
 
 def pair_by_pair_tables(model, atoms, depth):
@@ -1038,14 +1227,22 @@ def test_isomorphism_catches_a_generator_that_drops_rank_one_meets(ququart, monk
     # a corrupted meet still yields a closed, self-consistent table, so only
     # recomputing meets independently of the generator can expose it
     span_dims, pair_spans = pragmaql.lattice._span_dims, pragmaql.lattice._pair_spans
+    compatible_span_dims = pragmaql.lattice._compatible_span_dims
 
     dropped = []
 
+    # a span count that matches neither a rank rule nor the order rule sends
+    # the pair to the kernel; both counts are patched, the SVD rows of pairs
+    # that do not commute and the traces of pairs that do, so every pair
+    # whose meet has rank 1 reaches the kernel
     def undecided(complements, ra, ranges, eps):
-        # a span count that matches neither a rank rule nor the order rule
-        # sends the pair to the kernel
         span, alpha, gap = span_dims(complements, ra, ranges, eps)
         return np.where(ra + factor_ranks(ranges) - span == 1, -1, span), alpha, gap
+
+    def undecided_compatible(a, ra, b, rb, eps):
+        compatible, span, alpha, gap = compatible_span_dims(a, ra, b, rb, eps)
+        line = ra[compatible] + rb[compatible] - span == 1
+        return compatible, np.where(line, -1, span), alpha, gap
 
     def lossy(a, b, eps, meet):
         mats, ranks = pair_spans(a, b, eps, meet)
@@ -1056,11 +1253,12 @@ def test_isomorphism_catches_a_generator_that_drops_rank_one_meets(ququart, monk
         return mats, ranks
 
     monkeypatch.setattr(pragmaql.lattice, "_span_dims", undecided)
+    monkeypatch.setattr(pragmaql.lattice, "_compatible_span_dims", undecided_compatible)
     monkeypatch.setattr(pragmaql.lattice, "_pair_spans", lossy)
     lat = generate_quotient(ququart, ["bl", "bd", "bc"], 1)
     # the order rule named none of the lines the kernel would drop
     assert sum(dropped) > 0
-    # verification counts spans with ``_span_dims`` too, unpatched
+    # verification counts spans as generation does, unpatched
     monkeypatch.undo()
     # the order is read off the meet table, so it is wrong too: the line bc
     # lies in the plane bl, but their meet no longer is bc
@@ -1136,7 +1334,8 @@ def test_isomorphism_checks_the_lower_triangle(planes, key, j, i):
 def coordinate_planes_16d():
     """Two commuting 8-dimensional coordinate subspaces of C^16: a 16-class
     Boolean lattice, large enough at dim 16 to split the 91 of its 120 pairs
-    that verification counts, those without bottom or top, into chunks."""
+    that verification counts, those without bottom or top, into chunks.
+    Every pair commutes, so each is counted from a trace."""
     unit = lambda k: [[float(m == k), 0.0] for m in range(16)]
     return generate_quotient(pragmaql.load_model({
         "dim": 16, "states": {},
@@ -1146,10 +1345,15 @@ def coordinate_planes_16d():
     }), ["p", "q"], 1)
 
 
-@pytest.mark.parametrize("name", ["mo2", "planes", "coordinate_planes_16d"])
-def test_isomorphism_takes_one_row_of_singular_values_per_unordered_pair(
-        request, monkeypatch, name):
+@pytest.mark.parametrize("name, batch", [("mo2", None), ("planes", None), ("planes", 16 * 16),
+                                         ("coordinate_planes_16d", None)])
+def test_isomorphism_takes_one_row_of_singular_values_per_pair_that_does_not_commute(
+        request, monkeypatch, name, batch):
     lat = request.getfixturevalue(name)
+    n, d = len(lat), lat.projector(0).dim
+    apart = ~commuting_pairs(lat)
+    if batch is not None:   # chunks of 16 pairs at dim 4
+        monkeypatch.setattr(pragmaql.lattice, "_BATCH_ENTRIES", batch)
     calls = []
     svd = np.linalg.svd
 
@@ -1159,15 +1363,19 @@ def test_isomorphism_takes_one_row_of_singular_values_per_unordered_pair(
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     assert verify_isomorphism(lat).holds
-    n, d = len(lat), lat.projector(0).dim
-    # one full SVD of the n class matrices gives their frames and ranks,
-    # and each unordered pair i < j of classes other than bottom and top
-    # then takes one row of a values-only (k, dim, dim) SVD of its
-    # principal-angle block, chunked as in generation, which checks both of
-    # its table entries
-    rows, chunk = n * (n - 1) // 2 - (2 * n - 3), pragmaql.lattice._BATCH_ENTRIES // (d * d)
+    # one full SVD of the n class matrices gives their frames and ranks;
+    # each unordered pair i < j of classes other than bottom and top whose
+    # matrices do not commute then takes one row of a values-only (k, dim,
+    # dim) SVD of its principal-angle block, chunked as in generation,
+    # which checks both of its table entries.  A commuting pair takes none:
+    # every pair of the Boolean coordinate_planes_16d commutes
+    ranks = np.array([lat.projector(c).rank for c in range(n)])
+    rows = len(inner_pairs(ranks, d, 0, n, apart))
+    chunk = pragmaql.lattice._BATCH_ENTRIES // (d * d)
     assert calls == [((n, d, d), True)] + [
         ((min(chunk, rows - at), d, d), False) for at in range(0, rows, chunk)]
+    assert (rows == 0) == (name == "coordinate_planes_16d")
+    assert len(calls) > 2 or batch is None
 
 
 def test_isomorphism_reads_ranks_off_the_matrices_not_the_stored_rank(planes):
@@ -1554,7 +1762,7 @@ def n_chain(depth):
 
 def test_import_reads_an_n_chain_deeper_than_the_parser_can(mo2):
     texts, deepest = n_chain(900)
-    with pytest.raises(RecursionError):
+    with pytest.raises(ParseError, match="nested too deeply"):
         parse_assertive(texts[-1])
     doc = mo2_document(mo2)
     az = next(e["index"] for e in doc["elements"] if e["formula"] == "(|- az)")
@@ -1713,7 +1921,8 @@ def huge(element):
 
 
 def deep_member(element):
-    # nested past the parser's recursion limit: it raises RecursionError
+    # nested past the parser's recursion limit: its ParseError would name
+    # this element, had it been read
     element["members"].append("(" * 1000 + "|- az" + ")" * 1000)
 
 
