@@ -17,9 +17,10 @@ these rules, written once, here (``eps``: the model tolerance, default 1e-9).
   importing reject any other; ``validate_model`` reports it, as a warning
   if finite and <= 0, and checks with a 1e-12 floor.
 - Rank cutoff: singular values at or below ``eps * sqrt(dim)`` are zero.
-  A span dimension counts the sines of its pair's principal angles above
-  the sine cutoff c' = c sqrt(2 - c²), c the rank cutoff: in exact
-  arithmetic the count of the stacked projectors' singular values above c.
+  A span dimension counts the sines of its pair's principal angles, the
+  singular values of Q - PQ, above the sine cutoff c' = c sqrt(2 - c²), c
+  the rank cutoff: in exact arithmetic the count of the stacked projectors'
+  singular values above c.
 - Compatibility: two projectors P and Q commute when max |PQ - (PQ)ᴴ| is
   at most tau = c' / (100 dim).  Their span dimension is then r_P + r_Q -
   tr(PQ), rounded, with no SVD.  Commuting projectors have principal angles
@@ -34,7 +35,14 @@ these rules, written once, here (``eps``: the model tolerance, default 1e-9).
 - ``leq`` (Q P = P), ``contains_state`` (P psi = psi), ``projectors_close``
   and lattice injectivity hold at a max-entry deviation <= eps.
 - A projector is Hermitian and idempotent within eps, with a trace within
-  ``eps * dim`` of its rank, 0 <= rank <= dim.
+  ``eps * dim`` of its rank, 0 <= rank <= dim.  ``make_projector`` replaces
+  a matrix that passes by the projector onto its leading singular vectors,
+  so every projector it returns, like every ``meet``, ``join``, ``ortho``
+  and span result, is idempotent to rounding.  A matrix that passes may
+  have eigenvalues up to ``eps * dim`` off 1 and 0, past the sine cutoff
+  at dim >= 3, and a span count or the batched kernel reads such a defect
+  as an angle between ranges.  ``verify_isomorphism``, whose class
+  matrices an imported document gives, counts on such projectors too.
 - Class merge: projectors within ``10 * eps`` are one quotient class, and
   a lattice's negation table is checked against ``ortho`` at that bound.
   Its meet and join tables are checked by rank and span count at the rank
@@ -191,9 +199,10 @@ class Projector:
     A projector is immutable and its matrix read-only.  It keeps two
     read-only orthonormal bases once it has them: of its range
     (``basis()``) and of the orthocomplement.  ``meet`` and ``join`` results
-    are built with both, from their one full SVD, and ``ortho`` results with
-    their operand's two, swapped; any other projector computes each from an
-    SVD on first use.
+    are built with both, from their one full SVD, ``make_projector`` of a
+    matrix with both from its one SVD, and ``ortho`` results with their
+    operand's two, swapped; any other projector computes each from an SVD
+    on first use.
     """
 
     dim: int
@@ -239,16 +248,21 @@ def make_projector(spec, dim: int | None = None, eps: float = DEFAULT_EPS) -> Pr
     """Validating constructor.
 
     ``spec`` is either a square complex matrix (2-d ndarray: checked to be
-    a projector within ``eps``, then symmetrized) or a sequence of spanning
-    vectors (the projector onto their span, built by rank-revealing
-    orthonormalization).  An empty spanning list needs an explicit ``dim``.
+    a projector within ``eps``, then replaced by B Bᴴ, symmetrized, of its
+    leading r left singular vectors B, r the rank its trace claims) or a
+    sequence of spanning vectors (the projector onto their span, built by
+    rank-revealing orthonormalization).  An empty spanning list needs an
+    explicit ``dim``.  A matrix projector is built with B as its
+    ``basis()`` and the other singular vectors as its complement's.
     """
     if not (isinstance(spec, np.ndarray) and spec.ndim == 2):
         return projector_from_span(spec, dim, eps)
     (p,), errors = _projectors(_square_matrix(spec, dim)[None], eps)
     if errors:
         raise errors[0]
-    return p
+    u = np.linalg.svd(p.matrix)[0]
+    basis, complement = _read_only(u[:, :p.rank]), _read_only(u[:, p.rank:])
+    return _with_bases(_outer(basis), basis, complement)
 
 
 def _projectors(m: np.ndarray, eps: float) -> tuple[list[Projector], dict[int, ProjectorError]]:
@@ -488,76 +502,55 @@ def _pair_spans(a: np.ndarray, b: np.ndarray, eps: float,
     return m, np.count_nonzero(kept, axis=1)
 
 
-def _span_factors(frames: np.ndarray, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(complements, ranges)``: the premasked factors of ``_span_dims`` for
-    the frames ``frames[k]`` (unitaries whose first ``ranks[k]`` columns span
-    a range, the rest its complement).  ``complements[k]`` is the conjugate
-    transpose of the frame with its range rows zeroed, ``ranges[k]`` the
-    frame with its complement columns zeroed."""
-    at, ranks = np.arange(frames.shape[-1]), ranks[:, None, None]
-    return (np.where(at[:, None] >= ranks, frames.conj().swapaxes(1, 2), 0),
-            np.where(at < ranks, frames, 0))
-
-
-def _span_dims(complements: np.ndarray, ra: np.ndarray, ranges: np.ndarray,
+def _span_dims(a: np.ndarray, ra: np.ndarray, b: np.ndarray, rb: np.ndarray,
                eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(span, alpha, gap)``: the dimension of the span of the ranges A_k
-    and B_k for each k, and the two margins of that count, from the rank
-    ``ra[k]`` of A_k and the premasked factors of ``_span_factors``:
-    ``complements[k]`` of A_k's frame F_a, ``ranges[k]`` of B_k's F_b.
+    and B_k of the projector matrices ``a[k]`` and ``b[k]``, of ranks
+    ``ra[k]`` and ``rb[k]``, for each k, and the two margins of that count,
+    from one product AB per pair.
 
-    The span is A_k plus the part of B_k outside A_k, so it is r_a plus the
-    count of singular values above the cutoff of the block of F_aᴴ F_b
-    whose rows are A's complement and whose columns are B's range: the
-    sines of the principal angles between A and B (Björck and Golub, 1973).
-    The product of the two factors is that block with every other entry
-    zero, and one values-only SVD of the ``(k, dim, dim)`` products counts
-    them all.  The stacked
-    [A; B] of ``_pair_spans``'s join has singular values sqrt(1 - cos theta)
-    there, so its rank cutoff c is the sine cutoff c sqrt(2 - c²), and the
-    counts are the same in exact arithmetic.  A cutoff of 1 or more, which
-    no projector's own singular values exceed, keeps a sine cutoff of 1.
-    Lattice generation and verification count by it the pairs whose
-    projectors do not commute (``_compatible_span_dims`` counts the rest).
+    Both matrices are Hermitian, so (AB)ᴴ = BA and AB gives the commutator
+    AB - (AB)ᴴ.  A pair that commutes within ``_compatible_tol`` has angles
+    of 0 or 90 degrees (Halmos, 1969): AB projects onto the intersection and
+    the span is r_a + r_b - tr(AB), rounded, with no SVD.  Within tau the
+    angles are near those: the commutator's 2-norm, at most dim times its
+    largest entry, bounds sin theta cos theta for every angle, so a small
+    sine is at most 1.02 dim times the largest entry, and so is the cosine
+    of an angle near 90 degrees.  ``alpha`` is that bound, and ``gap`` is
+    sqrt(1 - bound) where the count keeps a sine, 1 where it keeps none.
 
-    From the same singular values: ``alpha`` is the largest sine at or below
-    the sine cutoff (0 for none), how far the count treats a turned
-    direction as shared, and ``gap`` is sqrt(1 - cos theta_min) of the
-    smallest angle whose sine is above it (1, at 90 degrees, for none): the
-    smallest of the kernel's singular values that the count keeps apart."""
-    s = np.linalg.svd(complements @ ranges, compute_uv=False)
-    above = s > _sine_cutoff(eps, complements.shape[-1])
-    alpha = np.where(above, 0.0, s).max(axis=1, initial=0.0)
-    # the smallest sine above the cutoff, clipped to 1 against rounding;
-    # sqrt(1 - cos) as sin / sqrt(1 + cos) loses no digits at small angles
-    sin = np.where(above, np.minimum(s, 1.0), 1.0).min(axis=1, initial=1.0)
-    gap = sin / np.sqrt(1.0 + np.sqrt(1.0 - sin * sin))
-    return ra + np.count_nonzero(above, axis=1), alpha, gap
-
-
-def _compatible_span_dims(a: np.ndarray, ra: np.ndarray, b: np.ndarray, rb: np.ndarray,
-                          eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(compatible, span, alpha, gap)``: which of the pairs of projector
-    matrices ``a[k]`` and ``b[k]``, of ranks ``ra[k]`` and ``rb[k]``, commute
-    within ``_compatible_tol``, and for each pair that does, in order, the
-    span count and the margins of ``_span_dims``, with no SVD.
-
-    Both matrices are Hermitian, so (AB)ᴴ = BA and one product gives the
-    commutator AB - (AB)ᴴ.  A commuting pair's angles are 0 or 90 degrees
-    (Halmos, 1969), AB projects onto the intersection and the span is r_a +
-    r_b - tr(AB), rounded.  Within tau the angles are near those: the
-    commutator's 2-norm, at most dim times its largest entry, bounds
-    sin theta cos theta for every angle, so a small sine is at most 1.02 dim
-    times the largest entry, and so is the cosine of an angle near 90
-    degrees.  ``alpha`` is that bound, and ``gap`` is sqrt(1 - bound) where
-    the count keeps a sine, 1 where it keeps none."""
+    Every other pair takes one row of a values-only SVD of B - AB = (I - A)B,
+    whose nonzero singular values are the sines of the principal angles
+    between A and B (Björck and Golub, 1973).  The span is A plus the part
+    of B outside A, so it is r_a plus the count of those above the sine
+    cutoff.  The stacked [A; B] of ``_pair_spans``'s join has singular
+    values sqrt(1 - cos theta) there, so its rank cutoff c is the sine
+    cutoff c sqrt(2 - c²), and the counts are the same in exact arithmetic.
+    A cutoff of 1 or more, which no projector's own singular values exceed,
+    keeps a sine cutoff of 1.  From the same singular values: ``alpha`` is
+    the largest sine at or below the sine cutoff (0 for none), how far the
+    count treats a turned direction as shared, and ``gap`` is sqrt(1 - cos
+    theta_min) of the smallest angle whose sine is above it (1, at 90
+    degrees, for none): the smallest of the kernel's singular values that
+    the count keeps apart."""
+    d = a.shape[-1]
     ab = a @ b
     comm = _deviation(ab, ab.conj().swapaxes(1, 2))
-    compatible = comm <= _compatible_tol(eps, a.shape[-1])
-    ab, ra = ab[compatible], ra[compatible]
-    span = ra + rb[compatible] - np.rint(np.trace(ab, axis1=1, axis2=2).real).astype(int)
-    alpha = 1.02 * a.shape[-1] * comm[compatible]
-    return compatible, span, alpha, np.where(span > ra, np.sqrt(1.0 - alpha), 1.0)
+    apart = comm > _compatible_tol(eps, d)
+    span = ra + rb - np.rint(np.trace(ab, axis1=1, axis2=2).real).astype(int)
+    # 0 where the SVD rows below set alpha, so no square root here is of a negative
+    alpha = np.where(apart, 0.0, 1.02 * d * comm)
+    gap = np.where(span > ra, np.sqrt(1.0 - alpha), 1.0)
+    if apart.any():
+        s = np.linalg.svd(b[apart] - ab[apart], compute_uv=False)
+        above = s > _sine_cutoff(eps, d)
+        span[apart] = ra[apart] + np.count_nonzero(above, axis=1)
+        alpha[apart] = np.where(above, 0.0, s).max(axis=1, initial=0.0)
+        # the smallest sine above the cutoff, clipped to 1 against rounding;
+        # sqrt(1 - cos) as sin / sqrt(1 + cos) loses no digits at small angles
+        sin = np.where(above, np.minimum(s, 1.0), 1.0).min(axis=1, initial=1.0)
+        gap[apart] = sin / np.sqrt(1.0 + np.sqrt(1.0 - sin * sin))
+    return span, alpha, gap
 
 
 def leq(p: Projector, q: Projector, eps: float = DEFAULT_EPS) -> bool:

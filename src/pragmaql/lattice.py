@@ -7,11 +7,11 @@ j when their meet is class i), and bottom/top.  The lattice is checked
 against the ortholattice and orthomodular laws, and for order-isomorphism
 onto its own projectors: the order by ``leq``, and meets and joins by
 dimension count (Grassmann's identity), from the span counts that
-generation names entries by: each class has a frame, the unitary of a full
-SVD of its matrix, and a pair of classes that are neither bottom nor top
-spans r_i plus the principal-angle sines between them above the cutoff,
-one values-only SVD per chunk of pairs, or r_i + r_j - tr(P_i P_j) with no
-SVD where the two matrices commute.  Where that count is
+generation names entries by: a pair of classes that are neither bottom
+nor top forms one product P_i P_j, and spans r_i + r_j - tr(P_i P_j) with
+no SVD where the two matrices commute, or else r_i plus the principal-angle
+sines between them above the cutoff, the singular values of P_j - P_i P_j,
+one values-only SVD per chunk of pairs.  Where that count is
 ill-conditioned, by the same bound generation names entries under, an
 entry is checked against the kernel's result.  ``export_lattice`` and
 ``import_lattice`` write and read it.  Tolerances follow the policy in
@@ -43,8 +43,8 @@ from .hilbert import (
     encode_array,
 )
 from .hilbert import (
-    _class_tol, _compatible_span_dims, _deviation, _is_tolerance, _nested, _pair_spans,
-    _projectors, _rank_cutoff, _span_dims, _span_factors, _square_matrix,
+    _class_tol, _deviation, _is_tolerance, _nested, _pair_spans, _projectors, _rank_cutoff,
+    _span_dims, _square_matrix,
 )
 from .model import Model
 
@@ -174,15 +174,13 @@ def _closure(initial: list[Projector], d: int, eps: float, depth: int):
     indices follow the order of the results.  A round takes N of each class
     new in the round before, then the meets and joins of the pairs i < j
     with j new, row-major (semi-naive): rounds 1 to ``depth`` all meets
-    before all joins, later rounds each pair's meet, then its join.  It
-    begins with one full SVD of its new classes for their frames, kept as
-    the premasked factors of ``pragmaql.hilbert._span_factors``.  Each
-    pair's span dimension s_ij (``_pair_span_dims``: a row of a values-only
-    SVD for a pair of classes that are neither bottom nor top and whose
-    matrices do not commute, none for any other) names most entries by
-    Grassmann's identity: s_ij = r_i makes the join i and the meet j, s_ij
-    = r_j the reverse, r_i + r_j the meet the zero matrix and dim the join
-    the identity.  The counts also order the classes: c is below i when
+    before all joins, later rounds each pair's meet, then its join.  Each
+    pair's span dimension s_ij (``_pair_span_dims``: from the product of the
+    two class matrices, and a row of a values-only SVD for a pair of classes
+    that are neither bottom nor top and whose matrices do not commute, none
+    for any other) names most entries by Grassmann's identity: s_ij = r_i
+    makes the join i and the meet j, s_ij = r_j the reverse, r_i + r_j the
+    meet the zero matrix and dim the join the identity.  The counts also order the classes: c is below i when
     s_ci = r_i, and the order grows with the class store, with one margin
     per pair.  Of the other entries, the order names the meet of i and j
     as the one class made before the round of rank r_i + r_j - s_ij below
@@ -209,13 +207,11 @@ def _closure(initial: list[Projector], d: int, eps: float, depth: int):
     """
     tol, cutoff = _class_tol(eps), _rank_cutoff(eps, d)
     chunk = max(1, _BATCH_ENTRIES // (2 * d * d))
-    # the class store: projector matrices, the premasked frame factors of
-    # ``_span_dims``, ranks and crowded flags, the span-count order of the
-    # classes: below[a, b] when a's range is in b's by count, and each pair's
-    # margin (``_pair_span_dims``), and the meet (0) and join (1) tables at
-    # i < j, all grown together
+    # the class store: projector matrices, ranks and crowded flags, the
+    # span-count order of the classes: below[a, b] when a's range is in b's
+    # by count, and each pair's margin (``_pair_span_dims``), and the meet (0)
+    # and join (1) tables at i < j, all grown together
     stack = np.empty((16, d, d), dtype=np.complex128)
-    complements, ranges = np.empty_like(stack), np.empty_like(stack)
     ranks = np.empty(len(stack), dtype=int)
     crowded = np.empty(len(stack), dtype=bool)
     below = np.zeros((len(stack),) * 2, dtype=bool)
@@ -231,7 +227,7 @@ def _closure(initial: list[Projector], d: int, eps: float, depth: int):
     def record(matrix: np.ndarray, rank: int, searched: int) -> int:
         """The first class within ``tol`` of ``matrix``, made if none is;
         none of the first ``searched`` classes is."""
-        nonlocal stack, complements, ranges, ranks, crowded, below, margin, tables, size
+        nonlocal stack, ranks, crowded, below, margin, tables, size
         n = size
         off = _deviation(stack[:n], matrix)   # one deviation for the search and the flag
         later = np.flatnonzero(off[searched:] <= tol)
@@ -242,9 +238,8 @@ def _closure(initial: list[Projector], d: int, eps: float, depth: int):
                              f"{n + 1}, past the budget of {MAX_CLASSES}",
                              code="not-saturated")
         if n == len(stack):
-            stack, complements, ranges, ranks, crowded = (
-                np.concatenate([a, np.empty_like(a)])
-                for a in (stack, complements, ranges, ranks, crowded))
+            stack, ranks, crowded = (np.concatenate([a, np.empty_like(a)])
+                                     for a in (stack, ranks, crowded))
             below, margin = (np.pad(a, (0, n)) for a in (below, margin))
             tables = np.pad(tables, ((0, 0), (0, n), (0, n)))
         stack[n], ranks[n] = matrix, rank
@@ -350,9 +345,7 @@ def _closure(initial: list[Projector], d: int, eps: float, depth: int):
         # class may lie beyond tol of it
         span = np.full(len(pi), -1)
         if cutoff <= tol:
-            complements[seen:count], ranges[seen:count] = _span_factors(
-                np.linalg.svd(stack[seen:count])[0], ranks[seen:count])
-            span, alpha, gap = _pair_span_dims(stack, complements, ranges, ranks, pi, pj, eps)
+            span, alpha, gap = _pair_span_dims(stack, ranks, pi, pj, eps)
             # the margin of an inclusion is alpha, of any other pair the gap
             up, down = span == ranks[pj], span == ranks[pi]
             below[pi, pj], below[pj, pi] = up, down
@@ -429,36 +422,23 @@ def _members(atoms: list[str], atom_class: list[int], neg: np.ndarray, meet: np.
     return members, operands, enumerated
 
 
-def _pair_span_dims(stack: np.ndarray, complements: np.ndarray, ranges: np.ndarray,
-                    ranks: np.ndarray, i, j, eps: float):
+def _pair_span_dims(stack: np.ndarray, ranks: np.ndarray, i, j, eps: float):
     """``(span, alpha, gap)``: the span dimension of the ranges of classes
-    i_k and j_k for each k, from their matrices ``stack``, their ranks and
-    the premasked factors of their frames (``pragmaql.hilbert._span_factors``),
-    and its margins (see ``_span_dims``).  A pair with a rank-0 or rank-dim
-    class spans r_i + r_j or dim, with alpha 0 and gap 1, and takes no row.
-    Of the others, in chunks of ``_BATCH_ENTRIES // dim**2`` pairs, a pair
-    whose matrices commute within ``pragmaql.hilbert._compatible_tol`` is
-    counted from the trace of their product (``_compatible_span_dims``) and
-    takes no row either; only the rest take one row each of ``_span_dims``,
-    the complement factor of i_k times the range factor of j_k, in chunks of
-    the same size."""
+    i_k and j_k for each k, from their matrices ``stack`` and their ranks,
+    and its margins (see ``pragmaql.hilbert._span_dims``).  A pair with a
+    rank-0 or rank-dim class spans r_i + r_j or dim, with alpha 0 and gap 1,
+    and takes no product.  The others go to ``_span_dims`` in chunks of
+    ``_BATCH_ENTRIES // dim**2`` pairs: one product P_i P_j each, and one row
+    of a values-only SVD each for those whose matrices do not commute."""
     d = stack.shape[-1]
     ri, rj = ranks[i], ranks[j]
     span = np.where((ri == d) | (rj == d), d, ri + rj)
     alpha, gap = np.zeros(len(span)), np.ones(len(span))
     rows = np.flatnonzero((ri > 0) & (ri < d) & (rj > 0) & (rj < d))
     chunk = max(1, _BATCH_ENTRIES // (d * d))
-    rest = [rows[:0]]   # the pairs that do not commute
     for at in range(0, len(rows), chunk):
         k = rows[at:at + chunk]
-        compatible, *counts = _compatible_span_dims(stack[i[k]], ri[k], stack[j[k]], rj[k], eps)
-        c = k[compatible]
-        span[c], alpha[c], gap[c] = counts
-        rest.append(k[~compatible])
-    rest = np.concatenate(rest)
-    for at in range(0, len(rest), chunk):
-        k = rest[at:at + chunk]
-        span[k], alpha[k], gap[k] = _span_dims(complements[i[k]], ri[k], ranges[j[k]], eps)
+        span[k], alpha[k], gap[k] = _span_dims(stack[i[k]], ri[k], stack[j[k]], rj[k], eps)
     return span, alpha, gap
 
 
@@ -563,13 +543,16 @@ def verify_isomorphism(lat: QuotientLattice) -> LawReport:
     right when M is below i and j and has rank r_i + r_j - s_ij, and the
     join entry J when i and j are below J and J has rank s_ij.  By
     Grassmann's identity, dim(U meet W) + dim(U join W) = dim U + dim W,
-    this forces M = U meet W and J = U join W.  Ranks and frames come
-    from one full SVD of the class matrices, not from their stored ranks
-    or from generation; s_ij from generation's count (``_pair_span_dims``)
-    on those frames: r_i + r_j or dim for a pair with the bottom or top
-    class, r_i + r_j - tr(P_i P_j) for a pair whose matrices commute, and
-    one row of a values-only SVD for every other unordered pair, which
-    checks both table[i, j] and table[j, i].  The count is
+    this forces M = U meet W and J = U join W.  Ranks come from one full
+    SVD of the class matrices, not from their stored ranks or from
+    generation, and so do the projectors V Vᴴ onto each class's leading
+    singular vectors V: idempotent to rounding, as generation's classes
+    are, where an imported matrix may be off by the tolerance policy's
+    eps * dim, which the count would read as an angle; s_ij from
+    generation's count (``_pair_span_dims``) on those: r_i + r_j or dim for a pair with the bottom or top class,
+    r_i + r_j - tr(P_i P_j) for a pair whose matrices commute, and one row
+    of a values-only SVD of P_j - P_i P_j for every other unordered pair,
+    which checks both table[i, j] and table[j, i].  The count is
     trusted as far as generation's order rule trusts it: an entry that is
     neither operand nor of rank 0 or dim passes by count only where
     sqrt(alpha_Mi² + alpha_Mj²) / sqrt(1 - cos theta_min) is at most the
@@ -608,11 +591,13 @@ def verify_isomorphism(lat: QuotientLattice) -> LawReport:
             return fail(aspect, *found)
     # the order check passed, so ``below`` is the class order
     cutoff = _rank_cutoff(lat.eps, d)
-    frames, s, _ = np.linalg.svd(stack)
+    u, s, _ = np.linalg.svd(stack)
     ranks = np.count_nonzero(s > cutoff, axis=1)
+    v = np.where(np.arange(d) < ranks[:, None, None], u, 0)
+    exact = v @ v.conj().swapaxes(1, 2)
     i, j = np.triu_indices(n, 1)
     span, alpha, gap = np.diag(ranks), np.zeros((n, n)), np.ones((n, n))
-    counts = _pair_span_dims(stack, *_span_factors(frames, ranks), ranks, i, j, lat.eps)
+    counts = _pair_span_dims(exact, ranks, i, j, lat.eps)
     for table, values in zip((span, alpha, gap), counts):
         table[i, j] = table[j, i] = values
     x = np.arange(n)
@@ -634,7 +619,7 @@ def verify_isomorphism(lat: QuotientLattice) -> LawReport:
         chunk = max(1, _BATCH_ENTRIES // (2 * d * d))
         for at in range(0, len(a), chunk):
             e = slice(at, at + chunk)
-            mats, _ = _pair_spans(stack[lo[e]], stack[hi[e]], lat.eps, k == 0)
+            mats, _ = _pair_spans(exact[lo[e]], exact[hi[e]], lat.eps, k == 0)
             bad[a[e], b[e], k] = _deviation(mats, stack[table[a[e], b[e]]]) > lat.class_tol
     found = _first(bad)
     if found is not None:

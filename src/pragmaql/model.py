@@ -153,7 +153,7 @@ def load_model(document) -> Model:
     complex entries, and each state and property on its own.  States are
     normalized when their norm is within 1e-6 of 1, and rejected
     otherwise; properties become projectors of dimension ``dim`` (matrix
-    forms checked within eps).  The built model then raises the first
+    forms checked within eps, then made exact by ``make_projector``).  The built model then raises the first
     error ``validate_model`` reports, as ``ModelError`` with its code.
     """
     if not isinstance(document, dict):

@@ -14,7 +14,7 @@ import pragmaql.cli
 from pragmaql import bundled_model_document
 from pragmaql.cli import run
 
-from helpers import blocksum, child_env, seeded_c3_triple
+from helpers import blocksum, child_env, mutated, seeded_c3_triple
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -523,40 +523,6 @@ def test_parse_of_a_chain_nested_past_the_recursion_limit_is_one_error_line(caps
 
 # ---------------------------------------------------------------------------
 # seeded malformed documents
-
-# values a fault puts in place of one node: extreme and non-finite numbers,
-# and every other JSON type
-ODD_VALUES = [1e308, -1e308, 5e-324, 0, -1, 2**70, float("inf"), float("nan"), 2.5, "x", "",
-              None, True, [], {}, [[1, 0]], {"span": []}]
-
-
-def mutated(document, rng):
-    """The JSON text of ``document`` with one seeded fault at a node drawn
-    from all of its nodes: the node replaced by an odd value, deleted, or
-    nested in lists, 3 or 40 deep (a value of the wrong shape) or 3,000 deep
-    (past what the JSON decoder reads)."""
-    doc = json.loads(json.dumps(document))
-    nodes = []   # (container, key) of every node but the root
-
-    def walk(node):
-        keys = node.keys() if isinstance(node, dict) else range(len(node))
-        for key in list(keys):
-            nodes.append((node, key))
-            if isinstance(node[key], (dict, list)):
-                walk(node[key])
-
-    walk(doc)
-    container, key = nodes[int(rng.integers(len(nodes)))]
-    fault = int(rng.integers(3))
-    if fault == 0:
-        container[key] = ODD_VALUES[int(rng.integers(len(ODD_VALUES)))]
-    elif fault == 1:
-        del container[key]
-    else:
-        depth = (3, 40, 3000)[int(rng.integers(3))]
-        inner, container[key] = json.dumps(container[key]), "nested"
-        return json.dumps(doc).replace('"nested"', "[" * depth + inner + "]" * depth, 1)
-    return json.dumps(doc)
 
 
 def run_quietly(argv):

@@ -36,10 +36,11 @@ from pragmaql.hilbert import (
     _pair_spans,
     _random_states,
     _span_dims,
-    _span_factors,
     decode_array,
     encode_array,
 )
+
+from helpers import defective_planes
 
 P_Z = make_projector(np.diag([1.0, 0.0]).astype(complex))
 P_X = make_projector(np.full((2, 2), 0.5, dtype=complex))
@@ -93,6 +94,23 @@ def test_matrix_validation():
     with pytest.raises(ProjectorError) as exc:
         make_projector(np.eye(2, dtype=complex), dim=3)
     assert exc.value.code == "dimension-mismatch"
+
+
+@pytest.mark.parametrize("d", [3, 4, 8, 16])
+def test_a_matrix_projector_is_idempotent_to_rounding(d):
+    # a matrix with a range eigenvalue 1 - 0.9 d eps passes the check; the
+    # projector made from it is the one onto its leading singular vectors,
+    # within eps of it, built with both bases
+    _, raw = defective_planes(d)
+    p = make_projector(raw)
+    assert p.rank == 2
+    assert _deviation(p.matrix, raw) <= DEFAULT_EPS
+    assert _deviation(p.matrix @ p.matrix, p.matrix) <= d * np.finfo(float).eps
+    assert _deviation(raw @ raw, raw) > d * np.finfo(float).eps
+    b, c = p.basis(), p._complement_basis()
+    assert b.shape == (d, 2) and c.shape == (d, d - 2)
+    assert np.allclose(np.hstack([b, c]).conj().T @ np.hstack([b, c]), np.eye(d), atol=1e-14)
+    assert np.allclose(b @ b.conj().T, p.matrix, atol=1e-15)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -716,30 +734,33 @@ def _near_span_pairs(dim, count):
             for rank in range(1, dim) for _ in range(count)]
 
 
-def span_dims(fa, ra, fb, rb):
-    """``_span_dims`` of the frames ``fa`` and ``fb`` of ranks ``ra`` and
-    ``rb``, through the premasked factors that generation keeps per class."""
-    return _span_dims(_span_factors(fa, ra)[0], ra, _span_factors(fb, rb)[1], DEFAULT_EPS)
+def span_dims(pairs):
+    """``_span_dims`` of the projector pairs ``pairs``, stacked."""
+    (a, ra), (b, rb) = ((np.stack([pair[k].matrix for pair in pairs]),
+                         np.array([pair[k].rank for pair in pairs])) for k in (0, 1))
+    return _span_dims(a, ra, b, rb, DEFAULT_EPS)
 
 
 @pytest.mark.parametrize("dim", range(2, 17))
 def test_span_count_is_the_rank_of_join(dim):
     # generation and verification count a pair's span dimension from the
-    # sines of its principal angles, on frames from an SVD of each matrix;
-    # it must be the rank of ``join``, which counts on the range bases
-    # [B_p | B_q], on every rank pair (0 and dim included) and on pairs
-    # whose span straddles the rank cutoff
+    # trace of P Q where the two commute, and from the sines of its principal
+    # angles, the singular values of Q - P Q, where they do not; it must be
+    # the rank of ``join``, which counts on the range bases [B_p | B_q], on
+    # every rank pair (0 and dim included) and on pairs whose span straddles
+    # the rank cutoff
     projs, i, j = _kernel_cases(dim)
     near = _near_span_pairs(dim, 24)
     for pairs in ([(projs[x], projs[y]) for x, y in zip(i, j)], near):
-        (fa, ra), (fb, rb) = (
-            (np.linalg.svd(np.stack([pair[k].matrix for pair in pairs]))[0],
-             np.array([pair[k].rank for pair in pairs])) for k in (0, 1))
-        span = span_dims(fa, ra, fb, rb)[0].tolist()
+        span = span_dims(pairs)[0].tolist()
         assert span == [join(p, q, DEFAULT_EPS).rank for p, q in pairs]
     # the near pairs, counted last, fall on both sides of the cutoff at every rank
     outcomes = set(zip((p.rank for p, _ in near), span))
     assert all({(r, r), (r, r + 1)} <= outcomes for r in range(1, dim))
+
+
+def _outer(columns):
+    return columns @ columns.conj().T
 
 
 @pytest.mark.parametrize("dim", range(2, 17))
@@ -747,44 +768,41 @@ def test_span_count_turns_at_the_sine_cutoff(dim):
     # the rank cutoff c on the stacked [P; Q] is the cutoff c sqrt(2 - c^2)
     # on the sines of the principal angles: a rank-r range with one vector
     # turned out of it by a sine 1% above that spans r + 1 with the range,
-    # and by a sine 1% below it r.  The frames are exact: the unitary u,
-    # and u with the turned column and the one it turns toward rotated.
-    # The margins follow the turned sine: below the cutoff it is alpha and
-    # no angle is kept (gap 1, at 90 degrees); above it alpha is rounding
-    # and the gap is sqrt(1 - cos theta)
+    # and by a sine 1% below it r.  The ranges are the first r columns of
+    # the unitary u, and of u with the turned column and the one it turns
+    # toward rotated.  The margins follow the turned sine: below the cutoff
+    # it is alpha and no angle is kept (gap 1, at 90 degrees); above it
+    # alpha is the rounding of the zero singular values of Q - P Q, a few
+    # units of machine epsilon per dim, and the gap is sqrt(1 - cos theta)
     c = DEFAULT_EPS * np.sqrt(dim)
     cases = []
     for rank in range(1, dim):
         for factor, span in ((1.01, rank + 1), (0.99, rank)):
             theta = np.arcsin(factor * c * np.sqrt(2 - c * c))
             u, turned = turned_basis(dim, rank, 100 * dim + rank, theta)
-            v = u.copy()
-            v[:, :rank] = turned
-            v[:, rank] = np.cos(theta) * u[:, rank] - np.sin(theta) * u[:, rank - 1]
+            a, b = _outer(u[:, :rank]), _outer(turned)
             # sqrt(1 - cos theta), which rounds to 0 as written at these angles
             alpha, gap = (0.0, np.sqrt(2) * np.sin(theta / 2)) if factor > 1 else (np.sin(theta), 1.0)
-            cases += [(u, v, rank, span, alpha, gap), (v, u, rank, span, alpha, gap)]
-    fa, fb, ranks, expected, alpha, gap = (np.array(side) for side in zip(*cases))
-    found = span_dims(fa, ranks, fb, ranks)
+            cases += [(a, b, rank, span, alpha, gap), (b, a, rank, span, alpha, gap)]
+    a, b, ranks, expected, alpha, gap = (np.array(side) for side in zip(*cases))
+    found = _span_dims(a, ranks, b, ranks, DEFAULT_EPS)
     assert (found[0] == expected).all()
-    np.testing.assert_allclose(found[1], alpha, rtol=1e-6, atol=1e-15)
+    np.testing.assert_allclose(found[1], alpha, rtol=1e-6, atol=dim * np.finfo(float).eps)
     np.testing.assert_allclose(found[2], gap, rtol=1e-6)
 
 
 def test_span_margins_of_exact_pairs():
     # lines of C^3 at a right angle, at 60 degrees and one line twice: no
-    # sine is dropped, so alpha is 0, and the gap is sqrt(1 - cos theta) of
-    # the smallest kept angle, 1 where none is kept
+    # sine is dropped, so alpha is 0 up to rounding, and the gap is
+    # sqrt(1 - cos theta) of the smallest kept angle, 1 where none is kept.
+    # The lines at a right angle and the repeated line commute, and are
+    # counted from the trace of their product
     e = np.eye(3)
-    turned = e[:, [1, 0, 2]].copy()
-    turned[:, 0] = (e[:, 0] + np.sqrt(3) * e[:, 1]) / 2
-    turned[:, 1] = (np.sqrt(3) * e[:, 0] - e[:, 1]) / 2
-    fa = np.stack([e, e, e]).astype(complex)
-    fb = np.stack([e[:, [1, 0, 2]], turned, e]).astype(complex)
-    one = np.ones(3, dtype=int)
-    span, alpha, gap = span_dims(fa, one, fb, one)
+    line = lambda v: make_projector(_outer(np.array(v, dtype=complex)[:, None]))
+    x, y, turned = line(e[0]), line(e[1]), line((e[0] + np.sqrt(3) * e[1]) / 2)
+    span, alpha, gap = span_dims([(x, y), (x, turned), (x, x)])
     assert span.tolist() == [2, 2, 1]
-    assert alpha.tolist() == [0.0, 0.0, 0.0]
+    assert alpha[[0, 2]].tolist() == [0.0, 0.0] and alpha[1] <= 3 * np.finfo(float).eps
     np.testing.assert_allclose(gap, [1.0, np.sqrt(0.5), 1.0], rtol=1e-12)
 
 

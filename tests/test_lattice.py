@@ -1,9 +1,11 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
 import json
 import re
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from pragmaql import (
     LawReport,
     ModelError,
     ParseError,
+    ProjectorError,
     QuotientLattice,
     UnknownNameError,
     bundled_model,
@@ -45,7 +48,9 @@ from pragmaql import (
 
 from pragmaql.hilbert import _pair_spans, join, leq, meet
 
-from helpers import blocksum, o6_fixture, seeded_c3_triple
+from helpers import (
+    blocksum, defective_planes, frame_span_dims, mutated, o6_fixture, seeded_c3_triple,
+)
 
 
 def find_class(lat, projector, tol=1e-8):
@@ -180,15 +185,14 @@ BUNDLED_LATTICES = [
 
 
 def span_margins(lat):
-    """``{(i, j): (span, alpha, gap)}`` that ``_span_dims`` gives each pair
-    i < j of classes other than bottom and top, every pair one row of it,
-    commuting or not, on frames from one full SVD of the class matrices."""
+    """``{(i, j): (span, alpha, gap)}`` of the frame reference
+    (``helpers.frame_span_dims``) for each pair i < j of classes other than
+    bottom and top, every pair one row of it, commuting or not."""
     stack = np.stack([lat.projector(c).matrix for c in range(len(lat))])
     d = stack.shape[1]
     ranks = np.array([lat.projector(c).rank for c in range(len(lat))])
-    complements, ranges = pragmaql.hilbert._span_factors(np.linalg.svd(stack)[0], ranks)
     i, j = inner_pair_indices(ranks, d, 0, len(lat))
-    found = pragmaql.hilbert._span_dims(complements[i], ranks[i], ranges[j], lat.eps)
+    found = frame_span_dims(stack[i], ranks[i], stack[j], ranks[j], lat.eps)
     return dict(zip(zip(i.tolist(), j.tolist()), zip(*found)))
 
 
@@ -240,12 +244,13 @@ def order_named_entries(lat, margins, made):
 @pytest.mark.parametrize("name, atoms, depth", BUNDLED_LATTICES)
 def test_generation_takes_a_rank_row_per_pair_that_does_not_commute_and_kernel_rows_for_the_rest(
         all_models, monkeypatch, name, atoms, depth):
-    # each unordered pair i < j of classes other than bottom and top whose
-    # matrices do not commute is one row of the values-only rank SVD, with
-    # the count and margins that row gives on its own; a commuting pair is
-    # counted from the trace and takes none.  The kernel then takes exactly
-    # the entries that neither the rank count nor the order of the classes
-    # by count names a class for, with the margins of a row for every pair
+    # each unordered pair i < j of classes other than bottom and top is
+    # counted once, in its round; a pair whose matrices do not commute takes
+    # one row of the values-only rank SVD, and a commuting pair is counted
+    # from the trace and takes none.  The counts are the frame reference's,
+    # and so is every decision of the order rule on their margins.  The
+    # kernel then takes exactly the entries that neither the rank count nor
+    # the order of the classes by count names a class for
     calls = record_svds(monkeypatch)
     kernel = {"meet": 0, "join": 0}
     pair_spans = pragmaql.lattice._pair_spans
@@ -260,20 +265,27 @@ def test_generation_takes_a_rank_row_per_pair_that_does_not_commute_and_kernel_r
     assert_no_class_near_a_threshold(lat)
     n, d = len(lat), lat.projector(0).dim
     ranks = np.array([lat.projector(c).rank for c in range(n)])
-    apart, margins = ~commuting_pairs(lat), span_margins(lat)
-    rows, pairs, made, seen = [], [], [], 0   # made[j]: the class count before j's round
-    for calls_of_round in generation_rounds(calls, d):
-        count = seen + calls_of_round[0][0][0]
-        rows += [row for call in calls_of_round if call[0] == "rows" for row in zip(*call[3])]
-        i, j = inner_pair_indices(ranks, d, seen, count, apart)
-        pairs += zip(i.tolist(), j.tolist())
+    apart, reference = ~commuting_pairs(lat), span_margins(lat)
+    margins, rows, made, seen = {}, 0, [], 0   # made[j]: the class count before j's round
+    for calls_of_round in generation_rounds(calls):
+        count = round_count(calls_of_round)
+        i, j = inner_pair_indices(ranks, d, seen, count)
+        found = [row for call in calls_of_round if call[0] == "span" for row in zip(*call[3])]
+        assert len(found) == len(i)
+        margins.update(zip(zip(i.tolist(), j.tolist()), found))
+        assert svd_rows(calls_of_round, d) == int(apart[i, j].sum())
+        rows += svd_rows(calls_of_round, d)
         made += [count] * (count - seen)
         seen = count
     # a class and its negation commute, so some inner pairs take no row
-    assert len(pairs) < len(margins) == n * (n - 1) // 2 - (2 * n - 3)
-    assert rows == [margins[pair] for pair in pairs]
+    assert 0 < rows < len(margins) == len(reference) == n * (n - 1) // 2 - (2 * n - 3)
+    assert {pair: found[0] for pair, found in margins.items()} == \
+        {pair: found[0] for pair, found in reference.items()}
     meet_named, join_named = named_entries(lat)
     meet_ordered, join_ordered = order_named_entries(lat, margins, made)
+    for mine, theirs in zip((meet_ordered, join_ordered),
+                            order_named_entries(lat, reference, made)):
+        assert np.array_equal(mine, theirs)
     assert not (meet_named & meet_ordered).any() and not (join_named & join_ordered).any()
     # in MO2 every entry is an operand, bottom or top
     assert meet_ordered.any() and join_ordered.any() or name == "qubit-zx"
@@ -281,45 +293,67 @@ def test_generation_takes_a_rank_row_per_pair_that_does_not_commute_and_kernel_r
                       "join": int((~join_named & ~join_ordered).sum())}
 
 
-def factor_ranks(ranges):
-    """The ranks of the frames whose premasked range factors (``_span_dims``'s
-    third argument) are ``ranges``: the count of their nonzero columns, as a
-    frame's range columns are unit vectors and its others are zeroed."""
-    return np.count_nonzero((ranges != 0).any(axis=1), axis=1)
-
-
 def record_svds(monkeypatch):
     """A list that each later ``np.linalg.svd`` call appends its
-    ``(shape, compute_uv, full_matrices)`` to, and each call of the
-    lattice module's ``_span_dims``, which generation and verification
-    both call through ``_pair_span_dims``, ``("rows", ranks a, ranks b,
-    (span, alpha, gap))``."""
+    ``(shape, compute_uv, full_matrices)`` to.  Each call of the lattice
+    module's ``_pair_span_dims``, which generation makes once a round and
+    verification once, appends ``("pairs", i, j)`` before the calls it
+    makes, and each of its ``_span_dims`` calls ``("span", ranks a, ranks
+    b, (span, alpha, gap))``."""
     calls = []
     svd, span_dims = np.linalg.svd, pragmaql.lattice._span_dims
+    pair_span_dims = pragmaql.lattice._pair_span_dims
 
     def counted_svd(a, full_matrices=True, compute_uv=True, **kwargs):
         calls.append((np.shape(a), compute_uv, full_matrices))
         return svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
 
-    def counted_rows(complements, ra, ranges, eps):
-        found = span_dims(complements, ra, ranges, eps)
-        calls.append(("rows", ra.tolist(), factor_ranks(ranges).tolist(), found))
+    def counted_pairs(stack, ranks, i, j, eps):
+        calls.append(("pairs", i.tolist(), j.tolist()))
+        return pair_span_dims(stack, ranks, i, j, eps)
+
+    def counted_span(a, ra, b, rb, eps):
+        found = span_dims(a, ra, b, rb, eps)
+        calls.append(("span", ra.tolist(), rb.tolist(), found))
         return found
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
-    monkeypatch.setattr(pragmaql.lattice, "_span_dims", counted_rows)
+    monkeypatch.setattr(pragmaql.lattice, "_pair_span_dims", counted_pairs)
+    monkeypatch.setattr(pragmaql.lattice, "_span_dims", counted_span)
     return calls
 
 
-def generation_rounds(calls, d):
-    """``calls`` of ``record_svds`` split at each round's full ``(k, d, d)``
-    frame SVD, which begins the round's list."""
+def generation_rounds(calls):
+    """``calls`` of ``record_svds`` split at each round's ``("pairs", i, j)``,
+    which begins the round's list."""
     rounds = []
     for call in calls:
-        if call[1:] == (True, True) and call[0][1:] == (d, d):
+        if call[0] == "pairs":
             rounds.append([])
         rounds[-1].append(call)
     return rounds
+
+
+def round_count(calls_of_round):
+    """The class count of a round: one past its last class j, as every new
+    class j > 0 of a round is paired with class 0."""
+    return max(calls_of_round[0][2]) + 1
+
+
+def svd_rows(calls, d):
+    """The rows of the values-only ``(k, d, d)`` SVDs among ``calls``."""
+    return sum(call[0][0] for call in calls if call[1:] == (False, True)
+               and len(call[0]) == 3 and call[0][1:] == (d, d))
+
+
+def rows_by_chunk(ranks, d, seen, count, apart, chunk):
+    """The SVD rows that ``_pair_span_dims`` takes for each chunk of
+    ``chunk`` of the pairs of ``inner_pair_indices``: one per pair whose
+    matrices do not commute (``apart``), and no SVD for a chunk with none."""
+    i, j = inner_pair_indices(ranks, d, seen, count)
+    far = apart[i, j]
+    return [int(far[at:at + chunk].sum()) for at in range(0, len(far), chunk)
+            if far[at:at + chunk].any()]
 
 
 def inner_pair_indices(ranks, d, seen, count, apart=None):
@@ -343,29 +377,32 @@ def inner_pairs(ranks, d, seen, count, apart=None):
 @pytest.mark.parametrize("name, atoms, depth", BUNDLED_LATTICES)
 def test_span_rows_leave_out_the_bottom_and_top_classes(all_models, monkeypatch,
                                                        name, atoms, depth):
-    # a pair with the bottom or the top class spans r_i + r_j or dim, and a
-    # commuting pair r_i + r_j - tr(P_i P_j), so neither side sends either
-    # to the rank SVD: each generation round sends its other pairs, and
-    # verification those of all n(n-1)/2 - (2n-3) pairs without bottom or
-    # top whose matrices do not commute
+    # a pair with the bottom or the top class spans r_i + r_j or dim, so
+    # neither side forms its product: each generation round sends its other
+    # pairs to ``_span_dims``, and verification all n(n-1)/2 - (2n-3) pairs
+    # without bottom or top.  A commuting pair is counted from the trace of
+    # its product, so only the others take a row of the rank SVD
     calls = record_svds(monkeypatch)
     lat = generate_quotient(all_models[name], atoms, depth)
     n, d = len(lat), lat.projector(0).dim
     ranks = np.array([lat.projector(c).rank for c in range(n)])
     apart = ~commuting_pairs(lat)
     seen, total = 0, 0
-    for calls_of_round in generation_rounds(calls, d):
-        count = seen + calls_of_round[0][0][0]
-        sent = [pair for call in calls_of_round if call[0] == "rows"
+    for calls_of_round in generation_rounds(calls):
+        count = round_count(calls_of_round)
+        sent = [pair for call in calls_of_round if call[0] == "span"
                 for pair in zip(call[1], call[2])]
-        assert sent == inner_pairs(ranks, d, seen, count, apart)
-        seen, total = count, total + len(sent)
+        assert sent == inner_pairs(ranks, d, seen, count)
+        assert svd_rows(calls_of_round, d) == len(inner_pairs(ranks, d, seen, count, apart))
+        seen, total = count, total + svd_rows(calls_of_round, d)
     assert seen == n and 0 < total < n * (n - 1) // 2 - (2 * n - 3)
     calls.clear()
     assert verify_isomorphism(lat).holds
-    sent = [pair for call in calls if call[0] == "rows" for pair in zip(call[1], call[2])]
-    assert sent == inner_pairs(ranks, d, 0, n, apart)
-    assert len(sent) == total
+    sent = [pair for call in calls if call[0] == "span" for pair in zip(call[1], call[2])]
+    assert sent == inner_pairs(ranks, d, 0, n)
+    # the class stack's own SVD is a full one, for its ranks and projectors
+    assert [call for call in calls if call[1:] == (True, True)] == [((n, d, d), True, True)]
+    assert svd_rows(calls, d) == total
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -416,10 +453,10 @@ def test_class_tol_that_merges_in_the_other_atom_order_leaves_laws_failing():
 ])
 def test_generation_svds_are_its_rank_chunks_and_its_kernel_calls(monkeypatch, name, atoms):
     # a fresh model, so no projector arrives with its basis already cached
-    # and any basis generation computed would be counted.  It keeps none:
-    # each round takes one full SVD of its new classes for their frames,
-    # then one values-only (k, dim, dim) SVD per chunk of its pairs whose
-    # matrices do not commute, for their span counts, then one stacked
+    # and any basis generation computed would be counted.  It keeps none,
+    # and takes no full SVD of its class matrices: each round takes one
+    # values-only (k, dim, dim) SVD per chunk of its pairs, of the k in it
+    # whose matrices do not commute, for their span counts, then one stacked
     # (k, 2 dim, dim) SVD per call of the batched kernel, and nothing else
     # makes one
     model = bundled_model(name)
@@ -437,14 +474,13 @@ def test_generation_svds_are_its_rank_chunks_and_its_kernel_calls(monkeypatch, n
     ranks = np.array([lat.projector(c).rank for c in range(n)])
     apart = ~commuting_pairs(lat)
     chunk = pragmaql.lattice._BATCH_ENTRIES // (d * d)
-    calls = [call for call in calls if call[0] != "rows"]
     seen, kernels, total = 0, 0, 0
-    for calls_of_round in generation_rounds(calls, d):
-        count = seen + calls_of_round[0][0][0]
-        rows = len(inner_pairs(ranks, d, seen, count, apart))
-        total += rows
-        head = [((count - seen, d, d), True, True)] + [
-            ((min(chunk, rows - at), d, d), False, True) for at in range(0, rows, chunk)]
+    for calls_of_round in generation_rounds(calls):
+        count = round_count(calls_of_round)
+        calls_of_round = [call for call in calls_of_round[1:] if call[0] != "span"]
+        rows = rows_by_chunk(ranks, d, seen, count, apart, chunk)
+        total += sum(rows)
+        head = [((k, d, d), False, True) for k in rows]
         assert calls_of_round[:len(head)] == head
         kernel = calls_of_round[len(head):]
         sizes = [call[1] for call in kernel if call[0] == "kernel"]
@@ -737,16 +773,53 @@ def count_decisions(lat, span, alpha, gap):
     return [trusted[fits & below[c, i] & below[c, j]], trusted[fits & below[i, c] & below[j, c]]]
 
 
+@pytest.mark.parametrize("d", [3, 4, 8, 16])
+def test_an_accepted_idempotence_defect_is_no_angle(d):
+    # P's document matrix is off idempotent by an eigenvalue defect on the
+    # line v it shares with Q that is past the sine cutoff: counted from
+    # that matrix, Q - PQ keeps it as a sine and the pair spans 4, not 3,
+    # though the frame reference, whose bases are exactly orthonormal,
+    # counts 3.  The model's projector is exact, so generation's counts
+    # equal the reference's, the atoms meet in a line and join in a 3-space,
+    # and verification holds, also on an import of the document matrix
+    document, raw = defective_planes(d)
+    q = pragmaql.load_model(document).atom_projector("b")
+    two = np.array([2])
+    assert pragmaql.hilbert._span_dims(raw[None], two, q.matrix[None], two, 1e-9)[0] == [4]
+    assert frame_span_dims(raw[None], two, q.matrix[None], two, 1e-9)[0] == [3]
+    model = pragmaql.load_model(document)
+    lat = generate_quotient(model, ["a", "b"], 1)
+    n = len(lat)
+    stack = np.stack([lat.projector(c).matrix for c in range(n)])
+    ranks = np.array([lat.projector(c).rank for c in range(n)])
+    i, j = np.triu_indices(n, 1)
+    inner = (ranks[i] > 0) & (ranks[i] < d) & (ranks[j] > 0) & (ranks[j] < d)
+    i, j = i[inner], j[inner]
+    counted = pragmaql.lattice._pair_span_dims(stack, ranks, i, j, lat.eps)[0]
+    assert np.array_equal(counted, frame_span_dims(stack[i], ranks[i], stack[j], ranks[j],
+                                                   lat.eps)[0])
+    p, q = model.atom_projector("a"), model.atom_projector("b")
+    a, b = 0, 1   # the atoms' classes come first
+    assert lat.projector(lat.meet_table[a, b]).rank == meet(p, q).rank == 1
+    assert lat.projector(lat.join_table[a, b]).rank == join(p, q).rank == 3
+    assert verify_isomorphism(lat).holds
+    doc = export_lattice(lat, "structured")
+    doc["elements"][a]["projector"] = pragmaql.hilbert.encode_array(raw)
+    back = import_lattice(doc)
+    assert np.array_equal(back.projector(a).matrix, raw)
+    assert verify_isomorphism(back).holds
+
+
 @pytest.mark.parametrize("family", ["exports", "bundled", "block-sum", "crowded", "one-range",
                                     "coarse", "wide-cutoff", "ill-conditioned"])
 def test_commuting_pairs_are_counted_as_their_rank_rows_count_them(all_models, monkeypatch,
                                                                    family):
     # on every pair, the span count of _pair_span_dims, which takes a
-    # commuting pair's from the trace of its product, equals the count of
-    # its own row of _span_dims; and every decision of the order rule's
-    # bound comes out the same on the margins of either.  The 12-class
-    # lattice that generation closes with the bound off has entries that
-    # the bound refuses
+    # commuting pair's from the trace of its product and any other's from
+    # the singular values of Q - P Q, equals the count of its own row of the
+    # frame reference; and every decision of the order rule's bound comes
+    # out the same on the margins of either.  The 12-class lattice that
+    # generation closes with the bound off has entries that the bound refuses
     if family == "exports":
         lattices = (generate_quotient(all_models[name], list(atoms), depth)
                     for name, atoms, depth in EXPORT_DIGESTS)
@@ -762,14 +835,13 @@ def test_commuting_pairs_are_counted_as_their_rank_rows_count_them(all_models, m
         stack = np.stack([lat.projector(c).matrix for c in range(n)])
         ranks = np.array([lat.projector(c).rank for c in range(n)])
         d = stack.shape[1]
-        complements, ranges = pragmaql.hilbert._span_factors(np.linalg.svd(stack)[0], ranks)
         i, j = np.triu_indices(n, 1)
-        counted = pragmaql.lattice._pair_span_dims(stack, complements, ranges, ranks, i, j,
-                                                   lat.eps)
+        counted = pragmaql.lattice._pair_span_dims(stack, ranks, i, j, lat.eps)
         inner = (ranks[i] > 0) & (ranks[i] < d) & (ranks[j] > 0) & (ranks[j] < d)
-        reference = [a.copy() for a in counted]
-        for table, values in zip(reference, pragmaql.hilbert._span_dims(
-                complements[i[inner]], ranks[i[inner]], ranges[j[inner]], lat.eps)):
+        a, b = i[inner], j[inner]
+        reference = [x.copy() for x in counted]
+        for table, values in zip(reference, frame_span_dims(stack[a], ranks[a], stack[b],
+                                                            ranks[b], lat.eps)):
             table[inner] = values
         full = []
         for found in (counted, reference):
@@ -780,9 +852,9 @@ def test_commuting_pairs_are_counted_as_their_rank_rows_count_them(all_models, m
         assert np.array_equal(full[0][0], full[1][0]), family
         for new, old in zip(count_decisions(lat, *full[0]), count_decisions(lat, *full[1])):
             assert np.array_equal(new, old), family
-        took = pragmaql.hilbert._compatible_span_dims(stack[i[inner]], ranks[i[inner]],
-                                                      stack[j[inner]], ranks[j[inner]],
-                                                      lat.eps)[0]
+        product = stack[a] @ stack[b]
+        took = np.abs(product - product.conj().swapaxes(1, 2)).max(axis=(1, 2)) <= \
+            pragmaql.hilbert._compatible_tol(lat.eps, d)
         compatible, rows = compatible + int(took.sum()), rows + int((~took).sum())
     # every family has pairs of both kinds: a class and its negation commute
     assert rows > 0 and compatible > 0
@@ -801,21 +873,18 @@ def commutator_pair(d, t, turned):
 
 def pair_span_rows(monkeypatch, stack, eps):
     """``(span, alpha, gap)`` that ``_pair_span_dims`` gives the rank-1
-    classes of ``stack``, the number of ``_span_dims`` rows it took, and the
-    ``(span, alpha, gap)`` of one ``_span_dims`` row for the pair."""
+    classes of ``stack``, the number of SVD rows it took, and the ``(span,
+    alpha, gap)`` of the frame reference's row for the pair."""
     ranks = np.array([1, 1])
-    complements, ranges = pragmaql.hilbert._span_factors(np.linalg.svd(stack)[0], ranks)
-    row = [v[0] for v in pragmaql.hilbert._span_dims(complements[:1], ranks[:1], ranges[1:],
-                                                     eps)]
-    taken, span_dims = [], pragmaql.lattice._span_dims
+    row = [v[0] for v in frame_span_dims(stack[:1], ranks[:1], stack[1:], ranks[1:], eps)]
+    taken, svd = [], np.linalg.svd
 
-    def counted(complements, ra, ranges, eps):
-        taken.append(len(ra))
-        return span_dims(complements, ra, ranges, eps)
+    def counted(a, *args, **kwargs):
+        taken.append(len(a))
+        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(pragmaql.lattice, "_span_dims", counted)
-    found = pragmaql.lattice._pair_span_dims(stack, complements, ranges, ranks, np.array([0]),
-                                             np.array([1]), eps)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    found = pragmaql.lattice._pair_span_dims(stack, ranks, np.array([0]), np.array([1]), eps)
     monkeypatch.undo()
     return [v[0] for v in found], sum(taken), row
 
@@ -825,9 +894,10 @@ def pair_span_rows(monkeypatch, stack, eps):
 @pytest.mark.parametrize("factor", [0.1, 1.0, 10.0])
 def test_a_pair_commuting_within_tau_takes_no_rank_row(monkeypatch, d, turned, factor):
     # at a commutator of 0.1 and 1 times tau the pair is counted from the
-    # trace, at 10 times tau by its row; the count is the row's either way.
-    # Within tau alpha and gap bound the exact sine t and sqrt(1 - cos)
-    # from the safe side.  The row's gap near 90 degrees reads cos as
+    # trace, at 10 times tau by its row; the count is the frame reference's
+    # either way, and a row's alpha is the reference's up to the rounding of
+    # a d x d product.  Within tau alpha and gap bound the exact sine t and
+    # sqrt(1 - cos) from the safe side.  A gap near 90 degrees reads cos as
     # sqrt(1 - sin²), which rounding moves by about 1e-8
     eps = 1e-9
     t = factor * pragmaql.hilbert._compatible_tol(eps, d)
@@ -837,7 +907,7 @@ def test_a_pair_commuting_within_tau_takes_no_rank_row(monkeypatch, d, turned, f
     assert taken == (factor > 1)
     assert span == row[0] == 1 + turned
     if factor > 1:
-        assert (alpha, gap) == (row[1], row[2])
+        assert abs(alpha - row[1]) <= d * np.finfo(float).eps and abs(gap - row[2]) < 1e-7
     else:
         sine_cutoff = pragmaql.hilbert._sine_cutoff(eps, d)
         assert max(row[1], 0 if turned else t) <= alpha <= 1.02 * d * t <= sine_cutoff / 98
@@ -1227,22 +1297,14 @@ def test_isomorphism_catches_a_generator_that_drops_rank_one_meets(ququart, monk
     # a corrupted meet still yields a closed, self-consistent table, so only
     # recomputing meets independently of the generator can expose it
     span_dims, pair_spans = pragmaql.lattice._span_dims, pragmaql.lattice._pair_spans
-    compatible_span_dims = pragmaql.lattice._compatible_span_dims
 
     dropped = []
 
     # a span count that matches neither a rank rule nor the order rule sends
-    # the pair to the kernel; both counts are patched, the SVD rows of pairs
-    # that do not commute and the traces of pairs that do, so every pair
-    # whose meet has rank 1 reaches the kernel
-    def undecided(complements, ra, ranges, eps):
-        span, alpha, gap = span_dims(complements, ra, ranges, eps)
-        return np.where(ra + factor_ranks(ranges) - span == 1, -1, span), alpha, gap
-
-    def undecided_compatible(a, ra, b, rb, eps):
-        compatible, span, alpha, gap = compatible_span_dims(a, ra, b, rb, eps)
-        line = ra[compatible] + rb[compatible] - span == 1
-        return compatible, np.where(line, -1, span), alpha, gap
+    # the pair to the kernel, so every pair whose meet has rank 1 reaches it
+    def undecided(a, ra, b, rb, eps):
+        span, alpha, gap = span_dims(a, ra, b, rb, eps)
+        return np.where(ra + rb - span == 1, -1, span), alpha, gap
 
     def lossy(a, b, eps, meet):
         mats, ranks = pair_spans(a, b, eps, meet)
@@ -1253,7 +1315,6 @@ def test_isomorphism_catches_a_generator_that_drops_rank_one_meets(ququart, monk
         return mats, ranks
 
     monkeypatch.setattr(pragmaql.lattice, "_span_dims", undecided)
-    monkeypatch.setattr(pragmaql.lattice, "_compatible_span_dims", undecided_compatible)
     monkeypatch.setattr(pragmaql.lattice, "_pair_spans", lossy)
     lat = generate_quotient(ququart, ["bl", "bd", "bc"], 1)
     # the order rule named none of the lines the kernel would drop
@@ -1283,8 +1344,8 @@ def unbounded_span_dims(monkeypatch):
     and no small angle, which turns the order rule's bound off."""
     span_dims = pragmaql.lattice._span_dims
 
-    def unbounded(complements, ra, ranges, eps):
-        span, alpha, gap = span_dims(complements, ra, ranges, eps)
+    def unbounded(a, ra, b, rb, eps):
+        span, alpha, gap = span_dims(a, ra, b, rb, eps)
         return span, np.zeros_like(alpha), np.ones_like(gap)
 
     monkeypatch.setattr(pragmaql.lattice, "_span_dims", unbounded)
@@ -1363,18 +1424,18 @@ def test_isomorphism_takes_one_row_of_singular_values_per_pair_that_does_not_com
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     assert verify_isomorphism(lat).holds
-    # one full SVD of the n class matrices gives their frames and ranks;
-    # each unordered pair i < j of classes other than bottom and top whose
-    # matrices do not commute then takes one row of a values-only (k, dim,
-    # dim) SVD of its principal-angle block, chunked as in generation,
-    # which checks both of its table entries.  A commuting pair takes none:
-    # every pair of the Boolean coordinate_planes_16d commutes
+    # one full SVD of the n class matrices gives their ranks and the
+    # projectors onto their leading singular vectors; each unordered pair
+    # i < j of classes other than bottom and top whose matrices do not
+    # commute then takes one row of a values-only (k, dim, dim) SVD of
+    # Q - P Q, chunked as in generation, which checks both of its table
+    # entries.  A commuting pair takes none: every pair of the Boolean
+    # coordinate_planes_16d commutes
     ranks = np.array([lat.projector(c).rank for c in range(n)])
-    rows = len(inner_pairs(ranks, d, 0, n, apart))
     chunk = pragmaql.lattice._BATCH_ENTRIES // (d * d)
-    assert calls == [((n, d, d), True)] + [
-        ((min(chunk, rows - at), d, d), False) for at in range(0, rows, chunk)]
-    assert (rows == 0) == (name == "coordinate_planes_16d")
+    rows = rows_by_chunk(ranks, d, 0, n, apart, chunk)
+    assert calls == [((n, d, d), True)] + [((k, d, d), False) for k in rows]
+    assert (rows == []) == (name == "coordinate_planes_16d")
     assert len(calls) > 2 or batch is None
 
 
@@ -1562,6 +1623,60 @@ def test_import_rejects_malformed_documents(mo2):
         with pytest.raises(ModelError) as info:
             import_lattice(doc)
         assert info.value.code == "schema"
+
+
+def turned(document, rng):
+    """The JSON text of ``document`` with the projector of one seeded class,
+    neither bottom nor top, turned by the unitary exp(-i theta H) of a
+    seeded Hermitian H of norm 1, theta log-uniform in [1e-12, 0.1]: still
+    a projector of its rank, commuting with no class it commuted with."""
+    doc = json.loads(json.dumps(document))
+    inner = [c for c in range(len(doc["elements"])) if c not in (doc["bottom"], doc["top"])]
+    element = doc["elements"][inner[int(rng.integers(len(inner)))]]
+    p = pragmaql.hilbert.decode_array(element["projector"], 2)
+    d = len(p)
+    h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    values, vectors = np.linalg.eigh(h + h.conj().T)
+    theta = 10 ** rng.uniform(-12, -1) / np.abs(values).max()
+    u = (vectors * np.exp(-1j * theta * values)) @ vectors.conj().T
+    element["projector"] = pragmaql.hilbert.encode_array(u @ p @ u.conj().T)
+    return json.dumps(doc)
+
+
+def test_seeded_malformed_lattice_documents_give_domain_errors_or_reports(
+        mo2, boolean4, planes, coordinate_planes_16d):
+    # one seeded fault per document, at any node (an odd value, a deletion,
+    # lists nested 3 or 40 deep), or one projector turned off its class, on
+    # lattices with pairs that do not commute and on two whose pairs all
+    # commute.  With RuntimeWarning an error, import raises a domain error
+    # or gives a lattice on which every law check and the distributivity
+    # search report.  Some turned documents pass the order and negation
+    # checks, so their span counts take rows for the turned class
+    rng = np.random.default_rng([10, 11])
+    outcomes = collections.Counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for lat in (mo2, boolean4, planes, coordinate_planes_16d):
+            document = export_lattice(lat, "structured")
+            for k in range(40):
+                fault = ("fault", "turned")[k % 2]
+                text = turned(document, rng) if fault == "turned" else \
+                    mutated(document, rng, depths=(3, 40))
+                try:
+                    back = import_lattice(json.loads(text))
+                except (ModelError, ProjectorError, ParseError):
+                    outcomes[fault, "error"] += 1
+                    continue
+                reports = verify_ortholattice(back) + [verify_orthomodular(back),
+                                                       verify_isomorphism(back)]
+                assert all(isinstance(r, LawReport) for r in reports)
+                violation = find_distributivity_violation(back)
+                assert violation is None or len(violation) == 3
+                iso = reports[-1]
+                outcomes[fault, "counted" if iso.holds or iso.counterexample[0] in
+                         ("meet", "join") else "refused"] += 1
+    assert outcomes["fault", "error"] > 0 and outcomes["fault", "counted"] > 0
+    assert outcomes["turned", "counted"] > 0 and outcomes["turned", "refused"] > 0
 
 
 ZERO_2 = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
